@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -148,19 +148,31 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     to j being a weak best response; the best feasible pair wins. The chosen
     pair is re-evaluated through ``follower_best_response`` so the reported
     response honors the leader-favoring tie-break exactly.
+
+    Column j's LP can never exceed ``bound[j] = max_i u_leader[i, j]``, so
+    columns are visited in order of ``(-bound[j], j)`` and, on HiGHS, the
+    loop stops at the first column whose bound is strictly below the
+    incumbent's realized payoff (Conitzer & Sandholm, EC 2006). Columns
+    whose bound equals the incumbent are still solved, so among exactly
+    equal payoffs the lowest column index wins, as in a visit of every
+    column. With ``exact=True`` every column is solved, so an exact solve
+    costs the same m LPs on every game of a given shape, where the pruned
+    count would swing with how the leader's bounds fall, and it returns the
+    all-columns answer even on exactly tied payoffs.
     """
     uf = game.u_follower
-    best: tuple[float, MixedStrategy, int] | None = None
-    for j in range(game.m):
-        leq = []
-        for jp in range(game.m):
-            if jp == j:
-                continue
-            leq.append((tuple(uf[:, jp] - uf[:, j]), 0.0))
+    bound = game.u_leader.max(axis=0)
+    order = sorted(range(game.m), key=lambda j: (-bound[j], j))
+    best: tuple[float, int, MixedStrategy, int] | None = None
+    for j in order:
+        if not exact and best is not None and bound[j] < best[0]:
+            break
+        # row jp: follower gain of column jp over j, which must stay <= 0
+        diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
         program = lp.LinearProgram(
             num_vars=game.n,
-            objective=tuple(game.u_leader[:, j]),
-            leq_rows=tuple(leq),
+            objective=tuple(game.u_leader[:, j].tolist()),
+            leq_rows=tuple((row, 0.0) for row in map(tuple, diff.tolist())),
             eq_rows=(((1.0,) * game.n, 1.0),),
             lower_bounds=(0.0,) * game.n,
             upper_bounds=(None,) * game.n,
@@ -171,11 +183,11 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
         response = follower_best_response(game, x)
         payoff, _ = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
-        if best is None or payoff > best[0]:
-            best = (payoff, x, response)
+        if best is None or payoff > best[0] or (payoff == best[0] and j < best[1]):
+            best = (payoff, j, x, response)
     if best is None:
         raise ToolkitError("every per-column LP was infeasible on a valid game")
-    payoff, x, response = best
+    _, _, x, response = best
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, lpay, fpay)
 
@@ -308,10 +320,3 @@ def _embed(weights, support, size) -> tuple[float, ...]:
     for w, s in zip(weights, support):
         full[s] = float(w)
     return tuple(full)
-
-
-def random_game_payoffs(rng, n: int, m: int, low: float = 0.0, high: float = 1.0) -> BimatrixGame:
-    """Uniform random payoffs from a ``random.Random``-style generator."""
-    ul = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
-    uf = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
-    return BimatrixGame(np.asarray(ul), np.asarray(uf))

@@ -23,7 +23,6 @@ from .bimatrix import (
     BimatrixGame,
     MixedStrategy,
     expected_utilities,
-    realized_maximin_profile,
     solve_maximin,
     solve_nash_support_enumeration,
     solve_stackelberg,
@@ -50,6 +49,20 @@ def _round_sig(value, digits: int = 12):
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _load(path: str, parse):
+    """Read one input file and parse it; returns (bytes, parsed).
+
+    Only this step maps ``KeyError``/``TypeError``/``ValueError`` to
+    malformed input, so the same exceptions raised by a solver stay
+    internal failures.
+    """
+    blob = _read(path)
+    try:
+        return blob, parse(blob.decode())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed input: {exc}") from exc
 
 
 def _digest(blob: bytes) -> str:
@@ -96,8 +109,7 @@ def _strategy_list(strategy: MixedStrategy) -> list[float]:
 
 
 def _run_bimatrix(args) -> dict:
-    blob = _read(args.input)
-    game = BimatrixGame.from_json(blob.decode())
+    blob, game = _load(args.input, BimatrixGame.from_json)
     method = args.method
     if method == "se":
         sol = solve_stackelberg(game, exact=args.exact)
@@ -124,12 +136,14 @@ def _run_bimatrix(args) -> dict:
             )
         result = {"method": "nash", "equilibria": entries}
     elif method == "maximin":
-        xl, yf, lpay, fpay = realized_maximin_profile(game)
-        check_l, check_f = expected_utilities(game, xl, yf)
-        if abs(check_l - lpay) > 1e-9 or abs(check_f - fpay) > 1e-9:
-            raise ToolkitError("realized maximin payoffs failed re-evaluation")
-        _, lguar = solve_maximin(game, LEADER)
-        _, fguar = solve_maximin(game, FOLLOWER)
+        xl, lguar = solve_maximin(game, LEADER)
+        yf, fguar = solve_maximin(game, FOLLOWER)
+        # each guarantee must hold against every pure reply of the opponent
+        if (xl.as_array() @ game.u_leader).min() < lguar - 1e-7 or (
+            game.u_follower @ yf.as_array()
+        ).min() < fguar - 1e-7:
+            raise ToolkitError("maximin strategy falls short of its guarantee")
+        lpay, fpay = expected_utilities(game, xl, yf)
         result = {
             "method": "maximin",
             "leaderStrategy": _strategy_list(xl),
@@ -157,8 +171,7 @@ def _run_bimatrix(args) -> dict:
 
 
 def _run_incentive(args) -> dict:
-    blob = _read(args.input)
-    inst = incentive.incentive_from_json(blob.decode())
+    blob, inst = _load(args.input, incentive.incentive_from_json)
     if args.no_incentives:
         game, ids = incentive.incentive_bimatrix(inst, limit=args.path_limit)
         sol = solve_stackelberg(game, exact=True)
@@ -187,17 +200,18 @@ def _support_obj(support) -> list[dict]:
 
 
 def _load_pm_strategy(inst: permmatch.PermMatchInstance, path: str) -> permmatch.TwoPointLeaderStrategy:
-    data = json.loads(_read(path).decode())
-    support = tuple(
-        (permmatch.as_matching(inst.graph, entry["edges"]), float(entry["prob"]))
-        for entry in data["support"]
-    )
-    return permmatch.TwoPointLeaderStrategy(support)
+    def parse(text: str) -> permmatch.TwoPointLeaderStrategy:
+        support = tuple(
+            (permmatch.as_matching(inst.graph, entry["edges"]), float(entry["prob"]))
+            for entry in json.loads(text)["support"]
+        )
+        return permmatch.TwoPointLeaderStrategy(support)
+
+    return _load(path, parse)[1]
 
 
 def _run_pm(args) -> dict:
-    blob = _read(args.input)
-    inst = permmatch.permmatch_from_json(blob.decode())
+    blob, inst = _load(args.input, permmatch.permmatch_from_json)
     eps = float(_parse_eps(args.eps)) if args.eps else 0.01
     if args.action == "approx":
         strategy, response, value = permmatch.approx_solve(inst, eps)
@@ -261,8 +275,7 @@ def _run_pm(args) -> dict:
 
 
 def _run_reduce(args) -> dict:
-    blob = _read(args.input)
-    tdm = permmatch.threedm_from_json(blob.decode())
+    blob, tdm = _load(args.input, permmatch.threedm_from_json)
     inst, rmap = permmatch.reduce_3dm(tdm)
     _verify_reduction(tdm, inst, rmap)
     out_obj = permmatch.permmatch_to_json_obj(inst)
@@ -411,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         payload = args.handler(args)
-    except (InputError, json.JSONDecodeError, KeyError, TypeError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeLimitError as exc:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError, LpNumericalError, ToolkitError
 
@@ -151,6 +150,10 @@ def solve_with_generation(
 
 
 def _solve_scipy(lp: LinearProgram) -> LpSolution:
+    # imported here so that commands which solve no HiGHS LP skip scipy's
+    # start-up cost
+    from scipy.optimize import linprog
+
     c = -np.asarray(lp.objective, dtype=float)
     a_ub = b_ub = a_eq = b_eq = None
     if lp.leq_rows:

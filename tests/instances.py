@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
+from stacksolve.bimatrix import BimatrixGame
 from stacksolve.incentive import (
     ExplicitFamily,
     IncentiveInstance,
@@ -13,6 +16,13 @@ from stacksolve.incentive import (
 )
 
 S, A, B, T = 0, 1, 2, 3
+
+
+def random_game_payoffs(rng, n: int, m: int, low: float = 0.0, high: float = 1.0) -> BimatrixGame:
+    """Uniform random payoffs from a ``random.Random``-style generator."""
+    ul = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
+    uf = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
+    return BimatrixGame(np.asarray(ul), np.asarray(uf))
 
 
 def commit_instance(parallel: int = 3) -> IncentiveInstance:

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's solver code paths:
 oracles enumerate, grid-search, or intersect constraints directly, so a bug
-in a solver cannot hide inside its own checker.
+in a solver cannot hide inside its own checker. The one exception is
+``unpruned_stackelberg``, a differential reference that shares the LP
+backend so that it isolates the solver's pruning.
 """
 
 from __future__ import annotations
@@ -11,6 +13,14 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from stacksolve import lp
+from stacksolve.bimatrix import (
+    MixedStrategy,
+    StackelbergSolution,
+    expected_utilities,
+    follower_best_response,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +87,39 @@ def grid_search_stackelberg(u_leader, u_follower, steps: int) -> float:
         if val > best:
             best = val
     return float(best)
+
+
+def unpruned_stackelberg(game, exact: bool = False):
+    """Multiple LPs over every follower column, in index order, no pruning.
+
+    The differential reference for the bound-ordered pruning of
+    ``bimatrix.solve_stackelberg``. It shares that solver's LP backend and
+    best-response re-evaluation on purpose, so that only the visiting order
+    and the stop rule differ: the strictly best realized payoff wins, and
+    the lowest column index among exactly equal payoffs.
+    """
+    n, m = game.n, game.m
+    uf = game.u_follower
+    best = None
+    for j in range(m):
+        leq = tuple((tuple(uf[:, jp] - uf[:, j]), 0.0) for jp in range(m) if jp != j)
+        program = lp.LinearProgram(
+            num_vars=n,
+            objective=tuple(game.u_leader[:, j]),
+            leq_rows=leq,
+            eq_rows=(((1.0,) * n, 1.0),),
+            lower_bounds=(0.0,) * n,
+            upper_bounds=(None,) * n,
+        )
+        sol = lp.solve(program, exact=exact)
+        if not sol.is_optimal:
+            continue
+        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
+        response = follower_best_response(game, x)
+        payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(m, response))
+        if best is None or payoff > best.leader_payoff:
+            best = StackelbergSolution(x, response, payoff, follower)
+    return best
 
 
 # ---------------------------------------------------------------------------

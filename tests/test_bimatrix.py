@@ -10,7 +10,6 @@ from stacksolve.bimatrix import (
     MixedStrategy,
     expected_utilities,
     follower_best_response,
-    random_game_payoffs,
     realized_maximin_profile,
     solve_maximin,
     solve_nash_support_enumeration,
@@ -19,6 +18,7 @@ from stacksolve.bimatrix import (
 )
 from stacksolve.errors import InputError, SizeLimitError
 
+from .instances import random_game_payoffs
 from .oracles import grid_search_stackelberg
 
 # The 2x2 comparison game where the commitment, simultaneous-move, and

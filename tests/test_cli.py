@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stacksolve.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
+from stacksolve import cli, lp
+from stacksolve.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_OK, main
 from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permmatch
 
 from .instances import commit_instance
@@ -80,6 +85,68 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     assert main(["solve-bimatrix", "-i", "/nonexistent.json"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        {"n": 2, "m": 2, "uL": [[1.0, 0.0], [0.0, 1.0]]},  # KeyError: no uF
+        {"n": 2, "m": 2, "uL": 3, "uF": None},  # TypeError
+        [1, 2],  # TypeError: not an object
+        {"n": 2, "m": 2, "uL": [[1.0], [0.0, 1.0]], "uF": [[1.0, 0.0], [0.0, 1.0]]},  # ValueError: ragged
+    ],
+)
+def test_malformed_game_exit_2(tmp_path, capsys, game):
+    path = write(tmp_path, "game.json", game)
+    assert main(["solve-bimatrix", "-i", path]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_malformed_pm_strategy_exit_2(tmp_path, capsys):
+    inst = write(tmp_path, "pm.json", SWAP_PM)
+    strat = write(tmp_path, "strategy.json", {"support": [{"edges": [0]}]})
+    assert main(["pm", "bestresponse", "-i", inst, "--strategy", strat]) == EXIT_INPUT
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
+    def broken(game, exact=False):
+        raise error("raised inside the solver")
+
+    monkeypatch.setattr(cli, "solve_stackelberg", broken)
+    path = write(tmp_path, "game.json", APPENDIX)
+    assert main(["solve-bimatrix", "-i", path, "--method", "se"]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_maximin_solves_two_lps(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = lp.solve
+
+    def counting(program, exact=False):
+        calls.append(program)
+        return real(program, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    path = write(tmp_path, "game.json", APPENDIX)
+    code, report = run_cli(capsys, "solve-bimatrix", "-i", path, "--method", "maximin")
+    assert code == EXIT_OK
+    assert len(calls) == 2
+    assert report["result"]["followerGuarantee"] == pytest.approx(0.5)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, stacksolve.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_discretize_requires_eps(tmp_path, capsys):

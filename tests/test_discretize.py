@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from stacksolve import discretize as dz
-from stacksolve.bimatrix import BimatrixGame, random_game_payoffs, solve_stackelberg
+from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
+
+from .instances import random_game_payoffs
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
