@@ -255,20 +255,7 @@ def _incentive_lp(inst: IncentiveInstance) -> lp.LinearProgram:
 
 def best_reward_set(inst: IncentiveInstance) -> SetId:
     """argmax over the family of the follower's total element reward."""
-    if isinstance(inst.family, ExplicitFamily):
-        best: Optional[tuple[SetId, float]] = None
-        for members in inst.family.sets:
-            sid = set_id(members)
-            val = sum(inst.follower_reward[e] for e in members)
-            if best is None or val > best[1] + 1e-12 or (abs(val - best[1]) <= 1e-12 and sid < best[0]):
-                best = (sid, val)
-        assert best is not None
-        return best[0]
-    weights = {e: -inst.follower_reward[e] for e in inst.elements}
-    path = _lex_min_tight_path(inst.family, weights)
-    if path is None:
-        raise InputError("no s-t path exists")
-    return set_id(path)
+    return base_best_set(inst, {})[0]
 
 
 def solve_stackelberg_incentive(

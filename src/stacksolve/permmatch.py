@@ -9,14 +9,15 @@ marginal edge probabilities. The greedy pair algorithm plus the
 makes finding a matching identical to its pi-image (pi-TIM) as hard as
 maximum 3-dimensional matching.
 
-Everything brute-force is capped at 12 edges; the corpora that exercise the
-guarantees stay well below that.
+Both best responses run one exact branch-and-bound matcher at any size.
+Only the brute-force oracles ``opt_pure_pair`` and ``bruteforce_pitim`` and
+the CLI's ``pm bruteforce`` are capped at 12 edges; ``explicit_bimatrix``
+is capped at 4096 matchings.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -158,47 +159,64 @@ def enumerate_matchings(graph: Multigraph, limit: Optional[int] = None) -> list[
     return out
 
 
-def max_weight_matching(graph: Multigraph, weights: Sequence[float]) -> Matching:
+def max_weight_matching(
+    graph: Multigraph, weights: Sequence[float], tie_weights: Optional[Sequence[float]] = None
+) -> Matching:
     """Exact maximum-weight matching by branch and bound.
 
-    Edges with nonpositive weight are never included. Among maximizers
-    (weights within 1e-12) the lexicographically smallest sorted edge-id
-    set wins, which keeps results reproducible across runs.
+    Among matchings whose total weight is within ``WEIGHT_TOL`` of the
+    maximum, the largest total tie weight wins (again within
+    ``WEIGHT_TOL``), and then the lexicographically smallest sorted
+    edge-id set, which keeps results reproducible across runs. Edges with
+    negative weight, or with zero weight and no positive tie weight, are
+    never included. Candidates are branched on in order of
+    ``(-weight, -tie weight, id)`` so that a heavy incumbent comes first.
     """
-    if len(weights) != graph.num_edges:
+    ties = [0.0] * graph.num_edges if tie_weights is None else tie_weights
+    if len(weights) != graph.num_edges or len(ties) != graph.num_edges:
         raise InputError("one weight per edge required")
-    cand = [e for e in range(graph.num_edges) if weights[e] > 0 and np.isfinite(weights[e])]
-    if any(not np.isfinite(w) for w in weights):
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(ties))):
         raise InputError("weights must be finite")
-    suffix = [0.0] * (len(cand) + 1)
+    cand = sorted(
+        (e for e in range(graph.num_edges) if weights[e] > 0 or (weights[e] == 0 and ties[e] > 0)),
+        key=lambda e: (-weights[e], -ties[e], e),
+    )
+    suffix_w = [0.0] * (len(cand) + 1)
+    suffix_t = [0.0] * (len(cand) + 1)
     for i in range(len(cand) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[cand[i]]
-    best_w = 0.0
+        suffix_w[i] = suffix_w[i + 1] + weights[cand[i]]
+        suffix_t[i] = suffix_t[i + 1] + max(ties[cand[i]], 0.0)
+    best_w, best_t = 0.0, 0.0
     best_set: tuple[int, ...] = ()
     chosen: list[int] = []
     used: set[int] = set()
 
-    def recurse(idx: int, total: float) -> None:
-        nonlocal best_w, best_set
-        if total + suffix[idx] < best_w - 1e-12:
+    def recurse(idx: int, total: float, tie: float) -> None:
+        nonlocal best_w, best_t, best_set
+        bound = total + suffix_w[idx]
+        if bound < best_w - WEIGHT_TOL or (
+            bound <= best_w + WEIGHT_TOL and tie + suffix_t[idx] < best_t - WEIGHT_TOL
+        ):
             return
         if idx == len(cand):
             key = tuple(sorted(chosen))
-            if total > best_w + 1e-12 or (abs(total - best_w) <= 1e-12 and key < best_set):
-                best_w = total
-                best_set = key
+            if total > best_w + WEIGHT_TOL or (
+                total >= best_w - WEIGHT_TOL
+                and (tie > best_t + WEIGHT_TOL or (tie >= best_t - WEIGHT_TOL and key < best_set))
+            ):
+                best_w, best_t, best_set = total, tie, key
             return
         e = cand[idx]
         u, v = graph.edges[e]
         if u not in used and v not in used:
             chosen.append(e)
             used.update((u, v))
-            recurse(idx + 1, total + weights[e])
+            recurse(idx + 1, total + weights[e], tie + ties[e])
             used.difference_update((u, v))
             chosen.pop()
-        recurse(idx + 1, total)
+        recurse(idx + 1, total, tie)
 
-    recurse(0, 0.0)
+    recurse(0, 0.0, 0.0)
     return frozenset(best_set)
 
 
@@ -218,36 +236,17 @@ def _expected_leader(inst: PermMatchInstance, support, m_follower: Matching) -> 
 def follower_best_response_pm(inst: PermMatchInstance, x: StrategyLike) -> Matching:
     """Follower's maximum-weight matching under the leader's edge marginals.
 
-    Up to 12 edges, weight ties (1e-9) break toward the matching with the
-    best expected leader payoff and then the smallest sorted edge-id set;
-    larger graphs fall back to the deterministic single optimum and warn.
+    Weight ties (``WEIGHT_TOL``) break toward the best expected leader
+    payoff, which is linear in the follower's edges: edge e pays the leader
+    P[pi(e) in M_L]. Remaining ties go to the smallest sorted edge-id set.
+    Edges that pay neither player are left out.
     """
     support = _support(inst, x)
-    weights = _marginals(inst, support)
-    if inst.graph.num_edges > BRUTE_FORCE_EDGE_LIMIT:
-        warnings.warn(
-            "graph exceeds the leader-favoring enumeration limit; "
-            "returning a deterministic max-weight matching without the tie-break",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return max_weight_matching(inst.graph, weights)
-    best = None
-    for m in enumerate_matchings(inst.graph):
-        w = sum(weights[e] for e in m)
-        l = _expected_leader(inst, support, m)
-        key = tuple(sorted(m))
-        if best is None:
-            best = (w, l, key, m)
-            continue
-        bw, bl, bkey, _ = best
-        if w > bw + WEIGHT_TOL:
-            best = (w, l, key, m)
-        elif w >= bw - WEIGHT_TOL:
-            if l > bl + WEIGHT_TOL or (abs(l - bl) <= WEIGHT_TOL and key < bkey):
-                best = (w, l, key, m)
-    assert best is not None
-    return best[3]
+    leader_gain = [0.0] * inst.graph.num_edges
+    for m, p in support:
+        for e in m:
+            leader_gain[inst.pi_inverse(e)] += p
+    return max_weight_matching(inst.graph, _marginals(inst, support), leader_gain)
 
 
 def leader_best_response_pm(inst: PermMatchInstance, y: StrategyLike) -> Matching:

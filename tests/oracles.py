@@ -157,6 +157,43 @@ def max_weight_matching_bruteforce(num_vertices: int, edges, weights) -> tuple[f
     return best_w, best_m
 
 
+def lexmax_matching_bruteforce(num_vertices: int, edges, weights, ties) -> frozenset[int]:
+    """The documented rule of ``max_weight_matching`` with tie weights, by enumeration.
+
+    Matchings with an edge of negative weight, or of zero weight and no
+    positive tie weight, are dropped. Of the rest: the largest weight, then
+    the largest tie weight among those within 1e-9 of it, then the smallest
+    sorted edge-id set among those within 1e-9 again.
+    """
+    allowed = [
+        m
+        for m in all_matchings_bruteforce(num_vertices, edges)
+        if all(weights[e] > 0 or (weights[e] == 0 and ties[e] > 0) for e in m)
+    ]
+    best_w = max(sum(weights[e] for e in m) for m in allowed)
+    allowed = [m for m in allowed if sum(weights[e] for e in m) >= best_w - 1e-9]
+    best_t = max(sum(ties[e] for e in m) for m in allowed)
+    allowed = [m for m in allowed if sum(ties[e] for e in m) >= best_t - 1e-9]
+    return min(allowed, key=sorted)
+
+
+def follower_best_response_bruteforce(inst, support) -> tuple[float, float]:
+    """(best follower payoff, best leader payoff among follower ties within 1e-9).
+
+    Enumerates every matching and scores it from the payoff definitions,
+    ``sum_p p |M_L ∩ M_F|`` and ``sum_p p |M_L ∩ pi(M_F)|``, not from edge
+    marginals.
+    """
+    scored = []
+    for m in all_matchings_bruteforce(inst.graph.num_vertices, inst.graph.edges):
+        image = frozenset(inst.pi[e] for e in m)
+        follower = sum(p * len(frozenset(ml) & m) for ml, p in support)
+        leader = sum(p * len(frozenset(ml) & image) for ml, p in support)
+        scored.append((follower, leader))
+    best_f = max(f for f, _ in scored)
+    return best_f, max(l for f, l in scored if f >= best_f - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # 3-dimensional matching
 

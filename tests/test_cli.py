@@ -12,6 +12,7 @@ from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permm
 
 from .instances import commit_instance
 from stacksolve.incentive import incentive_to_json_obj
+from stacksolve.permmatch import permmatch_to_json_obj
 
 APPENDIX = {
     "n": 2,
@@ -204,6 +205,21 @@ def test_pm_approx(tmp_path, capsys):
     assert result["greedyPair"]["sharedCount"] == 2
     assert result["seUpperBound"] == 8
     assert result["guaranteeFraction"] == pytest.approx((1 - 0.03) / 12)
+
+
+def test_pm_approx_breaks_ties_for_the_leader_above_twelve_edges(tmp_path):
+    # 13 edges; a best response without the leader-favouring tie-break gives 1.323333
+    path = write(tmp_path, "pm.json", permmatch_to_json_obj(random_permmatch(0, 8, 13)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "stacksolve.cli", "pm", "approx", "-i", path, "--eps", "1/100"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_OK
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["result"]["leaderPayoff"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_pm_bruteforce(tmp_path, capsys):

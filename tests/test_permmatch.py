@@ -1,6 +1,9 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stacksolve import permmatch as pm
 from stacksolve.bimatrix import solve_stackelberg
@@ -10,7 +13,9 @@ from stacksolve.gen import random_3dm, random_permmatch
 from .oracles import (
     all_matchings_bruteforce,
     bruteforce_3dm_value,
+    follower_best_response_bruteforce,
     is_3d_matching,
+    lexmax_matching_bruteforce,
     max_weight_matching_bruteforce,
 )
 
@@ -71,6 +76,20 @@ def test_max_weight_matching_path():
     assert pm.max_weight_matching(graph, (1.0, 1.0, 1.0)) == {0, 2}
 
 
+def test_max_weight_matching_weight_tie_takes_smallest_ids():
+    # {1} and {0, 2} both weigh 2; the search finds {1} first
+    graph = pm.Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+    assert pm.max_weight_matching(graph, (1.0, 2.0, 1.0)) == {0, 2}
+
+
+def test_max_weight_matching_tie_bound_may_skip_negative_tie_weights():
+    # edge 0 conflicts with edges 1 and 2; edge 3 is nearly free but costs
+    # tie weight, so the tie bound must not count it against {1, 2}
+    graph = pm.Multigraph(7, ((0, 1), (0, 2), (1, 3), (5, 6)))
+    weights = (2.0, 1.0, 1.0, 1e-10)
+    assert pm.max_weight_matching(graph, weights, (0.0, 1.0, 1.0, -5.0)) == {1, 2}
+
+
 def test_max_weight_matching_skips_nonpositive():
     graph = pm.Multigraph(4, ((0, 1), (2, 3)))
     assert pm.max_weight_matching(graph, (0.0, -2.0)) == frozenset()
@@ -84,6 +103,65 @@ def test_max_weight_matching_vs_bruteforce():
         got = pm.max_weight_matching(inst.graph, weights)
         want_w, _ = max_weight_matching_bruteforce(inst.graph.num_vertices, inst.graph.edges, weights)
         assert abs(sum(weights[e] for e in got) - want_w) < 1e-9, f"trial {trial}"
+
+
+@st.composite
+def graphs(draw, max_edges=14):
+    """A random multigraph on 2-8 vertices with up to ``max_edges`` edges."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda uv: uv[0] != uv[1])
+    e = draw(st.integers(0, max_edges))
+    return pm.Multigraph(n, tuple(draw(st.lists(pairs, min_size=e, max_size=e))))
+
+
+@st.composite
+def mixtures(draw, max_edges=14):
+    """A random instance and a mixture of 1-5 random matchings of it."""
+    graph = draw(graphs(max_edges))
+    e = graph.num_edges
+    inst = pm.PermMatchInstance(graph, tuple(draw(st.permutations(range(e)))))
+    support = []
+    for _ in range(draw(st.integers(1, 5))):
+        used, chosen = set(), []
+        for edge in draw(st.permutations(range(e)))[: draw(st.integers(0, e))]:
+            u, v = graph.edges[edge]
+            if u not in used and v not in used:
+                chosen.append(edge)
+                used.update((u, v))
+        support.append(frozenset(chosen))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] = 1.0 - sum(probs[:-1])
+    return inst, tuple(zip(support, probs))
+
+
+MATCHER_SETTINGS = dict(derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(max_examples=150, **MATCHER_SETTINGS)
+@given(mixtures())
+def test_follower_best_response_matches_bruteforce(case):
+    inst, support = case
+    response = pm.follower_best_response_pm(inst, support)
+    follower, leader = follower_best_response_bruteforce(inst, support)
+    got_f = sum(p * len(m & response) for m, p in support)
+    got_l = sum(p * len(m & inst.pi_image(response)) for m, p in support)
+    assert abs(got_f - follower) <= 1e-9
+    assert abs(got_l - leader) <= 1e-9
+
+
+@settings(max_examples=150, **MATCHER_SETTINGS)
+@given(st.data())
+def test_max_weight_matching_tie_weights_matches_bruteforce(data):
+    # half steps keep every sum exact, so ties are real and the
+    # smallest-id rule decides them
+    graph = data.draw(graphs())
+    step = st.integers(-2, 4).map(lambda k: k / 2)
+    weights = data.draw(st.lists(step, min_size=graph.num_edges, max_size=graph.num_edges))
+    ties = data.draw(st.lists(step, min_size=graph.num_edges, max_size=graph.num_edges) | st.none())
+    got = pm.max_weight_matching(graph, weights, ties)
+    want = lexmax_matching_bruteforce(graph.num_vertices, graph.edges, weights, ties or [0.0] * graph.num_edges)
+    assert got == want
 
 
 def test_enumerate_matchings_matches_bruteforce_counts():
@@ -117,13 +195,29 @@ def test_follower_best_response_empty_graph():
     assert pm.follower_best_response_pm(inst, ((frozenset(), 1.0),)) == frozenset()
 
 
-def test_follower_best_response_large_graph_warns():
+def test_follower_best_response_large_graph_no_warning():
     edges = tuple((2 * i, 2 * i + 1) for i in range(13))
     inst = identity_instance(edges, 26)
     point = ((frozenset(range(13)), 1.0),)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         response = pm.follower_best_response_pm(inst, point)
     assert response == frozenset(range(13))
+
+
+def test_follower_best_response_leaves_out_edges_paying_neither_player():
+    # edge 0 pays neither player; {0, 1} has the same payoffs as {1}
+    inst = identity_instance([(0, 1), (2, 3)], 4)
+    assert pm.follower_best_response_pm(inst, ((frozenset({1}), 1.0),)) == {1}
+
+
+def test_approx_solve_breaks_ties_for_the_leader_above_twelve_edges():
+    inst = random_permmatch(0, 8, 13)
+    strategy, response, value = pm.approx_solve(inst, 0.01)
+    follower, leader = follower_best_response_bruteforce(inst, strategy.support)
+    assert value == pytest.approx(2.0, abs=1e-9)
+    assert leader == pytest.approx(2.0, abs=1e-9)
+    assert sum(p * len(m & response) for m, p in strategy.support) >= follower - 1e-9
 
 
 def test_leader_best_response_point_mass():
