@@ -10,7 +10,13 @@ most that much below the exact optimum, and its response is that close to a
 follower best response.
 
 Grid points are enumerated as integer numerators over k, so membership in
-the grid is exact; only payoff evaluation uses floats.
+the grid is exact; only payoff evaluation uses floats. The enumeration is
+stars and bars in numpy: the first n - 2 numerators (a prefix) with
+remainder r stand for the block of rows ``[prefix, a, r - a]``, a = 0..r,
+and the rows come out in lexicographic order. Blocks are grouped, and a
+block too long on its own is cut, so that no chunk exceeds ``_CHUNK`` rows;
+the chunk bound caps the float arrays a solve holds at once. Each chunk is
+scored with one pair of matrix products.
 """
 
 from __future__ import annotations
@@ -26,7 +32,11 @@ from .bimatrix import BimatrixGame, MixedStrategy
 from .errors import InputError, SizeLimitError
 
 DEFAULT_GRID_CAP = 10_000_000
-_CHUNK = 16384
+_CHUNK = 8192
+# A column counts as a relaxed response when its follower payoff is at least
+# best - slack - RELAXED_MARGIN; the margin absorbs float rounding in the
+# payoffs. The solver and its checker must use the same value.
+RELAXED_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,25 +86,78 @@ def grid_size(n: int, params: GridParams) -> int:
     return comb(n + params.k - 1, n - 1)
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All length-n tuples of nonnegative ints summing to k, in lex order."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(n - 1, k - first):
-            yield (first,) + rest
-
-
-def grid_strategies(n: int, params: GridParams, cap: int = DEFAULT_GRID_CAP) -> list[MixedStrategy]:
-    """Every mixed strategy with probabilities in {0, eps, 2 eps, ..., 1}."""
+def _check_cap(n: int, params: GridParams, cap: int) -> int:
+    """The grid size, after refusing n < 1 and grids above ``cap`` points."""
     if n < 1:
         raise InputError("n must be at least 1")
     count = grid_size(n, params)
     if count > cap:
         raise SizeLimitError(f"grid has {count} points, above the cap of {cap}")
+    return count
+
+
+def _ramps(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., s - 1 for each s in ``sizes``, concatenated."""
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(int(starts[-1] + sizes[-1]), dtype=np.int64) - np.repeat(starts, sizes)
+
+
+def _slices(prefixes: np.ndarray, rems: np.ndarray, chunk: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive runs of prefixes whose blocks hold at most ``chunk`` rows.
+
+    A prefix whose own block is longer than ``chunk`` forms a run alone.
+    """
+    ends = np.cumsum(rems + 1)
+    runs = []
+    lo = 0
+    while lo < len(rems):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + chunk, side="right")), lo + 1)
+        runs.append((prefixes[lo:hi], rems[lo:hi]))
+        lo = hi
+    return runs
+
+
+def _grid_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """Every length-n row of nonnegative ints summing to k, in lex order.
+
+    Yields int64 arrays of at most ``_CHUNK`` rows. A prefix (the first
+    n - 2 coordinates) with remainder r stands for the block
+    ``[prefix, a, r - a]``, a = 0..r. Prefixes grow one coordinate at a
+    time, a run of at most ``_CHUNK`` rows' worth at once, depth first, so
+    the arrays held stay bounded however large the grid is. A run of blocks
+    expands with one ``np.repeat``; a block longer than ``_CHUNK`` is cut by
+    ranges of a.
+    """
+    chunk = _CHUNK
+    if n == 1:
+        yield np.array([[k]], dtype=np.int64)
+        return
+    pending = [(np.zeros((1, 0), dtype=np.int64), np.array([k], dtype=np.int64))]
+    while pending:
+        prefixes, rems = pending.pop()
+        sizes = rems + 1
+        if prefixes.shape[1] < n - 2:
+            heads = _ramps(sizes)
+            grown = np.column_stack([np.repeat(prefixes, sizes, axis=0), heads])
+            pending.extend(reversed(_slices(grown, np.repeat(rems, sizes) - heads, chunk)))
+        elif sizes[0] > chunk:  # a run of one block
+            r = int(rems[0])
+            for a0 in range(0, r + 1, chunk):
+                a = np.arange(a0, min(a0 + chunk, r + 1), dtype=np.int64)
+                yield np.column_stack([np.repeat(prefixes, len(a), axis=0), a, r - a])
+        else:
+            a = _ramps(sizes)
+            yield np.column_stack([np.repeat(prefixes, sizes, axis=0), a, np.repeat(rems, sizes) - a])
+
+
+def grid_strategies(n: int, params: GridParams, cap: int = DEFAULT_GRID_CAP) -> list[MixedStrategy]:
+    """Every mixed strategy with probabilities in {0, eps, 2 eps, ..., 1}."""
+    _check_cap(n, params, cap)
     return [
-        MixedStrategy(tuple(c / params.k for c in combo)) for combo in _compositions(n, params.k)
+        MixedStrategy(tuple(c / params.k for c in row))
+        for block in _grid_blocks(n, params.k)
+        for row in block.tolist()
     ]
 
 
@@ -109,7 +172,7 @@ def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
         raise InputError("slack must be nonnegative")
     strat = x if isinstance(x, MixedStrategy) else MixedStrategy(tuple(x))
     vals = strat.as_array() @ game.u_follower
-    return {j for j in range(game.m) if vals[j] >= vals.max() - slack - 1e-12}
+    return {j for j in range(game.m) if vals[j] >= vals.max() - slack - RELAXED_MARGIN}
 
 
 def discretized_se(
@@ -120,41 +183,24 @@ def discretized_se(
     Ties on leader payoff keep the lexicographically first grid strategy;
     within one grid point, ties keep the lowest column index.
     """
-    n, m = game.n, game.m
-    count = grid_size(n, params)
-    if count > cap:
-        raise SizeLimitError(f"grid has {count} points, above the cap of {cap}")
+    count = _check_cap(game.n, params, cap)
     big_m = max_abs_payoff(game)
-    slack = 2.0 * n * params.eps * big_m
+    slack = 2.0 * game.n * params.eps * big_m
     ul = game.u_leader
     uf = game.u_follower
-    best: tuple[float, tuple[int, ...], int, float] | None = None  # payoff, numerators, j, fpay
-
-    chunk: list[tuple[int, ...]] = []
-
-    def flush(chunk_rows: list[tuple[int, ...]]) -> None:
-        nonlocal best
-        if not chunk_rows:
-            return
-        xs = np.asarray(chunk_rows, dtype=float) / params.k
+    best: tuple[float, list[int], int, float] | None = None  # payoff, numerators, j, fpay
+    for rows in _grid_blocks(game.n, params.k):
+        xs = rows / params.k
         fvals = xs @ uf
         lvals = xs @ ul
         tops = fvals.max(axis=1, keepdims=True)
-        allowed = fvals >= tops - slack - 1e-12
+        allowed = fvals >= tops - slack - RELAXED_MARGIN
         masked = np.where(allowed, lvals, -np.inf)
-        picks = masked.argmax(axis=1)
-        rows = np.arange(len(chunk_rows))
-        values = masked[rows, picks]
-        for i in range(len(chunk_rows)):
-            if best is None or values[i] > best[0]:
-                best = (float(values[i]), chunk_rows[i], int(picks[i]), float(fvals[i, picks[i]]))
-
-    for combo in _compositions(n, params.k):
-        chunk.append(combo)
-        if len(chunk) >= _CHUNK:
-            flush(chunk)
-            chunk = []
-    flush(chunk)
+        # the flat argmax is the first row holding the chunk's maximum, and
+        # its lowest column holding it; the strict > keeps earlier chunks
+        i, j = divmod(int(masked.argmax()), game.m)
+        if best is None or masked[i, j] > best[0]:
+            best = (float(masked[i, j]), rows[i].tolist(), j, float(fvals[i, j]))
     assert best is not None
     payoff, numerators, j, fpay = best
     return ApproxSolution(

@@ -457,36 +457,41 @@ def _dijkstra(fam: PathFamily, weights: Mapping) -> list[Optional[float]]:
 def _lex_min_tight_path(fam: PathFamily, weights: Mapping, tol: float = PAYOFF_TOL) -> Optional[list[str]]:
     """Lexicographically-smallest edge-id shortest s-t path.
 
-    Depth-first over the tight edges of the shortest-path relaxation with
-    id-sorted branching; the first simple path reaching the sink is the
-    lexicographic minimum.
+    An edge u -> v is tight when ``dist[u] = weights + dist[v]`` within
+    ``tol``; every s-t walk over tight edges is a shortest path. From the
+    source, the walk takes the smallest-id tight edge whose head still
+    reaches the sink over tight edges once the trail's vertices are
+    removed, so it never enters a dead end. One reverse search per step
+    makes this O(V * E).
     """
     dist = _dijkstra(fam, weights)
-    total = dist[fam.source]
-    if total is None:
+    if dist[fam.source] is None:
         return None
-    adj = fam.adjacency()
-    visited = [False] * fam.num_vertices
-
-    def walk(v: int, acc: float, trail: list[str]) -> Optional[list[str]]:
-        if v == fam.sink:
-            return list(trail)
-        visited[v] = True
-        for eid, to in adj[v]:
-            if visited[to] or dist[to] is None:
-                continue
-            if abs(acc + weights[eid] + dist[to] - total) <= tol:
-                trail.append(eid)
-                found = walk(to, acc + weights[eid], trail)
-                if found is not None:
-                    return found
-                trail.pop()
-        visited[v] = False
-        return None
-
-    path = walk(fam.source, 0.0, [])
-    if path is None:  # pragma: no cover - a tight simple path always exists
-        raise ToolkitError("tight-path walk failed despite finite distance")
+    tight_in: list[list[int]] = [[] for _ in range(fam.num_vertices)]
+    tight_out: list[list[tuple[str, int]]] = [[] for _ in range(fam.num_vertices)]
+    for v, edges in enumerate(fam.adjacency()):
+        for eid, to in edges:
+            if dist[v] is not None and dist[to] is not None and abs(weights[eid] + dist[to] - dist[v]) <= tol:
+                tight_out[v].append((eid, to))
+                tight_in[to].append(v)
+    on_trail = [False] * fam.num_vertices
+    path: list[str] = []
+    v = fam.source
+    while v != fam.sink:
+        on_trail[v] = True
+        reaches = [False] * fam.num_vertices
+        reaches[fam.sink] = True
+        stack = [fam.sink]
+        while stack:
+            for u in tight_in[stack.pop()]:
+                if not reaches[u] and not on_trail[u]:
+                    reaches[u] = True
+                    stack.append(u)
+        step = next(((eid, to) for eid, to in tight_out[v] if reaches[to]), None)
+        if step is None:  # pragma: no cover - a tight simple path always exists
+            raise ToolkitError("tight-path walk failed despite finite distance")
+        path.append(step[0])
+        v = step[1]
     return path
 
 

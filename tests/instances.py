@@ -52,6 +52,25 @@ def commit_instance(parallel: int = 3) -> IncentiveInstance:
     )
 
 
+def grid_instance(rng: random.Random, rows: int, cols: int) -> IncentiveInstance:
+    """A rows x cols vertex grid from corner to corner, edge costs 1 + U[0, 0.1]."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((f"h{i}_{j}", v, v + 1))
+            if i + 1 < rows:
+                edges.append((f"v{i}_{j}", v, v + cols))
+    ids = tuple(e[0] for e in edges)
+    return IncentiveInstance(
+        elements=ids,
+        follower_reward={e: -(1.0 + 0.1 * rng.random()) for e in ids},
+        leader_reward={e: 0.0 for e in ids},
+        family=PathFamily(num_vertices=rows * cols, edges=tuple(edges), source=0, sink=rows * cols - 1),
+    )
+
+
 COMMIT_X = {"sa": 0.4, "bt": 0.6}
 CHAIN_PATH = ("ab", "bt", "sa")  # set id of the s-a-b-t path
 SAT_PATH = ("at1", "sa")

@@ -2,19 +2,23 @@
 
 Everything here deliberately avoids the package's solver code paths:
 oracles enumerate, grid-search, or intersect constraints directly, so a bug
-in a solver cannot hide inside its own checker. The one exception is
-``unpruned_stackelberg``, a differential reference that shares the LP
-backend so that it isolates the solver's pruning.
+in a solver cannot hide inside its own checker. The exceptions are the
+differential references, which keep a replaced implementation and share the
+rest of the solver so that they isolate the part that changed:
+``unpruned_stackelberg`` (the pruning, sharing the LP backend),
+``discretized_se_reference`` (the grid enumeration and chunk scan) and
+``lex_min_tight_path_dfs`` (the tight-path search, sharing Dijkstra).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from stacksolve import lp
+from stacksolve import discretize as dz
+from stacksolve import incentive, lp
 from stacksolve.bimatrix import (
     MixedStrategy,
     StackelbergSolution,
@@ -120,6 +124,72 @@ def unpruned_stackelberg(game, exact: bool = False):
         if best is None or payoff > best.leader_payoff:
             best = StackelbergSolution(x, response, payoff, follower)
     return best
+
+
+# ---------------------------------------------------------------------------
+# eps-grid discretization
+
+
+def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All length-n tuples of nonnegative ints summing to k, in lex order."""
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _compositions(n - 1, k - first):
+            yield (first,) + rest
+
+
+def discretized_se_reference(game, params) -> dz.ApproxSolution:
+    """``discretize.discretized_se`` as a tuple generator and a per-row scan.
+
+    Rows come from ``_compositions`` in chunks of 16384; every row of every
+    chunk is compared in turn, so the first row holding the best payoff
+    wins, and within it the lowest column.
+    """
+    n = game.n
+    count = dz.grid_size(n, params)
+    big_m = dz.max_abs_payoff(game)
+    slack = 2.0 * n * params.eps * big_m
+    ul = game.u_leader
+    uf = game.u_follower
+    best = None  # payoff, numerators, j, fpay
+
+    def flush(chunk_rows):
+        nonlocal best
+        if not chunk_rows:
+            return
+        xs = np.asarray(chunk_rows, dtype=float) / params.k
+        fvals = xs @ uf
+        lvals = xs @ ul
+        tops = fvals.max(axis=1, keepdims=True)
+        allowed = fvals >= tops - slack - 1e-12
+        masked = np.where(allowed, lvals, -np.inf)
+        picks = masked.argmax(axis=1)
+        rows = np.arange(len(chunk_rows))
+        values = masked[rows, picks]
+        for i in range(len(chunk_rows)):
+            if best is None or values[i] > best[0]:
+                best = (float(values[i]), chunk_rows[i], int(picks[i]), float(fvals[i, picks[i]]))
+
+    chunk = []
+    for combo in _compositions(n, params.k):
+        chunk.append(combo)
+        if len(chunk) >= 16384:
+            flush(chunk)
+            chunk = []
+    flush(chunk)
+    payoff, numerators, j, fpay = best
+    return dz.ApproxSolution(
+        leader=MixedStrategy(tuple(c / params.k for c in numerators)),
+        follower_response=j,
+        leader_payoff=payoff,
+        follower_payoff=fpay,
+        slack=slack,
+        max_payoff=big_m,
+        grid_size=count,
+        candidates_examined=count,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +306,39 @@ def is_3d_matching(triples, selected) -> bool:
 
 # ---------------------------------------------------------------------------
 # incentive games
+
+
+def lex_min_tight_path_dfs(fam, weights: Mapping, tol: float = 1e-9) -> Optional[list[str]]:
+    """Lexicographically-smallest edge-id shortest s-t path, by backtracking.
+
+    Depth-first over the tight edges of the shortest-path relaxation with
+    id-sorted branching; the first simple path reaching the sink is the
+    lexicographic minimum. Exponential on zero-weight dead-end pockets.
+    """
+    dist = incentive._dijkstra(fam, weights)
+    total = dist[fam.source]
+    if total is None:
+        return None
+    adj = fam.adjacency()
+    visited = [False] * fam.num_vertices
+
+    def walk(v: int, acc: float, trail: list[str]) -> Optional[list[str]]:
+        if v == fam.sink:
+            return list(trail)
+        visited[v] = True
+        for eid, to in adj[v]:
+            if visited[to] or dist[to] is None:
+                continue
+            if abs(acc + weights[eid] + dist[to] - total) <= tol:
+                trail.append(eid)
+                found = walk(to, acc + weights[eid], trail)
+                if found is not None:
+                    return found
+                trail.pop()
+        visited[v] = False
+        return None
+
+    return walk(fam.source, 0.0, [])
 
 
 def incentive_grid_oracle(

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacksolve import discretize as dz
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
 from .instances import random_game_payoffs
+from .oracles import _compositions, discretized_se_reference
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
@@ -152,3 +155,81 @@ def test_verify_eps_approx_vacuous_slack():
         candidates_examined=sol.candidates_examined,
     )
     assert dz.verify_eps_approx(APPENDIX_GAME, vacuous, 7.5)
+
+
+# ---------------------------------------------------------------------------
+# block enumeration and chunk scan against the tuple generator and row loop
+
+# Equal payoffs of different grid points can differ by a few ulps once
+# evaluated in floats, as in test_se_pruning.
+ROUNDING_TOL = 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, dz._CHUNK])
+def test_grid_blocks_follow_composition_order(monkeypatch, chunk):
+    monkeypatch.setattr(dz, "_CHUNK", chunk)
+    for n in range(1, 7):
+        for k in range(0, 13):
+            blocks = list(dz._grid_blocks(n, k))
+            assert all(b.dtype == np.int64 and b.shape[1] == n and 1 <= len(b) <= chunk for b in blocks)
+            assert [tuple(row) for b in blocks for row in b.tolist()] == list(_compositions(n, k))
+
+
+def test_grid_blocks_split_one_long_block():
+    k = 2 * dz._CHUNK + 5
+    blocks = list(dz._grid_blocks(2, k))
+    assert [len(b) for b in blocks] == [dz._CHUNK, dz._CHUNK, 6]
+    assert [tuple(row) for b in blocks for row in b.tolist()] == list(_compositions(2, k))
+
+
+def test_grid_strategies_follow_composition_order():
+    params = dz.GridParams(5)
+    want = [tuple(c / 5 for c in combo) for combo in _compositions(4, 5)]
+    assert [g.probs for g in dz.grid_strategies(4, params)] == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, dz._CHUNK])
+def test_exact_ties_keep_the_first_point_and_lowest_column(monkeypatch, chunk):
+    # zero leader payoffs tie exactly everywhere, so the first grid point
+    # (0, ..., 0, 1) wins, with its lowest relaxed response
+    monkeypatch.setattr(dz, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for n, m, k in [(2, 3, 20), (3, 4, 9), (5, 2, 6)]:
+        game = BimatrixGame(np.zeros((n, m)), random_game_payoffs(rng, n, m).u_follower)
+        sol = dz.discretized_se(game, dz.GridParams(k))
+        assert sol.leader.probs == (0.0,) * (n - 1) + (1.0,)
+        assert sol.follower_response == min(dz.almost_best_responses(game, sol.leader, sol.slack))
+
+
+@st.composite
+def grid_games(draw):
+    """n = 1..6 leader rows, m = 1..8 columns, k = 1..12; half the games
+    have 0-3 integer payoffs, so ties are common."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entry = st.integers(0, 3).map(float)
+    else:
+        entry = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    ul = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    uf = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    return BimatrixGame(np.asarray(ul), np.asarray(uf)), dz.GridParams(k)
+
+
+@settings(max_examples=300)
+@given(grid_games(), st.sampled_from([1, 7, 64, dz._CHUNK]))
+def test_discretized_se_matches_reference(case, chunk):
+    game, params = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dz, "_CHUNK", chunk)
+        got = dz.discretized_se(game, params)
+    want = discretized_se_reference(game, params)
+    assert (got.slack, got.max_payoff) == (want.slack, want.max_payoff)
+    assert got.grid_size == got.candidates_examined == want.grid_size
+    assert abs(got.leader_payoff - want.leader_payoff) <= ROUNDING_TOL
+    if (got.leader, got.follower_response) == (want.leader, want.follower_response):
+        assert abs(got.follower_payoff - want.follower_payoff) <= ROUNDING_TOL
+    else:
+        # a tie the two scans rounded differently
+        assert got.follower_response in dz.almost_best_responses(game, got.leader, got.slack)

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacksolve import incentive as inc
 from stacksolve.bimatrix import solve_stackelberg
@@ -12,11 +15,12 @@ from .instances import (
     SAT_PATH,
     SBT_PATH,
     commit_instance,
+    grid_instance,
     random_explicit_incentive,
     random_incentive_strategy,
     strategy,
 )
-from .oracles import incentive_grid_oracle
+from .oracles import incentive_grid_oracle, lex_min_tight_path_dfs
 
 
 def test_leader_payoff_commit_examples():
@@ -281,3 +285,83 @@ def test_json_round_trip():
             assert set(again.family.sets) == set(instance.family.sets)
         else:
             assert again.family == instance.family
+
+
+# ---------------------------------------------------------------------------
+# the lexicographically smallest tight path against the backtracking search
+
+
+@st.composite
+def weighted_path_families(draw):
+    """Small multigraphs with shuffled edge ids and many zero-cost edges.
+
+    Costs are multiples of 1/2, so path lengths are exact and ties are real.
+    """
+    nv = draw(st.integers(2, 7))
+    pairs = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda p: p[0] != p[1])
+    ends = draw(st.lists(pairs, min_size=1, max_size=14))
+    ids = draw(st.permutations([f"e{i:02d}" for i in range(len(ends))]))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0]), min_size=len(ends), max_size=len(ends)))
+    sink = draw(st.integers(1, nv - 1))
+    fam = inc.PathFamily(nv, tuple((eid, u, v) for eid, (u, v) in zip(ids, ends)), 0, sink)
+    return fam, dict(zip(ids, costs))
+
+
+@settings(max_examples=400)
+@given(weighted_path_families())
+def test_tight_path_matches_backtracking_search(case):
+    fam, weights = case
+    assert inc._lex_min_tight_path(fam, weights) == lex_min_tight_path_dfs(fam, weights)
+
+
+def _checked_tight_path(monkeypatch):
+    real = inc._lex_min_tight_path
+    calls = []
+
+    def checked(fam, weights, tol=inc.PAYOFF_TOL):
+        path = real(fam, weights, tol)
+        assert path == lex_min_tight_path_dfs(fam, weights, tol)
+        calls.append(path)
+        return path
+
+    monkeypatch.setattr(inc, "_lex_min_tight_path", checked)
+    return calls
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (3, 4), (4, 4)])
+def test_tight_path_matches_search_in_grid_cut_loops(monkeypatch, rows, cols):
+    calls = _checked_tight_path(monkeypatch)
+    inst = grid_instance(random.Random(rows * 10 + cols), rows, cols)
+    sol = inc.solve_stackelberg_incentive(inst)
+    assert inc.check_incentive_lower_bound(inst, sol.strategy)
+    assert len(calls) > 2
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 3, 4])
+def test_tight_path_matches_search_in_commit_cut_loops(monkeypatch, parallel):
+    calls = _checked_tight_path(monkeypatch)
+    inst = commit_instance(parallel)
+    sol = inc.solve_stackelberg_incentive(inst)
+    assert inc.check_incentive_lower_bound(inst, sol.strategy)
+    assert len(calls) > 2
+
+
+def _clique_pocket(size: int) -> tuple[inc.PathFamily, dict]:
+    """A zero-cost clique hanging off the source through the smallest id.
+
+    Every edge costs 0, so every edge is tight, but the pocket reaches the
+    sink only back through the source; the answer is the direct edge "z".
+    """
+    edges = [("a", 0, 2), ("z", 0, 1)]
+    pocket = range(2, 2 + size)
+    edges += [(f"b{u:02d}_{v:02d}", u, v) for u in pocket for v in pocket if u < v]
+    return inc.PathFamily(2 + size, tuple(edges), 0, 1), {eid: 0.0 for eid, _, _ in edges}
+
+
+def test_tight_path_skips_a_dead_end_clique():
+    fam, weights = _clique_pocket(5)
+    assert inc._lex_min_tight_path(fam, weights) == lex_min_tight_path_dfs(fam, weights) == ["z"]
+    fam, weights = _clique_pocket(14)
+    start = time.perf_counter()
+    assert inc._lex_min_tight_path(fam, weights) == ["z"]
+    assert time.perf_counter() - start < 1.0

@@ -2,7 +2,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacksolve import permmatch as pm
@@ -135,10 +135,7 @@ def mixtures(draw, max_edges=14):
     return inst, tuple(zip(support, probs))
 
 
-MATCHER_SETTINGS = dict(derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-
-@settings(max_examples=150, **MATCHER_SETTINGS)
+@settings(max_examples=150)
 @given(mixtures())
 def test_follower_best_response_matches_bruteforce(case):
     inst, support = case
@@ -150,7 +147,7 @@ def test_follower_best_response_matches_bruteforce(case):
     assert abs(got_l - leader) <= 1e-9
 
 
-@settings(max_examples=150, **MATCHER_SETTINGS)
+@settings(max_examples=150)
 @given(st.data())
 def test_max_weight_matching_tie_weights_matches_bruteforce(data):
     # half steps keep every sum exact, so ties are real and the

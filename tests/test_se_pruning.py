@@ -9,7 +9,7 @@ tests compare it with the plain all-columns loop of
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacksolve import lp
@@ -50,16 +50,13 @@ def assert_agrees_with_unpruned(game, exact):
         assert gap <= ROUNDING_TOL
 
 
-DIFF_SETTINGS = dict(derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-
-@settings(max_examples=200, **DIFF_SETTINGS)
+@settings(max_examples=200)
 @given(games(max_n=7, max_m=9))
 def test_pruned_matches_unpruned_highs(game):
     assert_agrees_with_unpruned(game, exact=False)
 
 
-@settings(max_examples=60, **DIFF_SETTINGS)
+@settings(max_examples=60)
 @given(games(max_n=4, max_m=4))
 def test_pruned_matches_unpruned_exact(game):
     assert_agrees_with_unpruned(game, exact=True)
