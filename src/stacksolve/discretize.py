@@ -180,8 +180,13 @@ def discretized_se(
 ) -> ApproxSolution:
     """Best recorded (grid strategy, relaxed response) pair.
 
-    Ties on leader payoff keep the lexicographically first grid strategy;
-    within one grid point, ties keep the lowest column index.
+    Ties are decided on float-evaluated leader payoffs: the first grid
+    strategy in lexicographic order holding the largest float payoff wins,
+    and within one grid point the lowest column index. Two points whose
+    payoffs tie exactly may still differ in their float values, since a
+    BLAS product can round the same row differently depending on the
+    chunk's row count; which of them wins can then depend on where the
+    chunk boundaries fall.
     """
     count = _check_cap(game.n, params, cap)
     big_m = max_abs_payoff(game)

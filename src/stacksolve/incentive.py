@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from functools import reduce
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +41,8 @@ def set_id(members) -> SetId:
 
 @dataclass(frozen=True)
 class ExplicitFamily:
+    """An explicit list of follower sets, scanned by its best-response oracle."""
+
     sets: tuple[frozenset, ...]
 
     def __post_init__(self):
@@ -49,6 +52,27 @@ class ExplicitFamily:
 
     def ids(self) -> list[SetId]:
         return [set_id(s) for s in self.sets]
+
+    def validate(self, inst: IncentiveInstance) -> None:
+        if any(not s <= set(inst.elements) for s in self.sets):
+            raise InputError("family set mentions an unknown element")
+
+    def contains(self, members: frozenset) -> bool:
+        return members in self.sets
+
+    def best_set(self, inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
+        """Base payoff first, then the leader mass (leader payoff less its common drift), then id."""
+        cands = ((set_id(s), _base_value(inst, x, s), sum(x.get(e, 0.0) for e in s), False) for s in self.sets)
+        return _best_of(cands)[:2]
+
+    def explicit(self, limit: int) -> ExplicitFamily:
+        return self
+
+    def cut_bound(self) -> int:
+        return len(self.sets)
+
+    def to_json_obj(self) -> dict:
+        return {"type": "explicit", "sets": [sorted(s) for s in self.sets]}
 
 
 @dataclass(frozen=True)
@@ -83,6 +107,73 @@ class PathFamily:
             lst.sort()
         return adj
 
+    def validate(self, inst: IncentiveInstance) -> None:
+        if {e[0] for e in self.edges} != set(inst.elements):
+            raise InputError("path-family edge ids must equal the element set")
+        if any(inst.follower_reward[e] > 1e-12 for e in inst.elements):
+            raise InputError("path families require c_e <= 0 (nonnegative costs)")
+        zero = dict.fromkeys(inst.elements, 0.0)
+        if _dijkstra(self.num_vertices, self.adjacency(), self.sink, zero)[self.source] is None:
+            raise InputError("no s-t path exists")
+
+    def contains(self, members: frozenset) -> bool:
+        """Whether the edges ``members`` form one simple s-t path."""
+        ends = {eid: (u, v) for eid, u, v in self.edges}
+        if not members <= ends.keys():
+            return False
+        left, v, seen = set(members), self.source, {self.source}
+        while v != self.sink:
+            out = [eid for eid in left if v in ends[eid]]
+            if len(out) != 1:
+                return False
+            left.remove(out[0])
+            a, b = ends[out[0]]
+            v = b if a == v else a
+            if v in seen:
+                return False
+            seen.add(v)
+        return not left
+
+    def best_set(self, inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
+        costs = {e: -inst.follower_reward[e] for e in inst.elements}
+        weights = {e: x.get(e, 0.0) + costs[e] for e in inst.elements}
+        path = _lex_min_tight_path(self, weights, costs)
+        if path is None:
+            raise ToolkitError("no s-t path exists in a validated path family")
+        return set_id(path), -sum(weights[e] for e in path)
+
+    def explicit(self, limit: int) -> ExplicitFamily:
+        """The explicit list of simple s-t paths; more than ``limit`` raise."""
+        adj = self.adjacency()
+        paths: list[frozenset] = []
+        visited = [False] * self.num_vertices
+
+        def walk(v: int, trail: list[str]) -> None:
+            if v == self.sink:
+                paths.append(frozenset(trail))
+                if len(paths) > limit:
+                    raise SizeLimitError(f"more than {limit} simple paths")
+                return
+            visited[v] = True
+            for eid, to in adj[v]:
+                if not visited[to]:
+                    trail.append(eid)
+                    walk(to, trail)
+                    trail.pop()
+            visited[v] = False
+
+        walk(self.source, [])
+        if not paths:
+            raise ToolkitError("no s-t path exists in a validated path family")
+        return ExplicitFamily(tuple(paths))
+
+    def cut_bound(self) -> int:
+        return len(self.edges) ** 2 + 4
+
+    def to_json_obj(self) -> dict:
+        edges = [{"id": eid, "u": u, "v": v} for eid, u, v in self.edges]
+        return {"type": "path", "vertices": self.num_vertices, "edges": edges, "source": self.source, "sink": self.sink}
+
 
 Family = Union[ExplicitFamily, PathFamily]
 
@@ -101,23 +192,8 @@ class IncentiveInstance:
         for name, table in (("c", self.follower_reward), ("C", self.leader_reward)):
             if set(table) != set(elems):
                 raise InputError(f"{name} must assign a value to every element")
-        if isinstance(self.family, ExplicitFamily):
-            for s in self.family.sets:
-                if not s <= set(elems):
-                    raise InputError("family set mentions an unknown element")
-        else:
-            if {e[0] for e in self.family.edges} != set(elems):
-                raise InputError("path-family edge ids must equal the element set")
-            for e in elems:
-                if self.follower_reward[e] > 1e-12:
-                    raise InputError("path families require c_e <= 0 (nonnegative costs)")
-            if _dijkstra(self.family, {e: 0.0 for e in elems})[self.family.source] is None:
-                raise InputError("no s-t path exists")
         object.__setattr__(self, "elements", elems)
-
-    @property
-    def is_path_family(self) -> bool:
-        return isinstance(self.family, PathFamily)
+        self.family.validate(self)
 
 
 @dataclass(frozen=True)
@@ -159,32 +235,34 @@ def _check_pair(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> None
         raise InputError("strategy mentions unknown elements")
     if len(strat.incentives) > len(inst.elements) ** 2:
         raise InputError("incentive support exceeds the |E|^2 sparsity cap")
+    for sid in strat.incentives:
+        _members_of(inst, sid)
 
 
 def _members_of(inst: IncentiveInstance, sid: SetId) -> frozenset:
     members = frozenset(sid)
-    if not members <= set(inst.elements):
-        raise InputError(f"unknown set id {sid}")
-    if isinstance(inst.family, ExplicitFamily):
-        if members not in inst.family.sets:
-            raise InputError(f"set id {sid} is not in the family")
+    if not inst.family.contains(members):
+        raise InputError(f"set id {sid} is not in the family")
     return members
+
+
+def _payoffs(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, members: frozenset) -> tuple[float, float]:
+    """(follower, leader) payoffs of a family member, without checks."""
+    bonus = strat.incentives.get(set_id(members), 0.0)
+    drift = sum(strat.x.get(e, 0.0) * inst.leader_reward[e] for e in inst.elements)
+    return _base_value(inst, strat.x, members) + bonus, strat.mass_on(members) - bonus + drift
 
 
 def leader_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid: SetId) -> float:
     """sum_{e in S} x_e - V_S + sum_e x_e C_e."""
     _check_pair(inst, strat)
-    members = _members_of(inst, set_id(sid))
-    drift = sum(strat.x.get(e, 0.0) * inst.leader_reward[e] for e in inst.elements)
-    return strat.mass_on(members) - strat.incentives.get(set_id(sid), 0.0) + drift
+    return _payoffs(inst, strat, _members_of(inst, set_id(sid)))[1]
 
 
 def follower_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid: SetId) -> float:
     """sum_{e in S} (-x_e + c_e) + V_S."""
     _check_pair(inst, strat)
-    members = _members_of(inst, set_id(sid))
-    base = sum(-strat.x.get(e, 0.0) + inst.follower_reward[e] for e in members)
-    return base + strat.incentives.get(set_id(sid), 0.0)
+    return _payoffs(inst, strat, _members_of(inst, set_id(sid)))[0]
 
 
 def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
@@ -194,24 +272,15 @@ def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
 def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
     """The family member maximizing the incentive-free follower payoff.
 
-    Explicit families are scanned exhaustively; path families run a
-    nonnegative-weight shortest path under edge weights ``x_e - c_e``.
-    Exact ties resolve to the lexicographically smallest set id.
+    Ties within ``PAYOFF_TOL`` go to the larger leader mass
+    ``sum_{e in S} x_e`` (within ``PAYOFF_TOL``), then to the family's own
+    last rule: explicit families take the smallest sorted set id, path
+    families the lexicographically smallest edge-id sequence from the
+    source. Explicit families are scanned; path families run shortest
+    paths under edge weights ``x_e - c_e``, then under the costs ``-c_e``
+    over the tight edges.
     """
-    if isinstance(inst.family, ExplicitFamily):
-        best: Optional[tuple[SetId, float]] = None
-        for members in inst.family.sets:
-            sid = set_id(members)
-            val = _base_value(inst, x, members)
-            if best is None or val > best[1] + 1e-12 or (abs(val - best[1]) <= 1e-12 and sid < best[0]):
-                best = (sid, val)
-        assert best is not None
-        return best
-    weights = {e: x.get(e, 0.0) - inst.follower_reward[e] for e in inst.elements}
-    path = _lex_min_tight_path(inst.family, weights)
-    if path is None:
-        raise InputError("no s-t path exists")
-    return set_id(path), -sum(weights[e] for e in path)
+    return inst.family.best_set(inst, x)
 
 
 def separation_oracle_for(inst: IncentiveInstance, tol: float = PAYOFF_TOL) -> lp.SeparationOracle:
@@ -270,19 +339,17 @@ def solve_stackelberg_incentive(
     exactly the incentive making it a weak best response.
     """
     n = len(inst.elements)
-    if isinstance(inst.family, ExplicitFamily):
-        family_bound = len(inst.family.sets)
-    else:
-        family_bound = n * n + 4
     sol = lp.solve_with_generation(
         _incentive_lp(inst),
         separation_oracle_for(inst),
         tol=tol,
-        max_rounds=10 * (n + 1 + family_bound),
+        max_rounds=10 * (n + 1 + inst.family.cut_bound()),
         exact=exact,
     )
     if not sol.is_optimal:
-        raise InputError(f"incentive LP reported {sol.status}; instance is malformed")
+        # a validated instance makes this LP feasible (sum x = 1, W free
+        # below) and bounded (the cap row), so this is a solver fault
+        raise ToolkitError(f"incentive LP reported {sol.status} on a validated instance")
     x = {e: max(0.0, sol.values[i]) for i, e in enumerate(inst.elements)}
     w_star = float(sol.values[n])
     target = best_reward_set(inst)
@@ -294,8 +361,7 @@ def solve_stackelberg_incentive(
     strategy = IncentiveLeaderStrategy(x, incentives)
     lpay = leader_payoff(inst, strategy, target)
     fpay = follower_payoff(inst, strategy, target)
-    best_resp = follower_best_set(inst, strategy)
-    if follower_payoff(inst, strategy, best_resp) - fpay > BOUND_TOL:
+    if follower_payoff(inst, strategy, follower_best_set(inst, strategy)) - fpay > BOUND_TOL:
         raise ToolkitError("target set is not a follower best response within tolerance")
     return IncentiveSolution(
         strategy=strategy,
@@ -309,64 +375,31 @@ def solve_stackelberg_incentive(
 
 
 def follower_best_set(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> SetId:
-    """The follower's choice against ``(x, V)``.
+    """The follower's choice against ``(x, V)``, by one rule for every family.
 
-    Explicit families break follower-payoff ties (1e-9) in the leader's
-    favor, then prefer incentivized sets, then the smallest id. Path
-    families compare only the incentivized sets against the shortest-path
-    optimum, preferring incentivized sets on ties and otherwise the
-    lexicographically smallest edge-id sequence.
+    The candidates are the incentivized sets and the incentive-free best set
+    of ``base_best_set``. The follower payoff decides first and the leader's
+    payoff next, both within ``PAYOFF_TOL``, so that strong Stackelberg ties
+    go to the leader; then incentivized sets win, then the smallest set id.
     """
     _check_pair(inst, strat)
-    if isinstance(inst.family, ExplicitFamily):
-        best: Optional[tuple[SetId, float, float, bool]] = None
-        for members in inst.family.sets:
-            sid = set_id(members)
-            f = follower_payoff(inst, strat, sid)
-            l = leader_payoff(inst, strat, sid)
-            inc = sid in strat.incentives
-            if best is None or _beats_explicit((sid, f, l, inc), best):
-                best = (sid, f, l, inc)
-        assert best is not None
-        return best[0]
-    candidates: list[tuple[SetId, float, bool]] = []
-    for sid in sorted(strat.incentives):
-        candidates.append((sid, follower_payoff(inst, strat, sid), True))
-    base_sid, base_val = base_best_set(inst, strat.x)
-    candidates.append((base_sid, base_val, False))
-    chosen = candidates[0]
-    for cand in candidates[1:]:
-        if _beats_path(cand, chosen):
-            chosen = cand
-    return chosen[0]
+    sids = sorted(strat.incentives) + [base_best_set(inst, strat.x)[0]]
+    return _best_of((sid, *_payoffs(inst, strat, frozenset(sid)), sid in strat.incentives) for sid in sids)[0]
 
 
-def _beats_explicit(cand, best) -> bool:
-    sid, f, l, inc = cand
-    bsid, bf, bl, binc = best
-    if f > bf + PAYOFF_TOL:
-        return True
-    if f < bf - PAYOFF_TOL:
-        return False
-    if l > bl + PAYOFF_TOL:
-        return True
-    if l < bl - PAYOFF_TOL:
-        return False
-    if inc != binc:
-        return inc
-    return sid < bsid
+def _best_of(candidates: Iterable[tuple[SetId, float, float, bool]]) -> tuple[SetId, float, float, bool]:
+    """The winner among ``(sid, follower, leader, incentivized)``; an earlier one keeps a full tie."""
+    return reduce(lambda best, cand: cand if _beats(cand, best) else best, candidates)
 
 
-def _beats_path(cand, best) -> bool:
-    sid, f, inc = cand
-    bsid, bf, binc = best
-    if f > bf + PAYOFF_TOL:
-        return True
-    if f < bf - PAYOFF_TOL:
-        return False
-    if inc != binc:
-        return inc
-    return sid < bsid
+def _beats(cand, best) -> bool:
+    """Follower, then leader payoff (within ``PAYOFF_TOL``), then incentivized, then the smaller id."""
+    for a, b in zip(cand[1:3], best[1:3]):
+        if abs(a - b) > PAYOFF_TOL:
+            return a > b
+    if cand[3] != best[3]:
+        return cand[3]
+    return cand[0] < best[0]
 
 
 def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> bool:
@@ -382,32 +415,8 @@ def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderS
 
 
 def enumerate_family(inst: IncentiveInstance, limit: int = 4096) -> ExplicitFamily:
-    """Materialize a path family as the explicit list of simple s-t paths."""
-    if not inst.is_path_family:
-        raise InputError("enumerate_family expects a path-family instance")
-    fam: PathFamily = inst.family
-    adj = fam.adjacency()
-    paths: list[frozenset] = []
-    visited = [False] * fam.num_vertices
-
-    def walk(v: int, trail: list[str]) -> None:
-        if v == fam.sink:
-            paths.append(frozenset(trail))
-            if len(paths) > limit:
-                raise SizeLimitError(f"more than {limit} simple paths")
-            return
-        visited[v] = True
-        for eid, to in adj[v]:
-            if not visited[to]:
-                trail.append(eid)
-                walk(to, trail)
-                trail.pop()
-        visited[v] = False
-
-    walk(fam.source, [])
-    if not paths:
-        raise InputError("no s-t path exists")
-    return ExplicitFamily(tuple(paths))
+    """The family as an explicit list of sets; path families list their simple s-t paths."""
+    return inst.family.explicit(limit)
 
 
 def materialized(inst: IncentiveInstance, limit: int = 4096) -> IncentiveInstance:
@@ -421,7 +430,7 @@ def incentive_bimatrix(inst: IncentiveInstance, limit: int = 4096) -> tuple[Bima
     Rows are elements in instance order, columns the family members:
     uL(e, S) = 1_{e in S} + C_e and uF(e, S) = -1_{e in S} + sum_{e' in S} c_{e'}.
     """
-    fam = inst.family if isinstance(inst.family, ExplicitFamily) else enumerate_family(inst, limit)
+    fam = enumerate_family(inst, limit)
     ids = fam.ids()
     ul = np.zeros((len(inst.elements), len(ids)))
     uf = np.zeros_like(ul)
@@ -438,56 +447,64 @@ def incentive_bimatrix(inst: IncentiveInstance, limit: int = 4096) -> tuple[Bima
 # shortest paths (nonnegative weights, lexicographic tie-break)
 
 
-def _dijkstra(fam: PathFamily, weights: Mapping) -> list[Optional[float]]:
-    """Distance from every vertex to the sink; None when unreachable."""
-    adj = fam.adjacency()
-    dist: list[Optional[float]] = [None] * fam.num_vertices
-    heap: list[tuple[float, int]] = [(0.0, fam.sink)]
+def _dijkstra(num_vertices: int, into: list, sink: int, weights: Mapping) -> list[Optional[float]]:
+    """Distance to ``sink`` (None when unreachable); ``into[v]`` lists the edges ``(eid, u)`` u -> v."""
+    dist: list[Optional[float]] = [None] * num_vertices
+    heap: list[tuple[float, int]] = [(0.0, sink)]
     while heap:
         d, v = heapq.heappop(heap)
         if dist[v] is not None:
             continue
         dist[v] = d
-        for eid, to in adj[v]:
-            if dist[to] is None:
-                heapq.heappush(heap, (d + weights[eid], to))
+        for eid, u in into[v]:
+            if dist[u] is None:
+                heapq.heappush(heap, (d + weights[eid], u))
     return dist
 
 
-def _lex_min_tight_path(fam: PathFamily, weights: Mapping, tol: float = PAYOFF_TOL) -> Optional[list[str]]:
-    """Lexicographically-smallest edge-id shortest s-t path.
+def _tight(into: list, dist: list, weights: Mapping, tol: float) -> list:
+    """The edges of ``into`` with ``dist[u] = weights + dist[v]`` within ``tol``."""
+    return [
+        [(eid, u) for eid, u in edges if dist[u] is not None and abs(weights[eid] + dist[v] - dist[u]) <= tol]
+        if dist[v] is not None else []
+        for v, edges in enumerate(into)
+    ]
+
+
+def _lex_min_tight_path(
+    fam: PathFamily, weights: Mapping, costs: Mapping, tol: float = PAYOFF_TOL
+) -> Optional[list[str]]:
+    """Lexicographically-smallest edge-id s-t path of least weight, then least cost.
 
     An edge u -> v is tight when ``dist[u] = weights + dist[v]`` within
-    ``tol``; every s-t walk over tight edges is a shortest path. From the
-    source, the walk takes the smallest-id tight edge whose head still
-    reaches the sink over tight edges once the trail's vertices are
-    removed, so it never enters a dead end. One reverse search per step
-    makes this O(V * E).
+    ``tol``; every s-t walk over tight edges is a shortest path. A second
+    Dijkstra over the tight edges under ``costs`` (nonnegative) keeps the
+    edges tight in both passes, whose s-t walks are the shortest paths of
+    least cost. From the source, the walk takes the smallest-id kept edge
+    whose head still reaches the sink over kept edges once the trail's
+    vertices are removed, so it never enters a dead end. One reverse search
+    per step makes this O(V * E).
     """
-    dist = _dijkstra(fam, weights)
+    n, adj = fam.num_vertices, fam.adjacency()
+    dist = _dijkstra(n, adj, fam.sink, weights)
     if dist[fam.source] is None:
         return None
-    tight_in: list[list[int]] = [[] for _ in range(fam.num_vertices)]
-    tight_out: list[list[tuple[str, int]]] = [[] for _ in range(fam.num_vertices)]
-    for v, edges in enumerate(fam.adjacency()):
-        for eid, to in edges:
-            if dist[v] is not None and dist[to] is not None and abs(weights[eid] + dist[to] - dist[v]) <= tol:
-                tight_out[v].append((eid, to))
-                tight_in[to].append(v)
-    on_trail = [False] * fam.num_vertices
+    into = _tight(adj, dist, weights, tol)
+    into = _tight(into, _dijkstra(n, into, fam.sink, costs), costs, tol)
+    on_trail = [False] * n
     path: list[str] = []
     v = fam.source
     while v != fam.sink:
         on_trail[v] = True
-        reaches = [False] * fam.num_vertices
+        reaches = [False] * n
         reaches[fam.sink] = True
         stack = [fam.sink]
         while stack:
-            for u in tight_in[stack.pop()]:
+            for _, u in into[stack.pop()]:
                 if not reaches[u] and not on_trail[u]:
                     reaches[u] = True
                     stack.append(u)
-        step = next(((eid, to) for eid, to in tight_out[v] if reaches[to]), None)
+        step = min(((eid, to) for to in range(n) if reaches[to] for eid, u in into[to] if u == v), default=None)
         if step is None:  # pragma: no cover - a tight simple path always exists
             raise ToolkitError("tight-path walk failed despite finite distance")
         path.append(step[0])
@@ -509,33 +526,16 @@ def incentive_from_json(text: str) -> IncentiveInstance:
     if fam["type"] == "explicit":
         family = ExplicitFamily(tuple(frozenset(s) for s in fam["sets"]))
     elif fam["type"] == "path":
-        family = PathFamily(
-            num_vertices=int(fam["vertices"]),
-            edges=tuple((e["id"], int(e["u"]), int(e["v"])) for e in fam["edges"]),
-            source=int(fam["source"]),
-            sink=int(fam["sink"]),
-        )
+        edges = tuple((e["id"], int(e["u"]), int(e["v"])) for e in fam["edges"])
+        family = PathFamily(int(fam["vertices"]), edges, int(fam["source"]), int(fam["sink"]))
     else:
         raise InputError(f"unknown family type {fam['type']!r}")
     return IncentiveInstance(tuple(elements), c, big_c, family)
 
 
 def incentive_to_json_obj(inst: IncentiveInstance) -> dict:
-    elements = [
-        {"id": e, "c": inst.follower_reward[e], "C": inst.leader_reward[e]}
-        for e in inst.elements
-    ]
-    if isinstance(inst.family, ExplicitFamily):
-        fam = {"type": "explicit", "sets": [sorted(s) for s in inst.family.sets]}
-    else:
-        fam = {
-            "type": "path",
-            "vertices": inst.family.num_vertices,
-            "edges": [{"id": eid, "u": u, "v": v} for eid, u, v in inst.family.edges],
-            "source": inst.family.source,
-            "sink": inst.family.sink,
-        }
-    return {"elements": elements, "family": fam}
+    elements = [{"id": e, "c": inst.follower_reward[e], "C": inst.leader_reward[e]} for e in inst.elements]
+    return {"elements": elements, "family": inst.family.to_json_obj()}
 
 
 def solution_to_json_obj(sol: IncentiveSolution) -> dict:

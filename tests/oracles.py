@@ -5,9 +5,8 @@ oracles enumerate, grid-search, or intersect constraints directly, so a bug
 in a solver cannot hide inside its own checker. The exceptions are the
 differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
-``unpruned_stackelberg`` (the pruning, sharing the LP backend),
-``discretized_se_reference`` (the grid enumeration and chunk scan) and
-``lex_min_tight_path_dfs`` (the tight-path search, sharing Dijkstra).
+``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
+``discretized_se_reference`` (the grid enumeration and chunk scan).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from stacksolve import discretize as dz
-from stacksolve import incentive, lp
+from stacksolve import lp
 from stacksolve.bimatrix import (
     MixedStrategy,
     StackelbergSolution,
@@ -308,37 +307,37 @@ def is_3d_matching(triples, selected) -> bool:
 # incentive games
 
 
-def lex_min_tight_path_dfs(fam, weights: Mapping, tol: float = 1e-9) -> Optional[list[str]]:
-    """Lexicographically-smallest edge-id shortest s-t path, by backtracking.
+def lex_min_tight_path_dfs(fam, weights: Mapping, costs: Mapping, tol: float = 1e-9) -> Optional[list[str]]:
+    """Lexicographically-smallest edge-id s-t path of least weight, then least cost.
 
-    Depth-first over the tight edges of the shortest-path relaxation with
-    id-sorted branching; the first simple path reaching the sink is the
-    lexicographic minimum. Exponential on zero-weight dead-end pockets.
+    Lists every simple s-t path depth first with id-sorted branching, so in
+    lexicographic order of edge-id sequences; keeps the paths within ``tol``
+    of the least weight, then those within ``tol`` of the least cost among
+    them, and returns the first. Exponential in the graph.
     """
-    dist = incentive._dijkstra(fam, weights)
-    total = dist[fam.source]
-    if total is None:
-        return None
     adj = fam.adjacency()
     visited = [False] * fam.num_vertices
+    paths: list[list[str]] = []
 
-    def walk(v: int, acc: float, trail: list[str]) -> Optional[list[str]]:
+    def walk(v: int, trail: list[str]) -> None:
         if v == fam.sink:
-            return list(trail)
+            paths.append(list(trail))
+            return
         visited[v] = True
         for eid, to in adj[v]:
-            if visited[to] or dist[to] is None:
-                continue
-            if abs(acc + weights[eid] + dist[to] - total) <= tol:
+            if not visited[to]:
                 trail.append(eid)
-                found = walk(to, acc + weights[eid], trail)
-                if found is not None:
-                    return found
+                walk(to, trail)
                 trail.pop()
         visited[v] = False
-        return None
 
-    return walk(fam.source, 0.0, [])
+    walk(fam.source, [])
+    if not paths:
+        return None
+    for table in (weights, costs):
+        totals = [sum(table[e] for e in path) for path in paths]
+        paths = [path for path, total in zip(paths, totals) if total <= min(totals) + tol]
+    return paths[0]
 
 
 def incentive_grid_oracle(

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacksolve.bimatrix import (
     FOLLOWER,
@@ -116,6 +118,40 @@ def test_maximin_appendix_game():
     fstrat, fvalue = solve_maximin(APPENDIX_GAME, FOLLOWER)
     assert np.allclose(fstrat.probs, (0.5, 0.5), atol=1e-6)
     assert abs(fvalue - 0.5) < 1e-6
+
+
+@st.composite
+def zero_sum_games(draw, max_n, max_m):
+    """uF = -uL, with random or small-integer leader payoffs (integers give many ties)."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3).map(float)
+    else:
+        entry = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    ul = np.asarray(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)))
+    return BimatrixGame(ul, -ul)
+
+
+def assert_se_is_maximin(game, exact):
+    # In a zero-sum game the follower's best reply minimizes the leader's
+    # payoff, so committing is worth exactly the leader's maximin value
+    # (Korzhyk, Yin, Kiekintveld, Conitzer & Tambe, JAIR 2011).
+    se = solve_stackelberg(game, exact=exact)
+    _, value = solve_maximin(game, LEADER, exact=exact)
+    assert abs(se.leader_payoff - value) <= 1e-9
+
+
+@settings(max_examples=150)
+@given(zero_sum_games(max_n=6, max_m=6))
+def test_zero_sum_se_equals_maximin_highs(game):
+    assert_se_is_maximin(game, exact=False)
+
+
+@settings(max_examples=40)
+@given(zero_sum_games(max_n=4, max_m=4))
+def test_zero_sum_se_equals_maximin_exact(game):
+    assert_se_is_maximin(game, exact=True)
 
 
 def test_maximin_matching_pennies():

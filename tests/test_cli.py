@@ -196,6 +196,15 @@ def test_solve_incentive_path_limit_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_incentive_lp_fault_exits_1(tmp_path, capsys, monkeypatch):
+    # a validated instance makes the incentive LP feasible and bounded, so a
+    # non-optimal status is a solver fault, not malformed input
+    monkeypatch.setattr(lp, "solve_with_generation", lambda *args, **kwargs: lp.LpSolution(lp.INFEASIBLE))
+    path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance()))
+    assert main(["solve-incentive", "-i", path]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_pm_approx(tmp_path, capsys):
     path = write(tmp_path, "pm.json", SWAP_PM)
     code, report = run_cli(capsys, "pm", "approx", "-i", path, "--eps", "1/100")

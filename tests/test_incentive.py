@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from stacksolve import incentive as inc
 from stacksolve.bimatrix import solve_stackelberg
-from stacksolve.errors import InputError, SizeLimitError
+from stacksolve.errors import InputError, SizeLimitError, ToolkitError
 
 from .instances import (
     CHAIN_PATH,
@@ -288,39 +289,41 @@ def test_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# the lexicographically smallest tight path against the backtracking search
+# the lexicographically smallest tight path against path enumeration
 
 
 @st.composite
 def weighted_path_families(draw):
     """Small multigraphs with shuffled edge ids and many zero-cost edges.
 
-    Costs are multiples of 1/2, so path lengths are exact and ties are real.
+    Costs are multiples of 1/2 and the leader's x multiples of 1/4, so path
+    weights ``x + cost`` and costs are exact and ties are real in both.
     """
     nv = draw(st.integers(2, 7))
     pairs = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda p: p[0] != p[1])
     ends = draw(st.lists(pairs, min_size=1, max_size=14))
     ids = draw(st.permutations([f"e{i:02d}" for i in range(len(ends))]))
-    costs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0]), min_size=len(ends), max_size=len(ends)))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]), min_size=len(ends), max_size=len(ends)))
+    xs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5]), min_size=len(ends), max_size=len(ends)))
     sink = draw(st.integers(1, nv - 1))
     fam = inc.PathFamily(nv, tuple((eid, u, v) for eid, (u, v) in zip(ids, ends)), 0, sink)
-    return fam, dict(zip(ids, costs))
+    return fam, {e: x + c for e, x, c in zip(ids, xs, costs)}, dict(zip(ids, costs))
 
 
 @settings(max_examples=400)
 @given(weighted_path_families())
 def test_tight_path_matches_backtracking_search(case):
-    fam, weights = case
-    assert inc._lex_min_tight_path(fam, weights) == lex_min_tight_path_dfs(fam, weights)
+    fam, weights, costs = case
+    assert inc._lex_min_tight_path(fam, weights, costs) == lex_min_tight_path_dfs(fam, weights, costs)
 
 
 def _checked_tight_path(monkeypatch):
     real = inc._lex_min_tight_path
     calls = []
 
-    def checked(fam, weights, tol=inc.PAYOFF_TOL):
-        path = real(fam, weights, tol)
-        assert path == lex_min_tight_path_dfs(fam, weights, tol)
+    def checked(fam, weights, costs, tol=inc.PAYOFF_TOL):
+        path = real(fam, weights, costs, tol)
+        assert path == lex_min_tight_path_dfs(fam, weights, costs, tol)
         calls.append(path)
         return path
 
@@ -360,8 +363,119 @@ def _clique_pocket(size: int) -> tuple[inc.PathFamily, dict]:
 
 def test_tight_path_skips_a_dead_end_clique():
     fam, weights = _clique_pocket(5)
-    assert inc._lex_min_tight_path(fam, weights) == lex_min_tight_path_dfs(fam, weights) == ["z"]
+    assert inc._lex_min_tight_path(fam, weights, weights) == lex_min_tight_path_dfs(fam, weights, weights) == ["z"]
     fam, weights = _clique_pocket(14)
     start = time.perf_counter()
-    assert inc._lex_min_tight_path(fam, weights) == ["z"]
+    assert inc._lex_min_tight_path(fam, weights, weights) == ["z"]
     assert time.perf_counter() - start < 1.0
+
+
+def test_tight_path_prefers_the_cheaper_of_two_shortest_paths():
+    # both s-t paths weigh 1; "b" costs 0 (leader mass 1), "a" costs 1 (mass 0)
+    fam = inc.PathFamily(2, (("a", 0, 1), ("b", 0, 1)), 0, 1)
+    assert inc._lex_min_tight_path(fam, {"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 0.0}) == ["b"]
+    assert inc._lex_min_tight_path(fam, {"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 0.0}) == ["a"]
+
+
+# ---------------------------------------------------------------------------
+# one follower rule for both family kinds
+
+
+@st.composite
+def path_games(draw):
+    """Path-family games with exact ties: costs on a 1/2 grid, x and V on a 1/4 grid."""
+    nv = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda p: p[0] != p[1])
+    ends = [(0, nv - 1)] + draw(st.lists(pairs, max_size=9))
+    ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+    cost = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=len(ids), max_size=len(ids)))
+    gain = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=len(ids), max_size=len(ids)))
+    fam = inc.PathFamily(nv, tuple((eid, u, v) for eid, (u, v) in zip(ids, ends)), 0, nv - 1)
+    inst = inc.IncentiveInstance(tuple(ids), {e: -c for e, c in zip(ids, cost)}, dict(zip(ids, gain)), fam)
+    quarters = draw(st.lists(st.sampled_from(ids), min_size=4, max_size=4))
+    x = {e: quarters.count(e) / 4 for e in ids}
+    paths = inc.enumerate_family(inst).ids()
+    chosen = draw(st.lists(st.sampled_from(paths), max_size=2, unique=True))
+    incentives = {sid: draw(st.sampled_from([0.25, 0.5, 1.0])) for sid in chosen}
+    return inst, inc.IncentiveLeaderStrategy(x, incentives)
+
+
+@settings(max_examples=300)
+@given(path_games())
+def test_follower_best_set_same_rule_on_paths_and_materialized(case):
+    inst, strat = case
+    flat = inc.materialized(inst)
+    # the strong Stackelberg choice: best follower payoff, then best leader payoff
+    top = max((inc.follower_payoff(flat, strat, sid), inc.leader_payoff(flat, strat, sid)) for sid in flat.family.ids())
+    for game in (inst, flat):
+        sid = inc.follower_best_set(game, strat)
+        assert abs(inc.follower_payoff(game, strat, sid) - top[0]) <= 1e-9
+        assert abs(inc.leader_payoff(game, strat, sid) - top[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3), (3, 4), (4, 4), (4, 5)])
+def test_follower_best_set_is_the_target_on_grid_solves(rows, cols):
+    for seed in range(8):
+        inst = grid_instance(random.Random(seed), rows, cols)
+        sol = inc.solve_stackelberg_incentive(inst, exact=False)
+        assert inc.follower_best_set(inst, sol.strategy) == sol.target_set, seed
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 3, 4])
+def test_follower_best_set_is_the_target_on_commit_solves(parallel):
+    inst = commit_instance(parallel)
+    for exact in (False, True):
+        sol = inc.solve_stackelberg_incentive(inst, exact=exact)
+        assert inc.follower_best_set(inst, sol.strategy) == sol.target_set
+
+
+def test_grid_reported_leader_payoff_is_the_followers_choice():
+    inst = grid_instance(random.Random(1), 4, 5)
+    sol = inc.solve_stackelberg_incentive(inst, exact=False)
+    choice = inc.follower_best_set(inst, sol.strategy)
+    assert abs(inc.leader_payoff(inst, sol.strategy, choice) - sol.leader_payoff) <= 1e-12
+    assert abs(sol.leader_payoff - 0.5737) < 1e-4
+
+
+def test_follower_prefers_the_incentivized_set_on_a_full_tie():
+    # both sets pay each player the same within PAYOFF_TOL; "e2" carries a
+    # tiny incentive and wins although "e1" has the smaller id
+    instance = inc.IncentiveInstance(
+        ("e1", "e2"),
+        {"e1": 0.0, "e2": 0.0},
+        {"e1": 0.0, "e2": 0.0},
+        inc.ExplicitFamily((frozenset({"e1"}), frozenset({"e2"}))),
+    )
+    assert inc.follower_best_set(instance, strategy({"e1": 0.5, "e2": 0.5})) == ("e1",)
+    assert inc.follower_best_set(instance, strategy({"e1": 0.5, "e2": 0.5}, {("e2",): 1e-10})) == ("e2",)
+
+
+def test_path_family_rejects_sets_that_are_not_paths():
+    instance = commit_instance(1)
+    x = {"sa": 0.5, "bt": 0.5}
+    off_path = inc.IncentiveLeaderStrategy(x, {("ab",): 5.0})
+    for game in (instance, inc.materialized(instance)):
+        with pytest.raises(InputError):
+            inc.follower_best_set(game, off_path)
+        for sid in (("ab",), ("sa", "sb1"), ("ab", "bt", "sa", "sb1"), ("at1", "bt", "sb1")):
+            with pytest.raises(InputError):
+                inc.leader_payoff(game, strategy(x), sid)
+            with pytest.raises(InputError):
+                inc.follower_payoff(game, strategy(x), sid)
+
+
+def test_path_contains_matches_enumeration():
+    instance = commit_instance(2)
+    fam = instance.family
+    paths = set(inc.enumerate_family(instance).sets)
+    edges = [eid for eid, _, _ in fam.edges]
+    for r in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            assert fam.contains(frozenset(combo)) == (frozenset(combo) in paths), combo
+
+
+def test_missing_path_after_validation_is_not_input_error(monkeypatch):
+    monkeypatch.setattr(inc, "_lex_min_tight_path", lambda fam, weights, costs, tol=inc.PAYOFF_TOL: None)
+    with pytest.raises(ToolkitError) as caught:
+        inc.base_best_set(commit_instance(), COMMIT_X)
+    assert not isinstance(caught.value, InputError)
