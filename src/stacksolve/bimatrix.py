@@ -18,8 +18,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-
-TIE_TOL = 1e-9
+from .tolerances import EQUAL, NEAR_BEST, PROBABILITY, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -78,12 +77,7 @@ class MixedStrategy:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        p = tuple(float(v) for v in self.probs)
-        if any(v < -TIE_TOL for v in p):
-            raise InputError("mixed strategy has a negative probability")
-        if abs(sum(p) - 1.0) > TIE_TOL:
-            raise InputError("mixed strategy probabilities must sum to 1")
-        object.__setattr__(self, "probs", tuple(max(0.0, v) for v in p))
+        object.__setattr__(self, "probs", probabilities(self.probs, "mixed strategy"))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -126,17 +120,17 @@ def expected_utilities(game: BimatrixGame, x: StrategyLike, y: StrategyLike) -> 
 def follower_best_response(game: BimatrixGame, x: StrategyLike) -> int:
     """Best follower column against ``x``, ties broken for the leader.
 
-    Among follower payoffs within TIE_TOL of the maximum, picks the column
+    Among follower payoffs within ``EQUAL`` of the maximum, picks the column
     maximizing the leader's payoff; remaining ties go to the lowest index.
     """
     xv = _coerce(x, game.n, "leader").as_array()
     follower_vals = xv @ game.u_follower
     leader_vals = xv @ game.u_leader
     best_f = follower_vals.max()
-    tied = follower_vals >= best_f - TIE_TOL
+    tied = follower_vals >= best_f - EQUAL
     best_l = leader_vals[tied].max()
     for j in range(game.m):
-        if tied[j] and leader_vals[j] >= best_l - TIE_TOL:
+        if tied[j] and leader_vals[j] >= best_l - EQUAL:
             return j
     raise ToolkitError("unreachable: no best response column")  # pragma: no cover
 
@@ -192,16 +186,16 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     return StackelbergSolution(x, response, lpay, fpay)
 
 
-def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution, tol: float = TIE_TOL) -> None:
+def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:
     """Re-evaluate the solution's invariants; raises ToolkitError on failure."""
     xv = sol.leader.as_array()
     follower_vals = xv @ game.u_follower
-    if follower_vals[sol.follower_response] < follower_vals.max() - tol:
+    if follower_vals[sol.follower_response] < follower_vals.max() - EQUAL:
         raise ToolkitError("recorded response is not a follower best response")
     lpay, fpay = expected_utilities(
         game, sol.leader, MixedStrategy.point_mass(game.m, sol.follower_response)
     )
-    if abs(lpay - sol.leader_payoff) > tol or abs(fpay - sol.follower_payoff) > tol:
+    if abs(lpay - sol.leader_payoff) > EQUAL or abs(fpay - sol.follower_payoff) > EQUAL:
         raise ToolkitError("recorded payoffs do not match re-evaluation")
 
 
@@ -294,7 +288,7 @@ def _indifference_solution(payoff, rows, cols, axis):
         w = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
-    if np.any(w < -TIE_TOL):
+    if np.any(w < -PROBABILITY):
         return None
     w = np.clip(w, 0.0, None)
     s = w.sum()
@@ -312,7 +306,7 @@ def _is_best_response_support(payoff, weights, rows, cols, axis):
         vals = payoff[:, list(cols)] @ weights
         support = rows
     best = vals.max()
-    return all(vals[s] >= best - 1e-8 for s in support)
+    return all(vals[s] >= best - NEAR_BEST for s in support)
 
 
 def _embed(weights, support, size) -> tuple[float, ...]:

@@ -29,6 +29,7 @@ from .bimatrix import (
     validate_stackelberg_solution,
 )
 from .errors import InputError, SizeLimitError, ToolkitError
+from .tolerances import GUARANTEE, ZERO
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -139,9 +140,9 @@ def _run_bimatrix(args) -> dict:
         xl, lguar = solve_maximin(game, LEADER)
         yf, fguar = solve_maximin(game, FOLLOWER)
         # each guarantee must hold against every pure reply of the opponent
-        if (xl.as_array() @ game.u_leader).min() < lguar - 1e-7 or (
+        if (xl.as_array() @ game.u_leader).min() < lguar - GUARANTEE or (
             game.u_follower @ yf.as_array()
-        ).min() < fguar - 1e-7:
+        ).min() < fguar - GUARANTEE:
             raise ToolkitError("maximin strategy falls short of its guarantee")
         lpay, fpay = expected_utilities(game, xl, yf)
         result = {
@@ -178,7 +179,7 @@ def _run_incentive(args) -> dict:
         validate_stackelberg_solution(game, sol)
         result = {
             "noIncentives": True,
-            "leader": {e: p for e, p in zip(inst.elements, sol.leader.probs) if p > 1e-12},
+            "leader": {e: p for e, p in zip(inst.elements, sol.leader.probs) if p > ZERO},
             "chosenSet": list(ids[sol.follower_response]),
             "leaderPayoff": sol.leader_payoff,
             "followerPayoff": sol.follower_payoff,
@@ -239,7 +240,7 @@ def _run_pm(args) -> dict:
         sol = solve_stackelberg(game, exact=True)
         validate_stackelberg_solution(game, sol)
         support = [
-            (matchings[i], p) for i, p in enumerate(sol.leader.probs) if p > 1e-12
+            (matchings[i], p) for i, p in enumerate(sol.leader.probs) if p > ZERO
         ]
         best_m, best_v = permmatch.bruteforce_pitim(inst)
         result = {

@@ -30,13 +30,10 @@ import numpy as np
 
 from .bimatrix import BimatrixGame, MixedStrategy
 from .errors import InputError, SizeLimitError
+from .tolerances import EQUAL, ZERO
 
 DEFAULT_GRID_CAP = 10_000_000
 _CHUNK = 8192
-# A column counts as a relaxed response when its follower payoff is at least
-# best - slack - RELAXED_MARGIN; the margin absorbs float rounding in the
-# payoffs. The solver and its checker must use the same value.
-RELAXED_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,12 @@ class GridParams:
     def eps(self) -> float:
         return 1.0 / self.k
 
-    @property
-    def eps_fraction(self) -> Fraction:
-        return Fraction(1, self.k)
-
     @classmethod
     def from_eps(cls, eps: Union[float, str, Fraction]) -> "GridParams":
         value = Fraction(eps) if not isinstance(eps, float) else None
         if value is None:
             k = round(1.0 / eps)
-            if k < 1 or abs(k * eps - 1.0) > 1e-9:
+            if k < 1 or abs(k * eps - 1.0) > EQUAL:
                 raise InputError("1/eps must be a positive integer")
             return cls(k)
         if value <= 0 or value.numerator != 1:
@@ -167,12 +160,12 @@ def max_abs_payoff(game: BimatrixGame) -> float:
 
 
 def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
-    """Columns whose follower payoff is within ``slack`` of the best one."""
+    """Columns whose follower payoff is within ``slack`` (and the ``ZERO`` margin) of the best one."""
     if slack < 0:
         raise InputError("slack must be nonnegative")
     strat = x if isinstance(x, MixedStrategy) else MixedStrategy(tuple(x))
     vals = strat.as_array() @ game.u_follower
-    return {j for j in range(game.m) if vals[j] >= vals.max() - slack - RELAXED_MARGIN}
+    return {j for j in range(game.m) if vals[j] >= vals.max() - slack - ZERO}
 
 
 def discretized_se(
@@ -199,7 +192,7 @@ def discretized_se(
         fvals = xs @ uf
         lvals = xs @ ul
         tops = fvals.max(axis=1, keepdims=True)
-        allowed = fvals >= tops - slack - RELAXED_MARGIN
+        allowed = fvals >= tops - slack - ZERO
         masked = np.where(allowed, lvals, -np.inf)
         # the flat argmax is the first row holding the chunk's maximum, and
         # its lowest column holding it; the strict > keeps earlier chunks
@@ -230,9 +223,9 @@ def verify_eps_approx(game: BimatrixGame, sol: ApproxSolution, exact_leader_payo
     """
     xv = sol.leader.as_array()
     fvals = xv @ game.u_follower
-    if fvals[sol.follower_response] < fvals.max() - sol.slack - 1e-9:
+    if fvals[sol.follower_response] < fvals.max() - sol.slack - EQUAL:
         return False
-    return sol.leader_payoff >= exact_leader_payoff - sol.slack - 1e-9
+    return sol.leader_payoff >= exact_leader_payoff - sol.slack - EQUAL
 
 
 def solution_to_json_obj(sol: ApproxSolution) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -28,11 +29,9 @@ import numpy as np
 from . import lp
 from .bimatrix import BimatrixGame
 from .errors import InputError, SizeLimitError, ToolkitError
+from .tolerances import EQUAL, GUARANTEE, ZERO, probabilities
 
 SetId = tuple[str, ...]
-
-PAYOFF_TOL = 1e-9
-BOUND_TOL = 1e-7
 
 
 def set_id(members) -> SetId:
@@ -110,7 +109,7 @@ class PathFamily:
     def validate(self, inst: IncentiveInstance) -> None:
         if {e[0] for e in self.edges} != set(inst.elements):
             raise InputError("path-family edge ids must equal the element set")
-        if any(inst.follower_reward[e] > 1e-12 for e in inst.elements):
+        if any(inst.follower_reward[e] > ZERO for e in inst.elements):
             raise InputError("path families require c_e <= 0 (nonnegative costs)")
         zero = dict.fromkeys(inst.elements, 0.0)
         if _dijkstra(self.num_vertices, self.adjacency(), self.sink, zero)[self.source] is None:
@@ -205,14 +204,10 @@ class IncentiveLeaderStrategy:
 
     def __post_init__(self):
         probs = dict(self.x)
-        if any(v < -PAYOFF_TOL for v in probs.values()):
-            raise InputError("x has a negative probability")
-        if abs(sum(probs.values()) - 1.0) > PAYOFF_TOL:
-            raise InputError("x must sum to 1")
+        object.__setattr__(self, "x", dict(zip(probs, probabilities(probs.values(), "x"))))
         inc = {set_id(k): float(v) for k, v in self.incentives.items()}
-        if any(v < 0 for v in inc.values()):
-            raise InputError("incentives must be nonnegative")
-        object.__setattr__(self, "x", {k: max(0.0, float(v)) for k, v in probs.items()})
+        if not all(math.isfinite(v) and v >= 0 for v in inc.values()):
+            raise InputError("incentives must be finite and nonnegative")
         object.__setattr__(self, "incentives", inc)
 
     def mass_on(self, members) -> float:
@@ -272,8 +267,8 @@ def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
 def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
     """The family member maximizing the incentive-free follower payoff.
 
-    Ties within ``PAYOFF_TOL`` go to the larger leader mass
-    ``sum_{e in S} x_e`` (within ``PAYOFF_TOL``), then to the family's own
+    Ties within ``EQUAL`` go to the larger leader mass
+    ``sum_{e in S} x_e`` (within ``EQUAL``), then to the family's own
     last rule: explicit families take the smallest sorted set id, path
     families the lexicographically smallest edge-id sequence from the
     source. Explicit families are scanned; path families run shortest
@@ -283,12 +278,12 @@ def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
     return inst.family.best_set(inst, x)
 
 
-def separation_oracle_for(inst: IncentiveInstance, tol: float = PAYOFF_TOL) -> lp.SeparationOracle:
+def separation_oracle_for(inst: IncentiveInstance) -> lp.SeparationOracle:
     """Oracle over the LP layout ``[x_e for e in elements] + [W]``.
 
     Finds the family member maximizing the base follower payoff at the
     candidate point and reports its constraint when that value exceeds
-    ``-W`` by more than ``tol``.
+    ``-W`` by more than ``EQUAL``.
     """
     n = len(inst.elements)
 
@@ -296,7 +291,7 @@ def separation_oracle_for(inst: IncentiveInstance, tol: float = PAYOFF_TOL) -> l
         x = {e: max(0.0, values[i]) for i, e in enumerate(inst.elements)}
         w = values[n]
         sid, val = base_best_set(inst, x)
-        if val > -w + tol:
+        if val > -w + EQUAL:
             members = set(sid)
             coeffs = tuple(-1.0 if e in members else 0.0 for e in inst.elements) + (1.0,)
             rhs = -sum(inst.follower_reward[e] for e in sid)
@@ -330,7 +325,6 @@ def best_reward_set(inst: IncentiveInstance) -> SetId:
 def solve_stackelberg_incentive(
     inst: IncentiveInstance,
     exact: bool = True,
-    tol: float = BOUND_TOL,
 ) -> IncentiveSolution:
     """Optimal commitment: LP via constraint generation, then one incentive.
 
@@ -342,7 +336,6 @@ def solve_stackelberg_incentive(
     sol = lp.solve_with_generation(
         _incentive_lp(inst),
         separation_oracle_for(inst),
-        tol=tol,
         max_rounds=10 * (n + 1 + inst.family.cut_bound()),
         exact=exact,
     )
@@ -354,14 +347,14 @@ def solve_stackelberg_incentive(
     w_star = float(sol.values[n])
     target = best_reward_set(inst)
     v_star = -w_star - _base_value(inst, x, target)
-    if v_star < -BOUND_TOL:
+    if v_star < -GUARANTEE:
         raise ToolkitError("negative incentive from a feasible LP point")
     v_star = max(0.0, v_star)
-    incentives = {target: v_star} if v_star > 1e-12 else {}
+    incentives = {target: v_star} if v_star > ZERO else {}
     strategy = IncentiveLeaderStrategy(x, incentives)
     lpay = leader_payoff(inst, strategy, target)
     fpay = follower_payoff(inst, strategy, target)
-    if follower_payoff(inst, strategy, follower_best_set(inst, strategy)) - fpay > BOUND_TOL:
+    if follower_payoff(inst, strategy, follower_best_set(inst, strategy)) - fpay > GUARANTEE:
         raise ToolkitError("target set is not a follower best response within tolerance")
     return IncentiveSolution(
         strategy=strategy,
@@ -370,7 +363,7 @@ def solve_stackelberg_incentive(
         incentive_value=v_star,
         leader_payoff=lpay,
         follower_payoff=fpay,
-        incentive_box_exceeded=v_star > 1.0 + PAYOFF_TOL,
+        incentive_box_exceeded=v_star > 1.0 + EQUAL,
     )
 
 
@@ -379,7 +372,7 @@ def follower_best_set(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -
 
     The candidates are the incentivized sets and the incentive-free best set
     of ``base_best_set``. The follower payoff decides first and the leader's
-    payoff next, both within ``PAYOFF_TOL``, so that strong Stackelberg ties
+    payoff next, both within ``EQUAL``, so that strong Stackelberg ties
     go to the leader; then incentivized sets win, then the smallest set id.
     """
     _check_pair(inst, strat)
@@ -393,9 +386,9 @@ def _best_of(candidates: Iterable[tuple[SetId, float, float, bool]]) -> tuple[Se
 
 
 def _beats(cand, best) -> bool:
-    """Follower, then leader payoff (within ``PAYOFF_TOL``), then incentivized, then the smaller id."""
+    """Follower, then leader payoff (within ``EQUAL``), then incentivized, then the smaller id."""
     for a, b in zip(cand[1:3], best[1:3]):
-        if abs(a - b) > PAYOFF_TOL:
+        if abs(a - b) > EQUAL:
             return a > b
     if cand[3] != best[3]:
         return cand[3]
@@ -406,12 +399,12 @@ def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderS
     """Every best response needs at least the closing incentive.
 
     With S' the follower's choice and -W' the best incentive-free payoff,
-    verifies V_{S'} >= -W' - sum_{e in S'}(-x_e + c_e) - 1e-7.
+    verifies V_{S'} >= -W' - sum_{e in S'}(-x_e + c_e) - GUARANTEE.
     """
     s_prime = follower_best_set(inst, strat)
     _, best_base = base_best_set(inst, strat.x)
     needed = best_base - _base_value(inst, strat.x, s_prime)
-    return strat.incentives.get(s_prime, 0.0) >= needed - BOUND_TOL
+    return strat.incentives.get(s_prime, 0.0) >= needed - GUARANTEE
 
 
 def enumerate_family(inst: IncentiveInstance, limit: int = 4096) -> ExplicitFamily:
@@ -472,7 +465,7 @@ def _tight(into: list, dist: list, weights: Mapping, tol: float) -> list:
 
 
 def _lex_min_tight_path(
-    fam: PathFamily, weights: Mapping, costs: Mapping, tol: float = PAYOFF_TOL
+    fam: PathFamily, weights: Mapping, costs: Mapping, tol: float = EQUAL
 ) -> Optional[list[str]]:
     """Lexicographically-smallest edge-id s-t path of least weight, then least cost.
 

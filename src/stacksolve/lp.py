@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, LpNumericalError, ToolkitError
+from .tolerances import GUARANTEE, LP_FEASIBILITY
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -119,7 +120,7 @@ def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
 def solve_with_generation(
     base: LinearProgram,
     oracle: SeparationOracle,
-    tol: float = 1e-7,
+    tol: float = GUARANTEE,
     max_rounds: Optional[int] = None,
     exact: bool = False,
 ) -> LpSolution:
@@ -172,8 +173,8 @@ def _solve_scipy(lp: LinearProgram) -> LpSolution:
         bounds=bounds,
         method="highs",
         options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
+            "primal_feasibility_tolerance": LP_FEASIBILITY,
+            "dual_feasibility_tolerance": LP_FEASIBILITY,
         },
     )
     if res.status == 2:

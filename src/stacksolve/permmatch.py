@@ -25,9 +25,9 @@ import numpy as np
 
 from .bimatrix import BimatrixGame
 from .errors import InputError, SizeLimitError
+from .tolerances import EQUAL, probabilities
 
 BRUTE_FORCE_EDGE_LIMIT = 12
-WEIGHT_TOL = 1e-9
 
 Matching = frozenset  # of edge ids
 
@@ -97,27 +97,16 @@ class TwoPointLeaderStrategy:
     support: tuple[tuple[Matching, float], ...]
 
     def __post_init__(self):
-        probs = [p for _, p in self.support]
-        if any(p < -1e-12 for p in probs):
-            raise InputError("negative probability in leader support")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise InputError("leader support probabilities must sum to 1")
-        object.__setattr__(
-            self, "support", tuple((frozenset(m), float(p)) for m, p in self.support)
-        )
+        probs = probabilities((p for _, p in self.support), "leader support")
+        object.__setattr__(self, "support", tuple((frozenset(m), p) for (m, _), p in zip(self.support, probs)))
 
 
 StrategyLike = Union[TwoPointLeaderStrategy, Sequence[tuple[Matching, float]]]
 
 
 def _support(inst: PermMatchInstance, x: StrategyLike) -> list[tuple[Matching, float]]:
-    pairs = x.support if isinstance(x, TwoPointLeaderStrategy) else tuple(x)
-    out = []
-    for m, p in pairs:
-        out.append((as_matching(inst.graph, m), float(p)))
-    if abs(sum(p for _, p in out) - 1.0) > 1e-9:
-        raise InputError("matching distribution must sum to 1")
-    return out
+    strat = x if isinstance(x, TwoPointLeaderStrategy) else TwoPointLeaderStrategy(tuple(x))
+    return [(as_matching(inst.graph, m), p) for m, p in strat.support]
 
 
 def pm_utilities(inst: PermMatchInstance, m_leader: Iterable[int], m_follower: Iterable[int]) -> tuple[int, int]:
@@ -164,9 +153,9 @@ def max_weight_matching(
 ) -> Matching:
     """Exact maximum-weight matching by branch and bound.
 
-    Among matchings whose total weight is within ``WEIGHT_TOL`` of the
+    Among matchings whose total weight is within ``EQUAL`` of the
     maximum, the largest total tie weight wins (again within
-    ``WEIGHT_TOL``), and then the lexicographically smallest sorted
+    ``EQUAL``), and then the lexicographically smallest sorted
     edge-id set, which keeps results reproducible across runs. Edges with
     negative weight, or with zero weight and no positive tie weight, are
     never included. Candidates are branched on in order of
@@ -194,15 +183,15 @@ def max_weight_matching(
     def recurse(idx: int, total: float, tie: float) -> None:
         nonlocal best_w, best_t, best_set
         bound = total + suffix_w[idx]
-        if bound < best_w - WEIGHT_TOL or (
-            bound <= best_w + WEIGHT_TOL and tie + suffix_t[idx] < best_t - WEIGHT_TOL
+        if bound < best_w - EQUAL or (
+            bound <= best_w + EQUAL and tie + suffix_t[idx] < best_t - EQUAL
         ):
             return
         if idx == len(cand):
             key = tuple(sorted(chosen))
-            if total > best_w + WEIGHT_TOL or (
-                total >= best_w - WEIGHT_TOL
-                and (tie > best_t + WEIGHT_TOL or (tie >= best_t - WEIGHT_TOL and key < best_set))
+            if total > best_w + EQUAL or (
+                total >= best_w - EQUAL
+                and (tie > best_t + EQUAL or (tie >= best_t - EQUAL and key < best_set))
             ):
                 best_w, best_t, best_set = total, tie, key
             return
@@ -236,7 +225,7 @@ def _expected_leader(inst: PermMatchInstance, support, m_follower: Matching) -> 
 def follower_best_response_pm(inst: PermMatchInstance, x: StrategyLike) -> Matching:
     """Follower's maximum-weight matching under the leader's edge marginals.
 
-    Weight ties (``WEIGHT_TOL``) break toward the best expected leader
+    Weight ties (``EQUAL``) break toward the best expected leader
     payoff, which is linear in the follower's edges: edge e pays the leader
     P[pi(e) in M_L]. Remaining ties go to the smallest sorted edge-id set.
     Edges that pay neither player are left out.

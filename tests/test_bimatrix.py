@@ -154,6 +154,21 @@ def test_zero_sum_se_equals_maximin_exact(game):
     assert_se_is_maximin(game, exact=True)
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_zero_sum_se_equals_every_nash_value(n, m, seed):
+    # Random payoffs make the game nondegenerate, so support enumeration
+    # finds its equilibria; in a zero-sum game each is worth the game's
+    # value to the leader, and so is committing (Korzhyk et al., JAIR 2011).
+    payoffs = random_game_payoffs(random.Random(seed), n, m, -1.0, 1.0).u_leader
+    game = BimatrixGame(payoffs, -payoffs)
+    se = solve_stackelberg(game)
+    equilibria = solve_nash_support_enumeration(game)
+    assert equilibria
+    for x, y in equilibria:
+        assert abs(expected_utilities(game, x, y)[0] - se.leader_payoff) <= 1e-9
+
+
 def test_maximin_matching_pennies():
     game = BimatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([[-1.0, 1.0], [1.0, -1.0]]))
     strat, value = solve_maximin(game, LEADER)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stacksolve import cli, lp
+from stacksolve import cli, lp, permmatch
 from stacksolve.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_OK, main
 from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permmatch
 
@@ -267,6 +267,28 @@ def test_pm_bestresponse_with_strategy_file(tmp_path, capsys):
     assert report["result"]["response"] == [0, 1]
     assert report["result"]["followerPayoff"] == pytest.approx(1.0)
     assert report["result"]["leaderPayoff"] == pytest.approx(1.0)
+
+
+def test_pm_strategy_file_with_nan_probability_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "pm.json", SWAP_PM)
+    # NaN on the empty matching reaches no edge weight, so only the
+    # probability check can refuse it
+    support = [{"edges": [], "prob": float("nan")}, {"edges": [0], "prob": 1.0}]
+    strat = write(tmp_path, "strat.json", {"support": support})
+    assert main(["pm", "bestresponse", "-i", path, "--strategy", strat]) == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_pm_strategy_file_takes_its_own_printed_probabilities(tmp_path, capsys):
+    # a uniform mixture printed at 12 significant digits sums to 1 + 2e-12
+    inst = random_permmatch(3, 8, 10)
+    mixture = [(m, float(f"{1 / 6:.12g}")) for m in permmatch.enumerate_matchings(inst.graph)[:6]]
+    path = write(tmp_path, "pm.json", permmatch_to_json_obj(inst))
+    support = [{"edges": sorted(m), "prob": p} for m, p in mixture]
+    strat = write(tmp_path, "strat.json", {"support": support})
+    code, report = run_cli(capsys, "pm", "bestresponse", "-i", path, "--strategy", strat)
+    assert code == EXIT_OK
+    assert report["result"]["response"] == sorted(permmatch.follower_best_response_pm(inst, mixture)) == [7, 8, 9]
 
 
 def test_reduce_roundtrip(tmp_path, capsys):

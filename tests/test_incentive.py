@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacksolve import incentive as inc
+from stacksolve import tolerances
 from stacksolve.bimatrix import solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError, ToolkitError
 
@@ -321,7 +322,7 @@ def _checked_tight_path(monkeypatch):
     real = inc._lex_min_tight_path
     calls = []
 
-    def checked(fam, weights, costs, tol=inc.PAYOFF_TOL):
+    def checked(fam, weights, costs, tol=tolerances.EQUAL):
         path = real(fam, weights, costs, tol)
         assert path == lex_min_tight_path_dfs(fam, weights, costs, tol)
         calls.append(path)
@@ -438,7 +439,7 @@ def test_grid_reported_leader_payoff_is_the_followers_choice():
 
 
 def test_follower_prefers_the_incentivized_set_on_a_full_tie():
-    # both sets pay each player the same within PAYOFF_TOL; "e2" carries a
+    # both sets pay each player the same within tolerances.EQUAL; "e2" carries a
     # tiny incentive and wins although "e1" has the smaller id
     instance = inc.IncentiveInstance(
         ("e1", "e2"),
@@ -475,7 +476,7 @@ def test_path_contains_matches_enumeration():
 
 
 def test_missing_path_after_validation_is_not_input_error(monkeypatch):
-    monkeypatch.setattr(inc, "_lex_min_tight_path", lambda fam, weights, costs, tol=inc.PAYOFF_TOL: None)
+    monkeypatch.setattr(inc, "_lex_min_tight_path", lambda fam, weights, costs, tol=tolerances.EQUAL: None)
     with pytest.raises(ToolkitError) as caught:
         inc.base_best_set(commit_instance(), COMMIT_X)
     assert not isinstance(caught.value, InputError)

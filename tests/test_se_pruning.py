@@ -4,7 +4,8 @@
 ``max_i u_leader[i, j]`` and, on HiGHS, stops once a bound falls strictly
 below the incumbent payoff; the exact backend solves every column. These
 tests compare it with the plain all-columns loop of
-``oracles.unpruned_stackelberg`` and count the LPs it solves.
+``oracles.unpruned_stackelberg`` and with the exact backend, and count the
+LPs it solves.
 """
 
 import numpy as np
@@ -60,6 +61,12 @@ def test_pruned_matches_unpruned_highs(game):
 @given(games(max_n=4, max_m=4))
 def test_pruned_matches_unpruned_exact(game):
     assert_agrees_with_unpruned(game, exact=True)
+
+
+@settings(max_examples=300)
+@given(games(max_n=6, max_m=6))
+def test_pruned_highs_matches_the_exact_backend(game):
+    assert abs(solve_stackelberg(game).leader_payoff - solve_stackelberg(game, exact=True).leader_payoff) <= 1e-9
 
 
 @pytest.fixture

@@ -1,0 +1,126 @@
+"""The tolerance policy of ``stacksolve.tolerances``.
+
+Every float margin of the package is a named constant of that one module,
+and every strategy type checks its probabilities with
+``tolerances.probabilities``. The guard below scans the package source so
+that a margin cannot creep back in as a literal or a per-module constant.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from stacksolve import gen
+from stacksolve import permmatch as pm
+from stacksolve import tolerances
+from stacksolve.bimatrix import MixedStrategy
+from stacksolve.errors import InputError
+from stacksolve.incentive import IncentiveLeaderStrategy
+
+PACKAGE = Path(tolerances.__file__).parent
+FLOAT_LITERAL = re.compile(r"\d(\.\d*)?e-\d+")
+TOLERANCE_CONSTANT = re.compile(r"^\w+_(TOL|MARGIN)\s*(:[^=]*)?=(?!=)")
+TOL = tolerances.PROBABILITY
+
+
+def policy_violations(source: str) -> list[str]:
+    """Lines holding a float-tolerance literal or defining a ``*_TOL``/``*_MARGIN`` constant."""
+    return [
+        f"{number}: {line.strip()}"
+        for number, line in enumerate(source.splitlines(), 1)
+        if FLOAT_LITERAL.search(line) or TOLERANCE_CONSTANT.match(line)
+    ]
+
+
+def test_every_margin_lives_in_the_tolerances_module():
+    found = [
+        f"{path.name}:{hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "tolerances.py"
+        for hit in policy_violations(path.read_text())
+    ]
+    assert not found, "name these margins in stacksolve/tolerances.py:\n" + "\n".join(found)
+
+
+def test_guard_flags_literals_and_constants():
+    assert policy_violations("WEIGHT_TOL = 1e-9\n") == ["1: WEIGHT_TOL = 1e-9"]
+    assert policy_violations("RELAXED_MARGIN: float = EQUAL\n") != []
+    assert policy_violations("    if p > 1e-12:\n") != []
+    assert policy_violations("    verifies V >= -W - 1.5e-7.\n") != []
+    assert policy_violations("if a.TIE_TOL == b:\nkey = round(v, 9)\n") == []
+
+
+def _widest_accepted_sum(side: float) -> float:
+    """The float farthest from 1 on ``side`` (+1 or -1) that is within TOL of 1."""
+    v = 1.0 + side * TOL
+    while abs(v - 1.0) > TOL:
+        v = math.nextafter(v, 1.0)
+    while abs(math.nextafter(v, side * math.inf) - 1.0) <= TOL:
+        v = math.nextafter(v, side * math.inf)
+    return v
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_probabilities_sum_at_the_tolerance(side):
+    edge = _widest_accepted_sum(side)
+    assert tolerances.probabilities([edge], "p") == (edge,)
+    assert tolerances.probabilities([0.5, edge - 0.5], "p") == (0.5, edge - 0.5)
+    with pytest.raises(InputError, match="sum to 1"):
+        tolerances.probabilities([math.nextafter(edge, side * math.inf)], "p")
+
+
+def test_probabilities_clamps_tiny_negatives_only():
+    assert tolerances.probabilities([-TOL / 2, 1.0 + TOL / 2], "p") == (0.0, 1.0 + TOL / 2)
+    assert tolerances.probabilities([0, 1], "p") == (0.0, 1.0)
+    with pytest.raises(InputError, match="negative"):
+        tolerances.probabilities([-2 * TOL, 1.0 + 2 * TOL], "p")
+
+
+def test_probabilities_rejects_empty_and_non_finite_vectors():
+    with pytest.raises(InputError, match="sum to 1"):
+        tolerances.probabilities([], "p")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            tolerances.probabilities([bad, 1.0], "p")
+
+
+INSTANCE = gen.random_permmatch(3, 8, 10)
+MATCHINGS = pm.enumerate_matchings(INSTANCE.graph)
+
+
+def _raw_pairs(probs):
+    return [(MATCHINGS[1 + i], p) for i, p in enumerate(probs)]
+
+
+STRATEGY_TYPES = {
+    "MixedStrategy": lambda probs: MixedStrategy(tuple(probs)),
+    "IncentiveLeaderStrategy": lambda probs: IncentiveLeaderStrategy({f"e{i}": p for i, p in enumerate(probs)}, {}),
+    "TwoPointLeaderStrategy": lambda probs: pm.TwoPointLeaderStrategy(tuple(_raw_pairs(probs))),
+    "follower_best_response_pm": lambda probs: pm.follower_best_response_pm(INSTANCE, _raw_pairs(probs)),
+    "leader_best_response_pm": lambda probs: pm.leader_best_response_pm(INSTANCE, _raw_pairs(probs)),
+}
+
+
+@pytest.mark.parametrize("build", STRATEGY_TYPES.values(), ids=STRATEGY_TYPES.keys())
+@pytest.mark.parametrize(
+    "probs",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (1.5, -0.5), (0.5, 0.4), ()],
+    ids=["nan", "inf", "-inf", "negative", "short-sum", "empty"],
+)
+def test_every_strategy_type_rejects_what_probabilities_rejects(build, probs):
+    with pytest.raises(InputError):
+        build(probs)
+
+
+@pytest.mark.parametrize("build", STRATEGY_TYPES.values(), ids=STRATEGY_TYPES.keys())
+def test_every_strategy_type_takes_twelve_digit_probabilities(build):
+    # 0.166666666667 six times sums to 1 + 2e-12, as the CLI prints a uniform mixture
+    build([float(f"{1 / 6:.12g}")] * 6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_incentives_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(InputError, match="incentives"):
+        IncentiveLeaderStrategy({"a": 1.0}, {("a",): bad})
