@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Iterator, Union
 
 import numpy as np
@@ -52,12 +52,19 @@ class GridParams:
 
     @classmethod
     def from_eps(cls, eps: Union[float, str, Fraction]) -> "GridParams":
-        value = Fraction(eps) if not isinstance(eps, float) else None
-        if value is None:
+        if isinstance(eps, float):
+            # eps > 0 also rejects NaN, and a subnormal eps overflows 1/eps
+            if not (eps > 0 and isfinite(1.0 / eps)):
+                raise InputError("1/eps must be a positive integer")
             k = round(1.0 / eps)
             if k < 1 or abs(k * eps - 1.0) > EQUAL:
                 raise InputError("1/eps must be a positive integer")
             return cls(k)
+        try:
+            value = Fraction(eps)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            msg = f"eps must be a float, a Fraction or a string such as '1/10', got {eps!r}"
+            raise InputError(msg) from exc
         if value <= 0 or value.numerator != 1:
             raise InputError("1/eps must be a positive integer")
         return cls(value.denominator)

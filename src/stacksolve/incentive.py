@@ -191,6 +191,8 @@ class IncentiveInstance:
         for name, table in (("c", self.follower_reward), ("C", self.leader_reward)):
             if set(table) != set(elems):
                 raise InputError(f"{name} must assign a value to every element")
+            if not all(math.isfinite(v) for v in table.values()):
+                raise InputError(f"{name} values must be finite")
         object.__setattr__(self, "elements", elems)
         self.family.validate(self)
 

@@ -2,9 +2,11 @@
 
 Two interchangeable backends sit behind ``solve``:
 
-* ``exact=True``  -- a dense two-phase simplex over ``fractions.Fraction``
-  with Bland's rule, so degenerate desk-scale programs terminate and return
-  bit-reproducible optima.
+* ``exact=True``  -- a two-phase simplex with Bland's rule whose tableau
+  rows are Python ints over one positive denominator each, so every sign
+  test and ratio comparison is exact integer arithmetic. Degenerate
+  desk-scale programs terminate, and the optima are bit-reproducible: the
+  pivots and rationals are those of a ``fractions.Fraction`` tableau.
 * ``exact=False`` -- scipy's HiGHS solver with tightened feasibility
   tolerances, for the larger programs produced by the game solvers.
 
@@ -15,8 +17,9 @@ optimum, add it, and repeat until no violation exceeds the tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -193,190 +196,195 @@ def _solve_scipy(lp: LinearProgram) -> LpSolution:
 
 _PIVOT_GUARD = 200_000
 
+# The tableau keeps each row as a list of integer numerators, rhs last, over
+# one positive denominator, so entry j is row[j] / den; the objective row z,
+# reduced costs then -(objective value), is kept the same way as the last
+# row. Every sign test and ratio comparison of the simplex is a test on
+# ints, and the pivots are those of a Fraction tableau on the same values.
+
+
+def _ratio(v) -> tuple[int, int]:
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # numpy integer scalars have no as_integer_ratio
+        return operator.index(v), 1
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
 
 def _solve_exact(lp: LinearProgram) -> LpSolution:
-    frac = Fraction
     n = lp.num_vars
 
     # Column layout for the nonnegative standard-form variables. Each
-    # original variable maps to (constant, [(column, multiplier), ...]).
-    col_of_var: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
-    extra_rows: list[tuple[list[Fraction], Fraction]] = []  # from two-sided bounds
+    # original variable maps to (constant, [(column, multiplier), ...]); a
+    # two-sided bound adds the <=-row x_i <= ub.
+    col_of_var: list[tuple[tuple[int, int], list[tuple[int, int]]]] = []
+    leq_rows = list(lp.leq_rows)
     ncols = 0
-    for i in range(n):
-        lb, ub = lp.lower_bounds[i], lp.upper_bounds[i]
+    for i, (lb, ub) in enumerate(zip(lp.lower_bounds, lp.upper_bounds)):
         if lb is not None:
-            col_of_var.append((frac(lb), [(ncols, frac(1))]))
+            col_of_var.append((_ratio(lb), [(ncols, 1)]))
             if ub is not None:
-                row = [frac(0)] * (ncols + 1)
-                row[ncols] = frac(1)
-                extra_rows.append((row, frac(ub) - frac(lb)))
+                leq_rows.append((tuple(int(k == i) for k in range(n)), ub))
             ncols += 1
         elif ub is not None:
-            col_of_var.append((frac(ub), [(ncols, frac(-1))]))
+            col_of_var.append((_ratio(ub), [(ncols, -1)]))
             ncols += 1
         else:
-            col_of_var.append((frac(0), [(ncols, frac(1)), (ncols + 1, frac(-1))]))
+            col_of_var.append(((0, 1), [(ncols, 1), (ncols + 1, -1)]))
             ncols += 2
-    nstruct = ncols
+    width = ncols + len(leq_rows)  # one slack per <= row
 
-    def transform(coeffs: Sequence[float], rhs: float) -> tuple[list[Fraction], Fraction]:
-        out = [frac(0)] * nstruct
-        r = frac(rhs)
-        for i, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            fa = frac(a)
-            const, cols = col_of_var[i]
-            r -= fa * const
+    def int_row(coeffs, rhs, slack):
+        # coeffs . x <= rhs (with a slack) or == rhs, over the columns, put
+        # over one common denominator and sign-normalized to rhs >= 0
+        nz = [(_ratio(a), var) for a, var in zip(coeffs, col_of_var) if a != 0]
+        rp, rq = _ratio(rhs)
+        den = lcm(rq, *(q * cq for (_, q), ((_, cq), _) in nz))
+        row = [0] * (width + 1)
+        rhs_num = rp * (den // rq)
+        for (p, q), ((cp, cq), cols) in nz:
             for j, mult in cols:
-                out[j] += fa * mult
-        return out, r
+                row[j] = mult * p * (den // q)
+            rhs_num -= p * cp * (den // (q * cq))
+        row[-1] = rhs_num
+        if slack is not None:
+            row[slack] = den
+        if rhs_num < 0:
+            row = [-v for v in row]
+        return _reduced(row, den)
 
-    rows: list[list[Fraction]] = []
-    row_kind: list[str] = []  # "leq" or "eq"
-    for coeffs, rhs in lp.leq_rows:
-        out, r = transform(coeffs, rhs)
-        rows.append(out)
-        row_kind.append("leq")
-        rows[-1].append(r)
-    for out, r in extra_rows:
-        out = out + [frac(0)] * (nstruct - len(out))
-        rows.append(out + [r])
-        row_kind.append("leq")
-    for coeffs, rhs in lp.eq_rows:
-        out, r = transform(coeffs, rhs)
-        rows.append(out + [r])
-        row_kind.append("eq")
-
-    # Slacks for <= rows, then sign-normalize rhs.
-    nslack = sum(1 for k in row_kind if k == "leq")
-    si = 0
-    for r, kind in enumerate(row_kind):
-        slacks = [frac(0)] * nslack
-        if kind == "leq":
-            slacks[si] = frac(1)
-            si += 1
-        rows[r] = rows[r][:-1] + slacks + [rows[r][-1]]
-    width = nstruct + nslack
-    for r in range(len(rows)):
-        if rows[r][-1] < 0:
-            rows[r] = [-v for v in rows[r]]
-
-    # Phase 1 basis: the row's own slack when usable (+1 coefficient after
-    # sign normalization), otherwise an artificial variable.
-    slack_of_row: dict[int, int] = {}
-    si = nstruct
-    for r, kind in enumerate(row_kind):
-        if kind == "leq":
-            slack_of_row[r] = si
-            si += 1
+    # Phase 1 starts from the row's own slack when it kept coefficient +1,
+    # otherwise from an artificial variable.
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for r in range(len(rows)):
-        sc = slack_of_row.get(r)
-        if sc is not None and rows[r][sc] == 1:
-            basis.append(sc)
-        else:
-            col = width + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-    if art_cols:
-        for r in range(len(rows)):
-            ext = [frac(0)] * len(art_cols)
-            if basis[r] >= width:
-                ext[basis[r] - width] = frac(1)
-            rows[r] = rows[r][:-1] + ext + [rows[r][-1]]
-        cost1 = [frac(0)] * width + [frac(1)] * len(art_cols)
-        z = _priced_objective(rows, basis, cost1)
-        status = _bland(rows, basis, z)
+    for r, (coeffs, rhs) in enumerate(leq_rows + list(lp.eq_rows)):
+        slack = ncols + r if r < len(leq_rows) else None
+        row, den = int_row(coeffs, rhs, slack)
+        rows.append(row)
+        dens.append(den)
+        basis.append(slack if slack is not None and row[slack] > 0 else -1)
+    nart = basis.count(-1)
+    if nart:
+        art = width
+        for r, row in enumerate(rows):
+            ext = [0] * nart
+            if basis[r] < 0:
+                ext[art - width] = dens[r]
+                basis[r] = art
+                art += 1
+            rows[r] = row[:-1] + ext + row[-1:]
+        rows.append([0] * width + [1] * nart + [0])
+        dens.append(1)
+        _price(rows, dens, basis)
+        status = _bland(rows, dens, basis)
         if status == UNBOUNDED:  # pragma: no cover - phase 1 is bounded below
             raise LpNumericalError("phase-1 reported unbounded")
-        if -z[-1] > 0:
+        z = rows.pop()
+        dens.pop()
+        if z[-1] < 0:
             return LpSolution(INFEASIBLE)
-        _evict_artificials(rows, basis, width)
-        keep = [r for r in range(len(rows)) if basis[r] < width]
-        rows = [rows[r][:width] + [rows[r][-1]] for r in keep]
+        _evict_artificials(rows, dens, basis, width)
+        keep = [r for r, b in enumerate(basis) if b < width]
+        rows = [rows[r][:width] + rows[r][-1:] for r in keep]
+        dens = [dens[r] for r in keep]
         basis = [basis[r] for r in keep]
 
-    cost2 = [frac(0)] * width
-    obj = [frac(v) for v in lp.objective]
-    for i in range(n):
-        _, cols = col_of_var[i]
+    # Phase 2 minimizes the negated objective.
+    obj = [_ratio(v) for v in lp.objective]
+    den = lcm(*(q for _, q in obj))
+    row = [0] * (width + 1)
+    for (p, q), (_, cols) in zip(obj, col_of_var):
         for j, mult in cols:
-            cost2[j] += -obj[i] * mult  # minimize the negated objective
-    z = _priced_objective(rows, basis, cost2)
-    status = _bland(rows, basis, z)
-    if status == UNBOUNDED:
+            row[j] = -mult * p * (den // q)
+    rows.append(row)
+    dens.append(den)
+    _price(rows, dens, basis)
+    if _bland(rows, dens, basis) == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    u = [frac(0)] * width
-    for r, b in enumerate(basis):
-        u[b] = rows[r][-1]
+    # Answers as exact (numerator, denominator) pairs; int / int rounds
+    # correctly, as float(Fraction) does, so no Fraction is needed.
+    value = {b: (rows[r][-1], dens[r]) for r, b in enumerate(basis)}
     exact_x = []
-    for i in range(n):
-        const, cols = col_of_var[i]
-        val = const
+    for (num, den), cols in col_of_var:
         for j, mult in cols:
-            val += mult * u[j]
-        exact_x.append(val)
-    exact_obj = sum(o * v for o, v in zip(obj, exact_x))
-    return LpSolution(OPTIMAL, [float(v) for v in exact_x], float(exact_obj))
+            if j in value:
+                vn, vd = value[j]
+                num, den = num * vd + mult * vn * den, den * vd
+        exact_x.append((num, den))
+    obj_num, obj_den = 0, 1
+    for (p, q), (num, den) in zip(obj, exact_x):
+        if p != 0 and num != 0:
+            obj_num, obj_den = obj_num * q * den + p * num * obj_den, obj_den * q * den
+    return LpSolution(OPTIMAL, [num / den for num, den in exact_x], obj_num / obj_den)
 
 
-def _priced_objective(rows, basis, cost):
-    # z = reduced costs plus a trailing slot holding -(objective value);
-    # rows carry their rhs in the same trailing position, so one zip prices
-    # both at once.
-    z = list(cost) + [Fraction(0)]
+def _price(rows, dens, basis):
+    # Turn the cost row (last) into reduced costs: eliminate every basic
+    # column, each of which is a unit column of the constraint rows.
     for r, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            z = [zj - cb * aj for zj, aj in zip(z, rows[r])]
-    return z
+        if rows[-1][b] != 0:
+            _eliminate(rows, dens, len(rows) - 1, rows[r], b)
 
 
-def _bland(rows, basis, z):
+def _bland(rows, dens, basis):
     """Minimize with Bland's rule; mutates the tableau in place."""
-    ncols = len(z) - 1
     for _ in range(_PIVOT_GUARD):
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
+        z = rows[-1]
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
             return OPTIMAL
+        # ratio test: rhs/a compared by cross-multiplying (a > 0 and the
+        # row denominator cancels); ties go to the smaller basis index
         leave = None
-        best = None
-        for r, row in enumerate(rows):
+        for r, b in enumerate(basis):
+            row = rows[r]
             a = row[enter]
             if a > 0:
-                key = (row[-1] / a, basis[r])
-                if best is None or key < best:
-                    best = key
-                    leave = r
+                if leave is not None:
+                    t = row[-1] * best_a - best_rhs * a
+                    if t > 0 or (t == 0 and b > basis[leave]):
+                        continue
+                leave, best_a, best_rhs = r, a, row[-1]
         if leave is None:
             return UNBOUNDED
-        _pivot(rows, z, leave, enter)
+        _pivot(rows, dens, leave, enter)
         basis[leave] = enter
     raise LpNumericalError("simplex pivot guard exceeded")
 
 
-def _pivot(rows, z, r, c):
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+def _pivot(rows, dens, r, c):
+    # Dividing row r by its entry at c cancels its denominator; the sign
+    # goes into the numerators so that the new denominator is positive.
     prow = rows[r]
+    if prow[c] < 0:
+        prow = [-v for v in prow]
+    prow, pd = _reduced(prow, prow[c])
+    rows[r], dens[r] = prow, pd
     for i in range(len(rows)):
         if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-    if z[c] != 0:
-        f = z[c]
-        z[:] = [a - f * b for a, b in zip(z, prow)]
+            _eliminate(rows, dens, i, prow, c)
 
 
-def _evict_artificials(rows, basis, width):
-    for r in range(len(rows)):
-        if basis[r] >= width:
+def _eliminate(rows, dens, i, prow, c):
+    # rows[i] -= (its entry at c) * prow, where prow over the denominator
+    # prow[c] has entry 1 at c.
+    f = rows[i][c]
+    pd = prow[c]
+    rows[i], dens[i] = _reduced([a * pd - f * b for a, b in zip(rows[i], prow)], dens[i] * pd)
+
+
+def _evict_artificials(rows, dens, basis, width):
+    for r, b in enumerate(basis):
+        if b >= width:
             col = next((j for j in range(width) if rows[r][j] != 0), None)
             if col is not None:
-                dummy = [Fraction(0)] * len(rows[r])
-                _pivot(rows, dummy, r, col)
+                _pivot(rows, dens, r, col)
                 basis[r] = col

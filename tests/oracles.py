@@ -5,13 +5,15 @@ oracles enumerate, grid-search, or intersect constraints directly, so a bug
 in a solver cannot hide inside its own checker. The exceptions are the
 differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
-``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
+``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
+to run), ``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
 ``discretized_se_reference`` (the grid enumeration and chunk scan).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,6 +60,200 @@ def lp_vertex_oracle(
         if best is None or val > best[0]:
             best = (val, (float(pt[0]), float(pt[1])))
     return best
+
+
+def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
+    """Dense two-phase simplex with Bland's rule over ``fractions.Fraction``.
+
+    This was the exact backend before ``lp`` kept its tableau in integer
+    rows. It takes the same pivots on the same rationals, so
+    ``lp.solve(program, exact=True)`` must match it bit for bit.
+    """
+    frac = Fraction
+    n = program.num_vars
+
+    # Column layout for the nonnegative standard-form variables. Each
+    # original variable maps to (constant, [(column, multiplier), ...]).
+    col_of_var: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
+    extra_rows: list[tuple[list[Fraction], Fraction]] = []  # from two-sided bounds
+    ncols = 0
+    for i in range(n):
+        lb, ub = program.lower_bounds[i], program.upper_bounds[i]
+        if lb is not None:
+            col_of_var.append((frac(lb), [(ncols, frac(1))]))
+            if ub is not None:
+                row = [frac(0)] * (ncols + 1)
+                row[ncols] = frac(1)
+                extra_rows.append((row, frac(ub) - frac(lb)))
+            ncols += 1
+        elif ub is not None:
+            col_of_var.append((frac(ub), [(ncols, frac(-1))]))
+            ncols += 1
+        else:
+            col_of_var.append((frac(0), [(ncols, frac(1)), (ncols + 1, frac(-1))]))
+            ncols += 2
+    nstruct = ncols
+
+    def transform(coeffs: Sequence[float], rhs: float) -> tuple[list[Fraction], Fraction]:
+        out = [frac(0)] * nstruct
+        r = frac(rhs)
+        for i, a in enumerate(coeffs):
+            if a == 0:
+                continue
+            fa = frac(a)
+            const, cols = col_of_var[i]
+            r -= fa * const
+            for j, mult in cols:
+                out[j] += fa * mult
+        return out, r
+
+    rows: list[list[Fraction]] = []
+    row_kind: list[str] = []  # "leq" or "eq"
+    for coeffs, rhs in program.leq_rows:
+        out, r = transform(coeffs, rhs)
+        rows.append(out)
+        row_kind.append("leq")
+        rows[-1].append(r)
+    for out, r in extra_rows:
+        out = out + [frac(0)] * (nstruct - len(out))
+        rows.append(out + [r])
+        row_kind.append("leq")
+    for coeffs, rhs in program.eq_rows:
+        out, r = transform(coeffs, rhs)
+        rows.append(out + [r])
+        row_kind.append("eq")
+
+    # Slacks for <= rows, then sign-normalize rhs.
+    nslack = sum(1 for k in row_kind if k == "leq")
+    si = 0
+    for r, kind in enumerate(row_kind):
+        slacks = [frac(0)] * nslack
+        if kind == "leq":
+            slacks[si] = frac(1)
+            si += 1
+        rows[r] = rows[r][:-1] + slacks + [rows[r][-1]]
+    width = nstruct + nslack
+    for r in range(len(rows)):
+        if rows[r][-1] < 0:
+            rows[r] = [-v for v in rows[r]]
+
+    # Phase 1 basis: the row's own slack when usable (+1 coefficient after
+    # sign normalization), otherwise an artificial variable.
+    slack_of_row: dict[int, int] = {}
+    si = nstruct
+    for r, kind in enumerate(row_kind):
+        if kind == "leq":
+            slack_of_row[r] = si
+            si += 1
+    basis: list[int] = []
+    art_cols: list[int] = []
+    for r in range(len(rows)):
+        sc = slack_of_row.get(r)
+        if sc is not None and rows[r][sc] == 1:
+            basis.append(sc)
+        else:
+            col = width + len(art_cols)
+            art_cols.append(col)
+            basis.append(col)
+    if art_cols:
+        for r in range(len(rows)):
+            ext = [frac(0)] * len(art_cols)
+            if basis[r] >= width:
+                ext[basis[r] - width] = frac(1)
+            rows[r] = rows[r][:-1] + ext + [rows[r][-1]]
+        cost1 = [frac(0)] * width + [frac(1)] * len(art_cols)
+        z = _dense_priced_objective(rows, basis, cost1)
+        status = _dense_bland(rows, basis, z)
+        if status == lp.UNBOUNDED:  # pragma: no cover - phase 1 is bounded below
+            raise lp.LpNumericalError("phase-1 reported unbounded")
+        if -z[-1] > 0:
+            return lp.LpSolution(lp.INFEASIBLE)
+        _dense_evict_artificials(rows, basis, width)
+        keep = [r for r in range(len(rows)) if basis[r] < width]
+        rows = [rows[r][:width] + [rows[r][-1]] for r in keep]
+        basis = [basis[r] for r in keep]
+
+    cost2 = [frac(0)] * width
+    obj = [frac(v) for v in program.objective]
+    for i in range(n):
+        _, cols = col_of_var[i]
+        for j, mult in cols:
+            cost2[j] += -obj[i] * mult  # minimize the negated objective
+    z = _dense_priced_objective(rows, basis, cost2)
+    status = _dense_bland(rows, basis, z)
+    if status == lp.UNBOUNDED:
+        return lp.LpSolution(lp.UNBOUNDED)
+
+    u = [frac(0)] * width
+    for r, b in enumerate(basis):
+        u[b] = rows[r][-1]
+    exact_x = []
+    for i in range(n):
+        const, cols = col_of_var[i]
+        val = const
+        for j, mult in cols:
+            val += mult * u[j]
+        exact_x.append(val)
+    exact_obj = sum(o * v for o, v in zip(obj, exact_x))
+    return lp.LpSolution(lp.OPTIMAL, [float(v) for v in exact_x], float(exact_obj))
+
+
+def _dense_priced_objective(rows, basis, cost):
+    # z = reduced costs plus a trailing slot holding -(objective value);
+    # rows carry their rhs in the same trailing position, so one zip prices
+    # both at once.
+    z = list(cost) + [Fraction(0)]
+    for r, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0:
+            z = [zj - cb * aj for zj, aj in zip(z, rows[r])]
+    return z
+
+
+def _dense_bland(rows, basis, z):
+    """Minimize with Bland's rule; mutates the tableau in place."""
+    ncols = len(z) - 1
+    for _ in range(lp._PIVOT_GUARD):
+        enter = next((j for j in range(ncols) if z[j] < 0), None)
+        if enter is None:
+            return lp.OPTIMAL
+        leave = None
+        best = None
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                key = (row[-1] / a, basis[r])
+                if best is None or key < best:
+                    best = key
+                    leave = r
+        if leave is None:
+            return lp.UNBOUNDED
+        _dense_pivot(rows, z, leave, enter)
+        basis[leave] = enter
+    raise lp.LpNumericalError("simplex pivot guard exceeded")
+
+
+def _dense_pivot(rows, z, r, c):
+    piv = rows[r][c]
+    rows[r] = [v / piv for v in rows[r]]
+    prow = rows[r]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    if z[c] != 0:
+        f = z[c]
+        z[:] = [a - f * b for a, b in zip(z, prow)]
+
+
+def _dense_evict_artificials(rows, basis, width):
+    for r in range(len(rows)):
+        if basis[r] >= width:
+            col = next((j for j in range(width) if rows[r][j] != 0), None)
+            if col is not None:
+                dummy = [Fraction(0)] * len(rows[r])
+                _dense_pivot(rows, dummy, r, col)
+                basis[r] = col
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,23 @@ def test_solve_incentive_lp_fault_exits_1(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_solve_incentive_pivot_guard_exits_1(tmp_path, capsys, monkeypatch):
+    # a backend failure is an internal error, never infeasibility or bad input
+    monkeypatch.setattr(lp, "_PIVOT_GUARD", 0)
+    path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance(1)))
+    assert main(["solve-incentive", "-i", path]) == EXIT_INTERNAL
+    assert "pivot guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("c", float("-inf")), ("C", float("inf")), ("C", float("nan"))])
+def test_solve_incentive_non_finite_reward_exits_2(tmp_path, capsys, field, value):
+    obj = incentive_to_json_obj(commit_instance(1))
+    next(e for e in obj["elements"] if e["id"] == "sa")[field] = value
+    path = write(tmp_path, "inst.json", obj)
+    assert main(["solve-incentive", "-i", path]) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
 def test_pm_approx(tmp_path, capsys):
     path = write(tmp_path, "pm.json", SWAP_PM)
     code, report = run_cli(capsys, "pm", "approx", "-i", path, "--eps", "1/100")

@@ -25,6 +25,10 @@ def test_grid_params_parsing():
         dz.GridParams.from_eps("2/3")
     with pytest.raises(InputError):
         dz.GridParams.from_eps(0.3)
+    # each of these used to escape as a ValueError, ZeroDivisionError or OverflowError
+    for bad in (float("nan"), 0.0, "abc", "1/0", 1e-310):
+        with pytest.raises(InputError):
+            dz.GridParams.from_eps(bad)
     with pytest.raises(InputError):
         dz.GridParams(0)
 

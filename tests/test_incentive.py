@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -266,6 +267,18 @@ def test_strategy_validation():
     foreign = inc.IncentiveLeaderStrategy({"zz": 1.0}, {})
     with pytest.raises(InputError):
         inc.leader_payoff(instance, foreign, CHAIN_PATH)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_non_finite_rewards_are_input_errors(exact):
+    base = commit_instance(1)
+    for table in ("c", "C"):
+        for bad in (-math.inf, math.inf, math.nan):
+            rewards = {"c": dict(base.follower_reward), "C": dict(base.leader_reward)}
+            rewards[table]["sa"] = bad
+            with pytest.raises(InputError, match="finite"):
+                instance = inc.IncentiveInstance(base.elements, rewards["c"], rewards["C"], base.family)
+                inc.solve_stackelberg_incentive(instance, exact=exact)
 
 
 def test_path_family_requires_nonpositive_rewards():

@@ -1,11 +1,18 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stacksolve import lp
-from stacksolve.errors import InputError
+from stacksolve import gen, lp, permmatch
+from stacksolve import incentive as inc
+from stacksolve.bimatrix import solve_stackelberg
+from stacksolve.errors import InputError, LpNumericalError
 
-from .oracles import lp_vertex_oracle
+from .instances import commit_instance, grid_instance
+from .oracles import lp_vertex_oracle, solve_exact_dense
 
 
 def two_var_lp(objective, rows, lower=(0.0, 0.0)):
@@ -195,3 +202,130 @@ def test_rejects_bad_shapes():
         lp.LinearProgram(num_vars=1, objective=(1.0,), leq_rows=(((1.0, 2.0), 0.0),))
     with pytest.raises(InputError):
         lp.LinearProgram(num_vars=1, objective=(1.0,), lower_bounds=(2.0,), upper_bounds=(1.0,))
+
+
+# ---------------------------------------------------------------------------
+# the integer-row exact backend against the dense Fraction tableau
+
+
+def outcome(solver, program):
+    # float.hex tells -0.0 from 0.0 and prints NaN, so equal bits <=> equal
+    # hex. An optimum beyond the float range (tiny float coefficients can
+    # make one) raises on both backends.
+    try:
+        sol = solver(program)
+    except OverflowError as exc:
+        return str(exc)
+    return sol.status, [v.hex() for v in sol.values], sol.objective_value.hex()
+
+
+def exact(program):
+    return lp.solve(program, exact=True)
+
+
+@st.composite
+def exact_lps(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        number = st.integers(-3, 3)
+    else:
+        number = st.floats(-1e3, 1e3, allow_nan=False)
+    vector = st.lists(number, min_size=n, max_size=n).map(tuple)
+    # right-hand sides of 0 make degenerate vertices
+    row = st.tuples(vector, st.one_of(st.just(0), number))
+    eq_rows = draw(st.lists(row, max_size=2))
+    if eq_rows and draw(st.booleans()):
+        # a repeated equality leaves an artificial basic at level 0, which
+        # phase 1 must evict or drop
+        eq_rows.append(eq_rows[0])
+    lower, upper = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["lower", "upper", "both", "free"]))
+        lo = draw(number) if kind in ("lower", "both") else None
+        hi = draw(number) if kind in ("upper", "both") else None
+        if kind == "both" and hi < lo:
+            lo, hi = hi, lo
+        lower.append(lo)
+        upper.append(hi)
+    # with a zero objective every feasible vertex is optimal, so the point
+    # returned is the one where the phase-1 pivots stop
+    objective = draw(st.one_of(vector, st.just((0,) * n)))
+    return lp.LinearProgram(
+        num_vars=n,
+        objective=objective,
+        leq_rows=tuple(draw(st.lists(row, max_size=4))),
+        eq_rows=tuple(eq_rows),
+        lower_bounds=tuple(lower),
+        upper_bounds=tuple(upper),
+    )
+
+
+# A ray of optima (max x2 subject to x0 >= 0, x1 + x2 = 2 x0, 0 <= x2 <= 2):
+# which optimum comes back rests on the ratio test's tie rule.
+TIE_RULE_LP = lp.LinearProgram(
+    num_vars=3,
+    objective=(0.0, 0.0, 1.0),
+    leq_rows=(((-1.0, 0.0, 0.0), 0.0),),
+    eq_rows=(((-2.0, 1.0, 1.0), 0.0),),
+    lower_bounds=(None, None, 0.0),
+    upper_bounds=(None, None, 2.0),
+)
+
+
+@settings(max_examples=600)
+@example(TIE_RULE_LP)
+@given(exact_lps())
+def test_exact_backend_matches_dense_tableau_bit_for_bit(program):
+    assert outcome(exact, program) == outcome(solve_exact_dense, program)
+
+
+def test_exact_backend_matches_dense_tableau_on_solver_lps(monkeypatch):
+    programs = []
+    solve = lp.solve
+
+    def capture(program, exact=False):
+        if exact:
+            programs.append(program)
+        return solve(program, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", capture)
+    for seed in range(3):
+        game, _ = permmatch.explicit_bimatrix(gen.random_permmatch(seed, 8, 7))
+        solve_stackelberg(game, exact=True)
+    for k in range(1, 5):
+        inc.solve_stackelberg_incentive(commit_instance(k), exact=True)
+    inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3), exact=True)
+    monkeypatch.setattr(lp, "solve", solve)
+
+    assert len(programs) > 30
+    for program in programs:
+        assert outcome(exact, program) == outcome(solve_exact_dense, program)
+
+
+@pytest.mark.parametrize("number", [np.int64, Fraction, float])
+def test_exact_backend_takes_any_exact_number_type(number):
+    # numpy integer scalars have no as_integer_ratio
+    program = lp.LinearProgram(
+        num_vars=2,
+        objective=(number(1), number(1)),
+        leq_rows=(((number(1), number(2)), number(4)), ((number(3), number(1)), number(6))),
+        lower_bounds=(number(0), number(-1)),
+        upper_bounds=(number(5), None),
+    )
+    sol = lp.solve(program, exact=True)
+    assert outcome(exact, program) == outcome(solve_exact_dense, program)
+    assert sol.values == [1.6, 1.2]
+
+
+# ---------------------------------------------------------------------------
+# a backend failure is never reported as infeasibility
+
+
+def test_pivot_guard_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(lp, "_PIVOT_GUARD", 0)
+    program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
+    with pytest.raises(LpNumericalError):
+        lp.solve(program, exact=True)
+    with pytest.raises(LpNumericalError):
+        lp.solve_with_generation(program, lambda values: None, exact=True)
+
