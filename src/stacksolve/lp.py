@@ -7,8 +7,11 @@ Two interchangeable backends sit behind ``solve``:
   test and ratio comparison is exact integer arithmetic. Degenerate
   desk-scale programs terminate, and the optima are bit-reproducible: the
   pivots and rationals are those of a ``fractions.Fraction`` tableau.
-* ``exact=False`` -- scipy's HiGHS solver with tightened feasibility
-  tolerances, for the larger programs produced by the game solvers.
+* ``exact=False`` -- HiGHS's dual simplex, for the larger programs of the
+  game solvers, called through the bindings scipy ships with the model and
+  options ``linprog(method="highs")`` would pass (feasibility tolerances at
+  ``LP_FEASIBILITY``). linprog's finiteness and residual checks are kept,
+  so the answers are linprog's, bit for bit, without its per-call overhead.
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
@@ -17,15 +20,16 @@ optimum, add it, and repeat until no violation exceeds the tolerance.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, LpNumericalError, ToolkitError
-from .tolerances import GUARANTEE, LP_FEASIBILITY
+from .tolerances import GUARANTEE, LP_FEASIBILITY, LP_RESIDUAL
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -52,29 +56,20 @@ class LinearProgram:
             raise InputError("LP needs at least one variable")
         if len(self.objective) != self.num_vars:
             raise InputError("objective length != num_vars")
-        for coeffs, _ in list(self.leq_rows) + list(self.eq_rows):
-            if len(coeffs) != self.num_vars:
-                raise InputError("constraint row length != num_vars")
+        if any(len(coeffs) != self.num_vars for coeffs, _ in (*self.leq_rows, *self.eq_rows)):
+            raise InputError("constraint row length != num_vars")
         lo = self.lower_bounds or (None,) * self.num_vars
         hi = self.upper_bounds or (None,) * self.num_vars
         if len(lo) != self.num_vars or len(hi) != self.num_vars:
             raise InputError("bound vectors must have num_vars entries")
-        for lb, ub in zip(lo, hi):
-            if lb is not None and ub is not None and lb > ub:
-                raise InputError("lower bound exceeds upper bound")
+        if any(lb is not None and ub is not None and lb > ub for lb, ub in zip(lo, hi)):
+            raise InputError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower_bounds", tuple(lo))
         object.__setattr__(self, "upper_bounds", tuple(hi))
 
     def with_leq_row(self, coeffs: Sequence[float], rhs: float) -> "LinearProgram":
         row = (tuple(float(c) for c in coeffs), float(rhs))
-        return LinearProgram(
-            self.num_vars,
-            self.objective,
-            self.leq_rows + (row,),
-            self.eq_rows,
-            self.lower_bounds,
-            self.upper_bounds,
-        )
+        return replace(self, leq_rows=self.leq_rows + (row,))
 
 
 @dataclass
@@ -113,11 +108,10 @@ def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
     """Solve ``lp`` to optimality, or report infeasible/unbounded status.
 
     Raises LpNumericalError when the backend fails numerically (pivot guard
-    exceeded, solver breakdown); that is never conflated with infeasibility.
+    exceeded, solver breakdown, an optimum beyond the float range); that is
+    never conflated with infeasibility. Non-finite numbers raise InputError.
     """
-    if exact:
-        return _solve_exact(lp)
-    return _solve_scipy(lp)
+    return _solve_exact(lp) if exact else _solve_highs(lp)
 
 
 def solve_with_generation(
@@ -150,45 +144,76 @@ def solve_with_generation(
 
 
 # ---------------------------------------------------------------------------
-# scipy backend
+# HiGHS backend
 
 
-def _solve_scipy(lp: LinearProgram) -> LpSolution:
-    # imported here so that commands which solve no HiGHS LP skip scipy's
-    # start-up cost
-    from scipy.optimize import linprog
+# The bindings (private to scipy) and linprog's options, loaded on first use
+# so that commands which solve no HiGHS LP skip scipy's start-up cost.
+@functools.cache
+def _highs():
+    from scipy.optimize._highspy import _core
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_FEASIBILITY
+    return _core, options
 
+
+def _solve_highs(lp: LinearProgram) -> LpSolution:
+    core, options = _highs()
+    n, n_leq = lp.num_vars, len(lp.leq_rows)
+    rows = lp.leq_rows + lp.eq_rows
     c = -np.asarray(lp.objective, dtype=float)
-    a_ub = b_ub = a_eq = b_eq = None
-    if lp.leq_rows:
-        a_ub = np.asarray([r[0] for r in lp.leq_rows], dtype=float)
-        b_ub = np.asarray([r[1] for r in lp.leq_rows], dtype=float)
-    if lp.eq_rows:
-        a_eq = np.asarray([r[0] for r in lp.eq_rows], dtype=float)
-        b_eq = np.asarray([r[1] for r in lp.eq_rows], dtype=float)
-    bounds = list(zip(lp.lower_bounds, lp.upper_bounds))
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": LP_FEASIBILITY,
-            "dual_feasibility_tolerance": LP_FEASIBILITY,
-        },
-    )
-    if res.status == 2:
+    a = np.asarray([r[0] for r in rows], dtype=float).reshape(len(rows), n)
+    rhs = np.asarray([r[1] for r in rows], dtype=float)
+    bounds = np.array((lp.lower_bounds, lp.upper_bounds), dtype=float)  # None -> nan
+    free = np.isnan(bounds)
+    if free.sum() != lp.lower_bounds.count(None) + lp.upper_bounds.count(None) or not all(
+        np.isfinite(v).all() for v in (c, a, rhs, bounds[~free])
+    ):
+        raise InputError("LP numbers must be finite")
+    bounds[0, free[0]], bounds[1, free[1]] = -np.inf, np.inf
+    lhs = np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:]))
+
+    # the rows column by column (HighsLp's default format), explicit zeros dropped
+    cols, row_index = np.nonzero(a.T)
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1))
+    model.a_matrix_.index_ = row_index
+    model.a_matrix_.value_ = a[row_index, cols]
+    model.col_cost_ = c
+    model.col_lower_, model.col_upper_ = bounds
+    model.row_lower_, model.row_upper_ = lhs, rhs
+
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        raise LpNumericalError("HiGHS rejected the model")
+    run_status = highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kInfeasible:
         return LpSolution(INFEASIBLE)
-    if res.status == 3:
+    if status == core.HighsModelStatus.kUnbounded:
         return LpSolution(UNBOUNDED)
-    if res.status != 0 or res.x is None:
-        raise LpNumericalError(f"HiGHS failed: status={res.status} ({res.message})")
-    values = [float(v) for v in res.x]
-    obj = float(np.dot(lp.objective, values))
-    return LpSolution(OPTIMAL, values, obj)
+    if status != core.HighsModelStatus.kOptimal or run_status == core.HighsStatus.kError:
+        raise LpNumericalError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+
+    # linprog's residual check: an optimum outside its bounds or rows is a
+    # solver failure, not an answer
+    solution = highs.getSolution()
+    x, slack = np.array(solution.col_value), rhs - solution.row_value
+    if not (
+        np.all((bounds[0] - LP_RESIDUAL <= x) & (x <= bounds[1] + LP_RESIDUAL))
+        and np.all(slack[:n_leq] >= -LP_RESIDUAL)
+        and np.all(np.abs(slack[n_leq:]) <= LP_RESIDUAL)
+    ):
+        raise LpNumericalError("HiGHS reported an optimum that breaks its constraints")
+    values = [float(v) for v in x]
+    return LpSolution(OPTIMAL, values, float(np.dot(lp.objective, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +233,8 @@ def _ratio(v) -> tuple[int, int]:
         return v.as_integer_ratio()
     except AttributeError:  # numpy integer scalars have no as_integer_ratio
         return operator.index(v), 1
+    except (OverflowError, ValueError):  # infinities and NaN
+        raise InputError("LP numbers must be finite") from None
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -219,6 +246,7 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
 
 def _solve_exact(lp: LinearProgram) -> LpSolution:
     n = lp.num_vars
+    obj = [_ratio(v) for v in lp.objective]  # first, so a NaN is bad input even if infeasible
 
     # Column layout for the nonnegative standard-form variables. Each
     # original variable maps to (constant, [(column, multiplier), ...]); a
@@ -297,7 +325,6 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
         basis = [basis[r] for r in keep]
 
     # Phase 2 minimizes the negated objective.
-    obj = [_ratio(v) for v in lp.objective]
     den = lcm(*(q for _, q in obj))
     row = [0] * (width + 1)
     for (p, q), (_, cols) in zip(obj, col_of_var):
@@ -323,7 +350,10 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
     for (p, q), (num, den) in zip(obj, exact_x):
         if p != 0 and num != 0:
             obj_num, obj_den = obj_num * q * den + p * num * obj_den, obj_den * q * den
-    return LpSolution(OPTIMAL, [num / den for num, den in exact_x], obj_num / obj_den)
+    try:
+        return LpSolution(OPTIMAL, [num / den for num, den in exact_x], obj_num / obj_den)
+    except OverflowError:
+        raise LpNumericalError("the exact optimum has no float value") from None
 
 
 def _price(rows, dens, basis):

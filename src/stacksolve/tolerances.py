@@ -18,6 +18,9 @@ EQUAL = 1e-9
 PROBABILITY = 1e-9
 # HiGHS primal and dual feasibility.
 LP_FEASIBILITY = 1e-9
+# An optimum HiGHS reports must meet its bounds and rows within this:
+# linprog's residual check, 10 * sqrt(tol) at its default tol of 1e-9.
+LP_RESIDUAL = 10 * math.sqrt(1e-9)
 # Re-checks against a guarantee: the cut loop's stop, the incentive
 # solver's best-response and lower-bound checks, maximin guarantees.
 GUARANTEE = 1e-7

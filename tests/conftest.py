@@ -1,10 +1,16 @@
 """Shared hypothesis profile: reproducible runs, no example database, no deadline.
 
 Each property test sets its own ``max_examples``; everything else comes from
-this profile.
+this profile. The ``fake_highs`` fixture stands in for the HiGHS solver.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+from stacksolve import lp
 
 settings.register_profile(
     "stacksolve",
@@ -14,3 +20,43 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("stacksolve")
+
+
+@pytest.fixture
+def fake_highs(monkeypatch):
+    """Replace the HiGHS solver object with a stub of a chosen outcome.
+
+    ``install(status, pass_model=True, row_shift=0.0)``: every solve reports
+    the model status ``status`` (a ``HighsModelStatus`` name); ``passModel``
+    fails unless ``pass_model``; an optimum is x = 0 with every row activity
+    at its upper side plus ``row_shift``.
+    """
+    core, _ = lp._highs()
+
+    def install(status, pass_model=True, row_shift=0.0):
+        class FakeHighs:
+            def passOptions(self, options):
+                return core.HighsStatus.kOk
+
+            def passModel(self, model):
+                self.model = model
+                return core.HighsStatus.kOk if pass_model else core.HighsStatus.kError
+
+            def run(self):
+                return core.HighsStatus.kOk
+
+            def getModelStatus(self):
+                return getattr(core.HighsModelStatus, status)
+
+            def modelStatusToString(self, model_status):
+                return status
+
+            def getSolution(self):
+                return SimpleNamespace(
+                    col_value=[0.0] * self.model.num_col_,
+                    row_value=np.asarray(self.model.row_upper_) + row_shift,
+                )
+
+        monkeypatch.setattr(core, "_Highs", FakeHighs)
+
+    return install

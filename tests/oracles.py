@@ -6,7 +6,8 @@ in a solver cannot hide inside its own checker. The exceptions are the
 differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
-to run), ``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
+to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
+``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
 ``discretized_se_reference`` (the grid enumeration and chunk scan).
 """
 
@@ -20,6 +21,9 @@ import numpy as np
 
 from stacksolve import discretize as dz
 from stacksolve import lp
+from stacksolve.errors import LpNumericalError
+from stacksolve.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
+from stacksolve.tolerances import LP_FEASIBILITY
 from stacksolve.bimatrix import (
     MixedStrategy,
     StackelbergSolution,
@@ -254,6 +258,47 @@ def _dense_evict_artificials(rows, basis, width):
                 dummy = [Fraction(0)] * len(rows[r])
                 _dense_pivot(rows, dummy, r, col)
                 basis[r] = col
+
+
+def solve_highs_linprog(lp: LinearProgram) -> LpSolution:
+    """HiGHS through ``scipy.optimize.linprog``, as the HiGHS backend used to.
+
+    ``lp.solve`` passes the same model and options to the HiGHS bindings
+    that ``linprog`` calls, so it must match this bit for bit.
+    """
+    from scipy.optimize import linprog
+
+    c = -np.asarray(lp.objective, dtype=float)
+    a_ub = b_ub = a_eq = b_eq = None
+    if lp.leq_rows:
+        a_ub = np.asarray([r[0] for r in lp.leq_rows], dtype=float)
+        b_ub = np.asarray([r[1] for r in lp.leq_rows], dtype=float)
+    if lp.eq_rows:
+        a_eq = np.asarray([r[0] for r in lp.eq_rows], dtype=float)
+        b_eq = np.asarray([r[1] for r in lp.eq_rows], dtype=float)
+    bounds = list(zip(lp.lower_bounds, lp.upper_bounds))
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": LP_FEASIBILITY,
+            "dual_feasibility_tolerance": LP_FEASIBILITY,
+        },
+    )
+    if res.status == 2:
+        return LpSolution(INFEASIBLE)
+    if res.status == 3:
+        return LpSolution(UNBOUNDED)
+    if res.status != 0 or res.x is None:
+        raise LpNumericalError(f"HiGHS failed: status={res.status} ({res.message})")
+    values = [float(v) for v in res.x]
+    obj = float(np.dot(lp.objective, values))
+    return LpSolution(OPTIMAL, values, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "status, row_shift", [("kOptimal", 1.0), ("kUnboundedOrInfeasible", 0.0)]
+)
+def test_highs_failure_exits_1(tmp_path, capsys, fake_highs, status, row_shift):
+    # an "optimum" that breaks its rows, or no answer: a solver fault, not input
+    fake_highs(status, row_shift=row_shift)
+    path = write(tmp_path, "game.json", APPENDIX)
+    assert main(["solve-bimatrix", "--method", "se", "-i", path]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_maximin_solves_two_lps(tmp_path, capsys, monkeypatch):
     calls = []
     real = lp.solve

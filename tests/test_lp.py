@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 
 from stacksolve import gen, lp, permmatch
 from stacksolve import incentive as inc
-from stacksolve.bimatrix import solve_stackelberg
+from stacksolve.bimatrix import FOLLOWER, LEADER, BimatrixGame, solve_maximin, solve_stackelberg
 from stacksolve.errors import InputError, LpNumericalError
+from stacksolve.tolerances import LP_RESIDUAL
 
 from .instances import commit_instance, grid_instance
-from .oracles import lp_vertex_oracle, solve_exact_dense
+from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog
 
 
 def two_var_lp(objective, rows, lower=(0.0, 0.0)):
@@ -210,12 +213,13 @@ def test_rejects_bad_shapes():
 
 def outcome(solver, program):
     # float.hex tells -0.0 from 0.0 and prints NaN, so equal bits <=> equal
-    # hex. An optimum beyond the float range (tiny float coefficients can
-    # make one) raises on both backends.
+    # hex. A backend failure is an outcome too: an optimum beyond the float
+    # range (tiny float coefficients can make one) raises LpNumericalError in
+    # lp and OverflowError in the dense tableau.
     try:
         sol = solver(program)
-    except OverflowError as exc:
-        return str(exc)
+    except (LpNumericalError, OverflowError):
+        return "failed"
     return sol.status, [v.hex() for v in sol.values], sol.objective_value.hex()
 
 
@@ -272,8 +276,19 @@ TIE_RULE_LP = lp.LinearProgram(
 )
 
 
+# x1 = -1/2.2e-309 is the only feasible value, and no float holds it.
+FLOAT_OVERFLOW_LP = lp.LinearProgram(
+    num_vars=2,
+    objective=(0.0, 0.0),
+    eq_rows=(((0.0, 2.225073858507203e-309), -1.0),),
+    lower_bounds=(0.0, None),
+    upper_bounds=(None, 0.0),
+)
+
+
 @settings(max_examples=600)
 @example(TIE_RULE_LP)
+@example(FLOAT_OVERFLOW_LP)
 @given(exact_lps())
 def test_exact_backend_matches_dense_tableau_bit_for_bit(program):
     assert outcome(exact, program) == outcome(solve_exact_dense, program)
@@ -329,3 +344,207 @@ def test_pivot_guard_raises_numerical_error(monkeypatch):
     with pytest.raises(LpNumericalError):
         lp.solve_with_generation(program, lambda values: None, exact=True)
 
+
+
+def test_exact_optimum_beyond_float_range_is_a_numerical_error():
+    with pytest.raises(LpNumericalError, match="float"):
+        lp.solve(FLOAT_OVERFLOW_LP, exact=True)
+    with pytest.raises(OverflowError):
+        solve_exact_dense(FLOAT_OVERFLOW_LP)
+    assert lp.solve(FLOAT_OVERFLOW_LP).status == lp.INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers are malformed input on both backends
+
+
+def lp_with(position, value):
+    # max x + y s.t. x + 2y <= 4, x - y = 0, x >= 0, y <= 5: optimal at x = y = 4/3
+    fields = dict(
+        num_vars=2,
+        objective=(1.0, 1.0),
+        leq_rows=(((1.0, 2.0), 4.0),),
+        eq_rows=(((1.0, -1.0), 0.0),),
+        lower_bounds=(0.0, None),
+        upper_bounds=(None, 5.0),
+    )
+    if position == "objective":
+        fields["objective"] = (1.0, value)
+    elif position == "objective, infeasible":
+        fields["objective"] = (value, 1.0)
+        fields["leq_rows"] += (((0.0, 1.0), -6.0),)
+    elif position == "leq coefficient":
+        fields["leq_rows"] = (((value, 2.0), 4.0),)
+    elif position == "leq rhs":
+        fields["leq_rows"] = (((1.0, 2.0), value),)
+    elif position == "eq coefficient":
+        fields["eq_rows"] = (((1.0, value), 0.0),)
+    elif position == "eq rhs":
+        fields["eq_rows"] = (((1.0, -1.0), value),)
+    elif position == "lower bound":
+        fields["lower_bounds"] = (value, None)
+    else:
+        fields["upper_bounds"] = (None, value)
+    return lp.LinearProgram(**fields)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "position",
+    ["objective", "objective, infeasible", "leq coefficient", "leq rhs",
+     "eq coefficient", "eq rhs", "lower bound", "upper bound"],
+)
+def test_non_finite_numbers_are_input_errors(exact, value, position):
+    program = lp_with(position, value)
+    with pytest.raises(InputError, match="finite"):
+        lp.solve(program, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_non_finite_base_lp_is_feasible(exact):
+    sol = lp.solve(lp_with("objective", 1.0), exact=exact)
+    assert sol.is_optimal and abs(sol.objective_value - 8 / 3) < 1e-9
+    assert lp.solve(lp_with("objective, infeasible", 1.0), exact=exact).status == lp.INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# HiGHS through its bindings against HiGHS through linprog
+
+
+def highs(program):
+    return lp.solve(program)
+
+
+# Infeasible by 5e-8: HiGHS's default primal tolerance, 1e-7, would call
+# x = 0 optimal.
+PRIMAL_TOLERANCE_LP = lp.LinearProgram(
+    num_vars=1,
+    objective=(1.0,),
+    leq_rows=(((1.0,), 0.0), ((-1.0,), -5e-8)),
+)
+
+
+@settings(max_examples=600)
+@example(TIE_RULE_LP)
+@example(FLOAT_OVERFLOW_LP)
+@example(PRIMAL_TOLERANCE_LP)
+@given(exact_lps())
+def test_highs_matches_linprog_bit_for_bit(program):
+    assert outcome(highs, program) == outcome(solve_highs_linprog, program)
+
+
+def passed_to_highs(solver, program):
+    """The options and the model that ``solver`` hands HiGHS, as plain values."""
+    core, _ = lp._highs()
+    seen = []
+
+    def floats(values):
+        return [float(v).hex() for v in values]
+
+    class Recording(core._Highs):
+        def passOptions(self, options):
+            names = [n for n in dir(options) if not n.startswith("_")]
+            seen.append({n: getattr(options, n) for n in names if not callable(getattr(options, n))})
+            return super().passOptions(options)
+
+        def passModel(self, model):
+            matrix = model.a_matrix_
+            seen.append((
+                model.num_col_, model.num_row_, model.sense_, model.offset_,
+                list(model.integrality_), matrix.format_, matrix.num_col_, matrix.num_row_,
+                list(matrix.start_), list(matrix.index_), floats(matrix.value_),
+                floats(model.col_cost_), floats(model.col_lower_), floats(model.col_upper_),
+                floats(model.row_lower_), floats(model.row_upper_),
+            ))
+            return super().passModel(model)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_Highs", Recording)
+        outcome(solver, program)
+    return seen
+
+
+@settings(max_examples=200)
+@example(TIE_RULE_LP)
+@example(PRIMAL_TOLERANCE_LP)
+@given(exact_lps())
+def test_highs_gets_linprogs_options_and_model(program):
+    # HiGHS drops explicit zeros, and its "choose" strategy picks the dual
+    # simplex too, so neither slip shows in the answers: compare the inputs
+    sent = passed_to_highs(highs, program)
+    assert len(sent) == 2
+    assert sent == passed_to_highs(solve_highs_linprog, program)
+
+
+def test_primal_tolerance_lp_is_infeasible():
+    assert lp.solve(PRIMAL_TOLERANCE_LP).status == lp.INFEASIBLE
+
+
+def test_highs_matches_linprog_on_solver_lps(monkeypatch):
+    programs = []
+    solve = lp.solve
+
+    def capture(program, exact=False):
+        if not exact:
+            programs.append(program)
+        return solve(program, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", capture)
+    games = []
+    for seed in range(12):
+        games.append(gen.random_bimatrix(seed, 8, 8))
+        base = gen.random_bimatrix(100 + seed, 8, 8, 0.0, 4.0)
+        games.append(BimatrixGame(np.floor(base.u_leader), np.floor(base.u_follower)))
+        # thin games leave some columns no best response: infeasible LPs
+        games.append(gen.random_bimatrix(200 + seed, 4, 12))
+        games.append(gen.random_bimatrix(300 + seed, 12, 4))
+    for game in games:
+        solve_stackelberg(game)
+        solve_maximin(game, LEADER)
+        solve_maximin(game, FOLLOWER)
+    for k in range(1, 5):
+        inc.solve_stackelberg_incentive(commit_instance(k))
+    inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3))
+    monkeypatch.setattr(lp, "solve", solve)
+
+    outcomes = [outcome(highs, program) for program in programs]
+    assert Counter(o[0] for o in outcomes)[lp.INFEASIBLE] > 0
+    assert outcomes == [outcome(solve_highs_linprog, program) for program in programs]
+
+
+# ---------------------------------------------------------------------------
+# HiGHS statuses: only an optimum, infeasibility or unboundedness is an answer
+
+
+@pytest.mark.parametrize(
+    "status, pass_model",
+    [("kUnboundedOrInfeasible", True), ("kIterationLimit", True), ("kModelError", True),
+     ("kOptimal", False)],
+)
+def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model):
+    fake_highs(status, pass_model=pass_model)
+    program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
+    with pytest.raises(LpNumericalError):
+        lp.solve(program)
+    with pytest.raises(LpNumericalError):
+        lp.solve_with_generation(program, lambda values: None)
+
+
+@pytest.mark.parametrize("status, answer", [("kInfeasible", lp.INFEASIBLE), ("kUnbounded", lp.UNBOUNDED)])
+def test_highs_answers_map_to_statuses(fake_highs, status, answer):
+    fake_highs(status)
+    assert lp.solve(two_var_lp((1, 1), [((1, 2), 4)])).status == answer
+
+
+def test_highs_optimum_breaking_a_row_is_a_numerical_error(fake_highs):
+    program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
+    fake_highs("kOptimal", row_shift=LP_RESIDUAL / 2)
+    assert lp.solve(program).is_optimal
+    fake_highs("kOptimal", row_shift=2 * LP_RESIDUAL)
+    with pytest.raises(LpNumericalError, match="breaks"):
+        lp.solve(program)
+    # an equality row broken from below
+    fake_highs("kOptimal", row_shift=-2 * LP_RESIDUAL)
+    with pytest.raises(LpNumericalError, match="breaks"):
+        lp.solve(lp_with("objective", 1.0))
