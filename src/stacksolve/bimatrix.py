@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, NEAR_BEST, PROBABILITY, probabilities
+from .tolerances import BOUND_SLACK, EQUAL, NEAR_BEST, PROBABILITY, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -135,53 +136,99 @@ def follower_best_response(game: BimatrixGame, x: StrategyLike) -> int:
     raise ToolkitError("unreachable: no best response column")  # pragma: no cover
 
 
+# The Lagrange multipliers of the column bounds; 0 gives max_i u_leader[i, j].
+_MULTIPLIERS = np.array([0.0, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 8.0])
+
+
+def _column_lp(game: BimatrixGame, j: int, exact: bool) -> lp.LinearProgram:
+    """Column j's LP: maximize u_leader[:, j] . x over the simplex with j a weak best response.
+
+    Row jp is the follower's gain of column jp over j, which must stay <= 0.
+    On HiGHS the objective is scaled by 2^-e(max|u_leader|) and the rows by
+    2^-e(max|u_follower|), e being the ``math.frexp`` exponent, so that both
+    peak in [1/2, 1). Unscaled, HiGHS failed on games whose two matrices
+    lie orders of magnitude apart, and read follower rows of entries below
+    its zero threshold as empty. A power of two scales floats exactly
+    (short of underflow), so the feasible and the optimal sets stay the
+    same. The exact backend needs no scaling and gets the plain LP.
+    """
+    uf = game.u_follower
+    objective = game.u_leader[:, j]
+    diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
+    if not exact:
+        objective = np.ldexp(objective, -math.frexp(np.abs(game.u_leader).max())[1])
+        diff = np.ldexp(diff, -math.frexp(np.abs(uf).max())[1])
+    return lp.LinearProgram(
+        num_vars=game.n,
+        objective=tuple(objective.tolist()),
+        leq_rows=tuple((row, 0.0) for row in map(tuple, diff.tolist())),
+        eq_rows=(((1.0,) * game.n, 1.0),),
+        lower_bounds=(0.0,) * game.n,
+        upper_bounds=(None,) * game.n,
+    )
+
+
+def _column_bounds(game: BimatrixGame) -> np.ndarray:
+    """B_j = min over rivals r and multipliers lam of max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
+
+    Built column by column, so the temporaries hold |multipliers| * n * m
+    floats. The rival r = j adds max_i uL[i, j], as lam = 0 does.
+    """
+    ul, uf = game.u_leader, game.u_follower
+    lam = _MULTIPLIERS[:, None, None]
+    return np.array([(ul[:, [j]] + lam * (uf[:, [j]] - uf)).max(axis=1).min() for j in range(game.m)])
+
+
 def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSolution:
     """Optimal commitment via one LP per follower column (Multiple LPs).
 
     For each column j, maximizes the leader payoff over the simplex subject
-    to j being a weak best response; the best feasible pair wins. The chosen
-    pair is re-evaluated through ``follower_best_response`` so the reported
-    response honors the leader-favoring tie-break exactly.
+    to j being a weak best response (Conitzer & Sandholm, EC 2006). The
+    winner is the column with the largest column value u_leader[:, j] . x
+    at its LP optimum x, the lowest column index among equal values. Only
+    the winner's x is re-evaluated through ``follower_best_response``, so
+    the reported response honors the leader-favoring tie-break; through a
+    tied response it may realize more than its column value, and more than
+    the best column value only as far as the ``EQUAL`` tie margin allows.
 
-    Column j's LP can never exceed ``bound[j] = max_i u_leader[i, j]``, so
-    columns are visited in order of ``(-bound[j], j)`` and, on HiGHS, the
-    loop stops at the first column whose bound is strictly below the
-    incumbent's realized payoff (Conitzer & Sandholm, EC 2006). Columns
-    whose bound equals the incumbent are still solved, so among exactly
-    equal payoffs the lowest column index wins, as in a visit of every
-    column. With ``exact=True`` every column is solved, so an exact solve
-    costs the same m LPs on every game of a given shape, where the pruned
-    count would swing with how the leader's bounds fall, and it returns the
-    all-columns answer even on exactly tied payoffs.
+    On HiGHS the columns are visited by ``(-B_j, j)`` for the Lagrangian
+    bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974).
+    By weak duality it holds for every x feasible for column j: for a rival
+    r and lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
+    uL[:, j] . x <= sum_i x_i (uL[i, j] + lam (uF[i, j] - uF[i, r]))
+    <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])). The loop stops at the
+    first column whose bound is below the best column value by more than
+    ``BOUND_SLACK`` times the largest term of the bound, max(1, max|uL|,
+    8 max|uF|), which covers the bound's rounding. No column left out could
+    have reached, or tied, the best value, so the answer is that of a visit
+    of every column (``tests/oracles.unpruned_stackelberg``).
+
+    With ``exact=True`` every column is solved, in index order, and no
+    bound is computed. The answer is the same, and an exact solve costs the
+    same m LPs on every game of a given shape, where the pruned count would
+    swing with how the leader's bounds fall.
     """
-    uf = game.u_follower
-    bound = game.u_leader.max(axis=0)
-    order = sorted(range(game.m), key=lambda j: (-bound[j], j))
-    best: tuple[float, int, MixedStrategy, int] | None = None
+    ul = game.u_leader
+    order: Sequence[int] = range(game.m)
+    if not exact:
+        bound = _column_bounds(game)
+        order = np.argsort(-bound, kind="stable")
+        margin = BOUND_SLACK * max(1.0, np.abs(ul).max(), _MULTIPLIERS[-1] * np.abs(game.u_follower).max())
+    best: tuple[float, int, MixedStrategy] | None = None
     for j in order:
-        if not exact and best is not None and bound[j] < best[0]:
+        if not exact and best is not None and bound[j] < best[0] - margin:
             break
-        # row jp: follower gain of column jp over j, which must stay <= 0
-        diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
-        program = lp.LinearProgram(
-            num_vars=game.n,
-            objective=tuple(game.u_leader[:, j].tolist()),
-            leq_rows=tuple((row, 0.0) for row in map(tuple, diff.tolist())),
-            eq_rows=(((1.0,) * game.n, 1.0),),
-            lower_bounds=(0.0,) * game.n,
-            upper_bounds=(None,) * game.n,
-        )
-        sol = lp.solve(program, exact=exact)
+        sol = lp.solve(_column_lp(game, j, exact), exact=exact)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
-        response = follower_best_response(game, x)
-        payoff, _ = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
-        if best is None or payoff > best[0] or (payoff == best[0] and j < best[1]):
-            best = (payoff, j, x, response)
+        value = float(ul[:, j] @ x.as_array())
+        if best is None or value > best[0] or (value == best[0] and j < best[1]):
+            best = (value, j, x)
     if best is None:
         raise ToolkitError("every per-column LP was infeasible on a valid game")
-    _, _, x, response = best
+    x = best[2]
+    response = follower_best_response(game, x)
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, lpay, fpay)
 

@@ -151,16 +151,6 @@ def _grid_blocks(n: int, k: int) -> Iterator[np.ndarray]:
             yield np.column_stack([np.repeat(prefixes, sizes, axis=0), a, np.repeat(rems, sizes) - a])
 
 
-def grid_strategies(n: int, params: GridParams, cap: int = DEFAULT_GRID_CAP) -> list[MixedStrategy]:
-    """Every mixed strategy with probabilities in {0, eps, 2 eps, ..., 1}."""
-    _check_cap(n, params, cap)
-    return [
-        MixedStrategy(tuple(c / params.k for c in row))
-        for block in _grid_blocks(n, params.k)
-        for row in block.tolist()
-    ]
-
-
 def max_abs_payoff(game: BimatrixGame) -> float:
     """M: the largest payoff magnitude across both matrices."""
     return float(max(np.abs(game.u_leader).max(), np.abs(game.u_follower).max()))

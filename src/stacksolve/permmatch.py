@@ -109,20 +109,6 @@ def _support(inst: PermMatchInstance, x: StrategyLike) -> list[tuple[Matching, f
     return [(as_matching(inst.graph, m), p) for m, p in strat.support]
 
 
-def pm_utilities(inst: PermMatchInstance, m_leader: Iterable[int], m_follower: Iterable[int]) -> tuple[int, int]:
-    """(leader, follower) payoffs: |M_L ∩ pi(M_F)| and |M_L ∩ M_F|."""
-    ml = as_matching(inst.graph, m_leader)
-    mf = as_matching(inst.graph, m_follower)
-    return len(ml & inst.pi_image(mf)), len(ml & mf)
-
-
-def common_dist(x: Iterable[int], y: Iterable[int]) -> tuple[int, int]:
-    """(|x ∩ y|, |x| + |y| - 2|x ∩ y|); the second term is a metric."""
-    xs, ys = frozenset(x), frozenset(y)
-    common = len(xs & ys)
-    return common, len(xs) + len(ys) - 2 * common
-
-
 def enumerate_matchings(graph: Multigraph, limit: Optional[int] = None) -> list[Matching]:
     """All matchings (including the empty one), in a fixed generation order."""
     out: list[Matching] = []

@@ -26,6 +26,9 @@ LP_RESIDUAL = 10 * math.sqrt(1e-9)
 GUARANTEE = 1e-7
 # Support enumeration: a support strategy within this of the best payoff.
 NEAR_BEST = 1e-8
+# Multiple LPs on HiGHS skips a column only when its float upper bound is
+# below the best column value by more than this, relative to the payoffs.
+BOUND_SLACK = 1e-9
 # Zero and the float margin: values above it are nonzero (printed supports,
 # granted incentives, positive path rewards); the eps-grid solver and its
 # checker both admit responses down to best - slack - ZERO.

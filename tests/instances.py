@@ -6,6 +6,7 @@ import itertools
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stacksolve.bimatrix import BimatrixGame
 from stacksolve.incentive import (
@@ -22,6 +23,20 @@ def random_game_payoffs(rng, n: int, m: int, low: float = 0.0, high: float = 1.0
     """Uniform random payoffs from a ``random.Random``-style generator."""
     ul = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
     uf = [[low + (high - low) * rng.random() for _ in range(m)] for _ in range(n)]
+    return BimatrixGame(np.asarray(ul), np.asarray(uf))
+
+
+@st.composite
+def bimatrix_games(draw, max_n: int, max_m: int) -> BimatrixGame:
+    """Hypothesis games: payoffs in [0, 1] or small integers 0-3; 1 x m and n x 1 shapes included."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    if draw(st.booleans()):
+        entry = st.integers(0, 3).map(float)
+    else:
+        entry = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    ul = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    uf = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
     return BimatrixGame(np.asarray(ul), np.asarray(uf))
 
 

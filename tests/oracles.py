@@ -7,7 +7,7 @@ differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
-``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the LP backend) and
+``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs) and
 ``discretized_se_reference`` (the grid enumeration and chunk scan).
 """
 
@@ -19,8 +19,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from stacksolve import bimatrix
 from stacksolve import discretize as dz
 from stacksolve import lp
+from stacksolve import permmatch as pm
 from stacksolve.errors import LpNumericalError
 from stacksolve.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
 from stacksolve.tolerances import LP_FEASIBILITY
@@ -337,33 +339,26 @@ def unpruned_stackelberg(game, exact: bool = False):
     """Multiple LPs over every follower column, in index order, no pruning.
 
     The differential reference for the bound-ordered pruning of
-    ``bimatrix.solve_stackelberg``. It shares that solver's LP backend and
-    best-response re-evaluation on purpose, so that only the visiting order
-    and the stop rule differ: the strictly best realized payoff wins, and
-    the lowest column index among exactly equal payoffs.
+    ``bimatrix.solve_stackelberg``. It shares that solver's column LPs
+    (``bimatrix._column_lp``), LP backend and best-response re-evaluation on
+    purpose, so that only the visiting order and the stop rule differ: the
+    strictly largest column value u_leader[:, j] . x wins, so the lowest
+    column index among exactly equal values, and only the winner's x is
+    re-evaluated.
     """
-    n, m = game.n, game.m
-    uf = game.u_follower
     best = None
-    for j in range(m):
-        leq = tuple((tuple(uf[:, jp] - uf[:, j]), 0.0) for jp in range(m) if jp != j)
-        program = lp.LinearProgram(
-            num_vars=n,
-            objective=tuple(game.u_leader[:, j]),
-            leq_rows=leq,
-            eq_rows=(((1.0,) * n, 1.0),),
-            lower_bounds=(0.0,) * n,
-            upper_bounds=(None,) * n,
-        )
-        sol = lp.solve(program, exact=exact)
+    for j in range(game.m):
+        sol = lp.solve(bimatrix._column_lp(game, j, exact), exact=exact)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
-        response = follower_best_response(game, x)
-        payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(m, response))
-        if best is None or payoff > best.leader_payoff:
-            best = StackelbergSolution(x, response, payoff, follower)
-    return best
+        value = float(game.u_leader[:, j] @ x.as_array())
+        if best is None or value > best[0]:
+            best = (value, x)
+    x = best[1]
+    response = follower_best_response(game, x)
+    payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
+    return StackelbergSolution(x, response, payoff, follower)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +373,16 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for first in range(k + 1):
         for rest in _compositions(n - 1, k - first):
             yield (first,) + rest
+
+
+def grid_strategies(n: int, params, cap: int = dz.DEFAULT_GRID_CAP) -> list[MixedStrategy]:
+    """Every mixed strategy with probabilities in {0, eps, 2 eps, ..., 1}, in grid order."""
+    dz._check_cap(n, params, cap)
+    return [
+        MixedStrategy(tuple(c / params.k for c in row))
+        for block in dz._grid_blocks(n, params.k)
+        for row in block.tolist()
+    ]
 
 
 def discretized_se_reference(game, params) -> dz.ApproxSolution:
@@ -485,6 +490,20 @@ def lexmax_matching_bruteforce(num_vertices: int, edges, weights, ties) -> froze
     best_t = max(sum(ties[e] for e in m) for m in allowed)
     allowed = [m for m in allowed if sum(ties[e] for e in m) >= best_t - 1e-9]
     return min(allowed, key=sorted)
+
+
+def pm_utilities(inst, m_leader: Iterable[int], m_follower: Iterable[int]) -> tuple[int, int]:
+    """(leader, follower) payoffs of one pair of matchings: |M_L ∩ pi(M_F)| and |M_L ∩ M_F|."""
+    ml = pm.as_matching(inst.graph, m_leader)
+    mf = pm.as_matching(inst.graph, m_follower)
+    return len(ml & inst.pi_image(mf)), len(ml & mf)
+
+
+def common_dist(x: Iterable[int], y: Iterable[int]) -> tuple[int, int]:
+    """(|x ∩ y|, |x| + |y| - 2|x ∩ y|); the second term is a metric."""
+    xs, ys = frozenset(x), frozenset(y)
+    common = len(xs & ys)
+    return common, len(xs) + len(ys) - 2 * common
 
 
 def follower_best_response_bruteforce(inst, support) -> tuple[float, float]:

@@ -263,3 +263,17 @@ def test_game_validation():
         MixedStrategy((0.5, 0.4))
     with pytest.raises(InputError):
         MixedStrategy((1.5, -0.5))
+
+
+@pytest.mark.parametrize("leader_scale, follower_scale", [(1e5, 1e-3), (1.0, 1e-11)])
+def test_highs_matches_exact_on_badly_scaled_games(leader_scale, follower_scale):
+    # Unscaled, HiGHS failed with "Not Set" on some of the first kind and
+    # dropped the follower rows of the second (entries below its 1e-9 zero).
+    rng = np.random.default_rng(5)
+    for _ in range(200 if follower_scale > 1e-9 else 60):
+        n, m = rng.integers(2, 7, size=2)
+        game = BimatrixGame(rng.random((n, m)) * leader_scale, rng.random((n, m)) * follower_scale)
+        sol = solve_stackelberg(game)
+        validate_stackelberg_solution(game, sol)
+        exact = solve_stackelberg(game, exact=True).leader_payoff
+        assert sol.leader_payoff == pytest.approx(exact, rel=1e-9, abs=0.0)

@@ -10,8 +10,8 @@ from stacksolve import discretize as dz
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
-from .instances import random_game_payoffs
-from .oracles import _compositions, discretized_se_reference
+from .instances import bimatrix_games, random_game_payoffs
+from .oracles import _compositions, discretized_se_reference, grid_strategies
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
@@ -34,23 +34,23 @@ def test_grid_params_parsing():
 
 
 def test_grid_strategies_half_step():
-    grid = dz.grid_strategies(2, dz.GridParams(2))
+    grid = grid_strategies(2, dz.GridParams(2))
     assert [g.probs for g in grid] == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
 
 
 def test_grid_strategies_single_strategy():
-    assert [g.probs for g in dz.grid_strategies(1, dz.GridParams(7))] == [(1.0,)]
+    assert [g.probs for g in grid_strategies(1, dz.GridParams(7))] == [(1.0,)]
 
 
 def test_grid_strategies_count_three_parts():
-    grid = dz.grid_strategies(3, dz.GridParams(2))
+    grid = grid_strategies(3, dz.GridParams(2))
     assert len(grid) == 6
     assert dz.grid_size(3, dz.GridParams(2)) == 6
 
 
 def test_grid_cap():
     with pytest.raises(SizeLimitError):
-        dz.grid_strategies(6, dz.GridParams(100), cap=1000)
+        grid_strategies(6, dz.GridParams(100), cap=1000)
 
 
 def test_max_abs_payoff():
@@ -106,6 +106,13 @@ def test_theorem_bound_and_membership_random_games():
         assert sol.leader_payoff >= exact - sol.slack - 1e-9, f"trial {trial}"
         assert sol.follower_response in dz.almost_best_responses(game, sol.leader, sol.slack)
         assert dz.verify_eps_approx(game, sol, exact)
+
+
+@settings(max_examples=150)
+@given(bimatrix_games(max_n=4, max_m=5), st.integers(1, 40))
+def test_discretized_se_is_an_eps_approximation_of_the_exact_se(game, k):
+    sol = dz.discretized_se(game, dz.GridParams(k))
+    assert dz.verify_eps_approx(game, sol, solve_stackelberg(game, exact=True).leader_payoff)
 
 
 def test_grid_refinement_keeps_lower_bound():
@@ -189,7 +196,7 @@ def test_grid_blocks_split_one_long_block():
 def test_grid_strategies_follow_composition_order():
     params = dz.GridParams(5)
     want = [tuple(c / 5 for c in combo) for combo in _compositions(4, 5)]
-    assert [g.probs for g in dz.grid_strategies(4, params)] == want
+    assert [g.probs for g in grid_strategies(4, params)] == want
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, dz._CHUNK])

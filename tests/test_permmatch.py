@@ -13,10 +13,12 @@ from stacksolve.gen import random_3dm, random_permmatch
 from .oracles import (
     all_matchings_bruteforce,
     bruteforce_3dm_value,
+    common_dist,
     follower_best_response_bruteforce,
     is_3d_matching,
     lexmax_matching_bruteforce,
     max_weight_matching_bruteforce,
+    pm_utilities,
 )
 
 E0, E1 = 0, 1
@@ -33,25 +35,25 @@ def identity_instance(edges, vertices) -> pm.PermMatchInstance:
 
 def test_pm_utilities_swap():
     inst = swap_instance()
-    assert pm.pm_utilities(inst, {E0}, {E1}) == (1, 0)
-    assert pm.pm_utilities(inst, set(), set()) == (0, 0)
+    assert pm_utilities(inst, {E0}, {E1}) == (1, 0)
+    assert pm_utilities(inst, set(), set()) == (0, 0)
 
 
 def test_pm_utilities_identity():
     inst = identity_instance([(0, 1), (2, 3), (4, 5)], 6)
     m = {0, 2}
-    assert pm.pm_utilities(inst, m, m) == (2, 2)
+    assert pm_utilities(inst, m, m) == (2, 2)
 
 
 def test_pm_utilities_rejects_non_matching():
     inst = identity_instance([(0, 1), (1, 2)], 3)
     with pytest.raises(InputError):
-        pm.pm_utilities(inst, {0, 1}, set())
+        pm_utilities(inst, {0, 1}, set())
 
 
 def test_common_dist():
-    assert pm.common_dist({1, 2}, {1, 2}) == (2, 0)
-    assert pm.common_dist({1}, {2, 3}) == (0, 3)
+    assert common_dist({1, 2}, {1, 2}) == (2, 0)
+    assert common_dist({1}, {2, 3}) == (0, 3)
 
 
 def test_dist_triangle_inequality():
@@ -60,9 +62,9 @@ def test_dist_triangle_inequality():
         inst = random_permmatch(rng.randrange(1 << 40), 8, 8)
         matchings = pm.enumerate_matchings(inst.graph)
         x, y, z = (matchings[rng.randrange(len(matchings))] for _ in range(3))
-        _, dxz = pm.common_dist(x, z)
-        _, dxy = pm.common_dist(x, y)
-        _, dyz = pm.common_dist(y, z)
+        _, dxz = common_dist(x, z)
+        _, dxy = common_dist(x, y)
+        _, dyz = common_dist(y, z)
         assert dxz <= dxy + dyz
 
 

@@ -1,72 +1,70 @@
 """Bound-ordered pruning of the Multiple-LPs solver.
 
-``solve_stackelberg`` visits follower columns by descending leader bound
-``max_i u_leader[i, j]`` and, on HiGHS, stops once a bound falls strictly
-below the incumbent payoff; the exact backend solves every column. These
-tests compare it with the plain all-columns loop of
-``oracles.unpruned_stackelberg`` and with the exact backend, and count the
-LPs it solves.
+On HiGHS, ``solve_stackelberg`` visits the follower columns by descending
+Lagrangian bound B_j (``bimatrix._column_bounds``) and stops once a bound
+falls below the best column value by more than the ``BOUND_SLACK`` margin.
+The winner is the column of the largest column value u_leader[:, j] . x,
+the lowest index among equal values, so no column the loop skips could
+have won. These tests compare it bit for bit with the all-columns loop of
+``oracles.unpruned_stackelberg``, which shares the column LPs, check the
+bound against every column's exact LP value, and count the LPs solved.
+The exact backend solves every column, so that its cost does not swing
+with how the bounds fall.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from stacksolve import lp
+from stacksolve import bimatrix, lp
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg, validate_stackelberg_solution
+from stacksolve.incentive import incentive_bimatrix
 
+from .instances import bimatrix_games, commit_instance
 from .oracles import unpruned_stackelberg
 
-# Payoffs of different commitments that tie exactly can still differ by a few
-# ulps once evaluated in floats (4.4e-16 seen on integer-payoff games).
-ROUNDING_TOL = 1e-12
 
-
-@st.composite
-def games(draw, max_n, max_m):
-    """Random or small-integer payoffs; 1 x m and n x 1 shapes included."""
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, max_m))
-    if draw(st.booleans()):
-        entry = st.integers(0, 3).map(float)
-    else:
-        entry = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
-    ul = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
-    uf = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
-    return BimatrixGame(np.asarray(ul), np.asarray(uf))
-
-
-def assert_agrees_with_unpruned(game, exact):
+def assert_same_as_unpruned(game, exact):
     pruned = solve_stackelberg(game, exact=exact)
-    plain = unpruned_stackelberg(game, exact=exact)
     validate_stackelberg_solution(game, pruned)
-    gap = abs(pruned.leader_payoff - plain.leader_payoff)
-    assert gap <= 1e-9
-    same = pruned.follower_response == plain.follower_response and np.allclose(
-        pruned.leader.probs, plain.leader.probs, rtol=0.0, atol=1e-9
-    )
-    if not same:
-        # a skipped column reached the same payoff through a tied response
-        assert gap <= ROUNDING_TOL
+    assert pruned == unpruned_stackelberg(game, exact=exact)
 
 
 @settings(max_examples=200)
-@given(games(max_n=7, max_m=9))
+@given(bimatrix_games(max_n=7, max_m=9))
 def test_pruned_matches_unpruned_highs(game):
-    assert_agrees_with_unpruned(game, exact=False)
+    assert_same_as_unpruned(game, exact=False)
 
 
 @settings(max_examples=60)
-@given(games(max_n=4, max_m=4))
+@given(bimatrix_games(max_n=4, max_m=4))
 def test_pruned_matches_unpruned_exact(game):
-    assert_agrees_with_unpruned(game, exact=True)
+    assert_same_as_unpruned(game, exact=True)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("exact", [False, True])
+def test_pruned_matches_unpruned_on_commit_games(k, exact):
+    game, _ = incentive_bimatrix(commit_instance(k))
+    assert_same_as_unpruned(game, exact=exact)
 
 
 @settings(max_examples=300)
-@given(games(max_n=6, max_m=6))
+@given(bimatrix_games(max_n=6, max_m=6))
 def test_pruned_highs_matches_the_exact_backend(game):
     assert abs(solve_stackelberg(game).leader_payoff - solve_stackelberg(game, exact=True).leader_payoff) <= 1e-9
+
+
+@settings(max_examples=150)
+@given(bimatrix_games(max_n=5, max_m=6))
+def test_column_bounds_cover_every_exact_column_value(game):
+    bound = bimatrix._column_bounds(game)
+    assert bound.shape == (game.m,)
+    assert np.all(bound <= game.u_leader.max(axis=0))  # lam = 0 is one of the multipliers
+    for j in range(game.m):
+        sol = lp.solve(bimatrix._column_lp(game, j, exact=True), exact=True)
+        if sol.is_optimal:
+            assert bound[j] >= sol.objective_value
 
 
 @pytest.fixture
@@ -80,6 +78,15 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", counting)
     return calls
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_commit_games_solve_one_highs_lp(lp_calls, k):
+    # every column has leader bound max_i uL = 1, so that bound alone kept all (k+1)^2
+    game, _ = incentive_bimatrix(commit_instance(k))
+    sol = solve_stackelberg(game)
+    assert len(lp_calls) == 1
+    assert sol.leader_payoff == pytest.approx((0.6 * k + 1) / (k + 1), abs=1e-9)
 
 
 # column 0 has the top bound 5, reached at row 0 where the follower strictly
@@ -104,7 +111,7 @@ def test_exact_backend_solves_every_column(lp_calls):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_equal_bounds_solve_every_column(lp_calls, exact):
-    # every bound is 1, so no column is ever strictly below the incumbent
+    # every bound is 1 and every column value 1, so no bound is below the best
     game = BimatrixGame(np.eye(4), np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]] * 2))
     solve_stackelberg(game, exact=exact)
     assert len(lp_calls) == 4
@@ -112,14 +119,25 @@ def test_equal_bounds_solve_every_column(lp_calls, exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_equal_payoffs_keep_the_lowest_column(lp_calls, exact):
-    # column 1 (bound 2) is visited first and realizes 1 at (1/2, 1/2);
-    # column 0 (bound 1, equal to that incumbent) realizes 1 at (0, 1)
+    # column 1 (bound 2) is visited first and has column value 1 at (1/2, 1/2);
+    # column 0 (bound 1, equal to that value) has column value 1 at (0, 1)
     game = BimatrixGame(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
     sol = solve_stackelberg(game, exact=exact)
     assert len(lp_calls) == 2
     assert sol.follower_response == 0
     assert sol.leader.probs == pytest.approx((0.0, 1.0), abs=1e-9)
     assert sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
-    plain = unpruned_stackelberg(game, exact=exact)
-    assert plain.follower_response == 0
-    assert plain.leader.probs == pytest.approx((0.0, 1.0), abs=1e-9)
+
+
+def test_the_column_value_ranks_the_columns_not_the_realized_payoff(lp_calls):
+    # Column 0's LP value is 1/2, at x = (1/2, 1/2), where the follower ties
+    # and takes column 1, so it realizes 1, as column 1 (LP value 1) does.
+    # Ranked by realized payoff, column 0 would win as the lower index, but
+    # only when it is solved, and its bound 1/2 lets HiGHS skip it. Ranked
+    # by column value, column 1 wins on both backends.
+    game = BimatrixGame(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert bimatrix._column_bounds(game).tolist() == [0.5, 1.0]
+    highs = solve_stackelberg(game)
+    assert len(lp_calls) == 1
+    for sol in (highs, solve_stackelberg(game, exact=True)):
+        assert sol.follower_response == 1 and sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
