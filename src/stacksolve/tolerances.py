@@ -16,7 +16,8 @@ from .errors import InputError
 EQUAL = 1e-9
 # Probability vectors: entries down to -PROBABILITY, sums this close to 1.
 PROBABILITY = 1e-9
-# HiGHS primal and dual feasibility.
+# HiGHS primal and dual feasibility; Multiple LPs derives from it the margin
+# by which a column value at a HiGHS optimum may exceed the column's bound.
 LP_FEASIBILITY = 1e-9
 # An optimum HiGHS reports must meet its bounds and rows within this:
 # linprog's residual check, 10 * sqrt(tol) at its default tol of 1e-9.
@@ -26,9 +27,6 @@ LP_RESIDUAL = 10 * math.sqrt(1e-9)
 GUARANTEE = 1e-7
 # Support enumeration: a support strategy within this of the best payoff.
 NEAR_BEST = 1e-8
-# Multiple LPs on HiGHS skips a column only when its float upper bound is
-# below the best column value by more than this, relative to the payoffs.
-BOUND_SLACK = 1e-9
 # Zero and the float margin: values above it are nonzero (printed supports,
 # granted incentives, positive path rewards); the eps-grid solver and its
 # checker both admit responses down to best - slack - ZERO.

@@ -2,10 +2,10 @@
 
 On HiGHS, ``solve_stackelberg`` visits the follower columns by descending
 Lagrangian bound B_j (``bimatrix._column_bounds``) and stops once a bound
-falls below the best column value by more than the ``BOUND_SLACK`` margin.
-The winner is the column of the largest column value u_leader[:, j] . x,
-the lowest index among equal values, so no column the loop skips could
-have won. These tests compare it bit for bit with the all-columns loop of
+falls below the best column value by more than the margin that HiGHS's
+feasibility tolerance allows. The winner is the column of the largest
+column value u_leader[:, j] . x, the lowest index among equal values, so
+no column the loop skips could have won. These tests compare it bit for bit with the all-columns loop of
 ``oracles.unpruned_stackelberg``, which shares the column LPs, check the
 bound against every column's exact LP value, and count the LPs solved.
 The exact backend solves every column, so that its cost does not swing
@@ -124,6 +124,7 @@ def test_equal_payoffs_keep_the_lowest_column(lp_calls, exact):
     game = BimatrixGame(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
     sol = solve_stackelberg(game, exact=exact)
     assert len(lp_calls) == 2
+    assert sol == unpruned_stackelberg(game, exact=exact)
     assert sol.follower_response == 0
     assert sol.leader.probs == pytest.approx((0.0, 1.0), abs=1e-9)
     assert sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
