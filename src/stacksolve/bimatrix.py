@@ -164,8 +164,6 @@ def _column_lp(game: BimatrixGame, j: int, exact: bool) -> lp.LinearProgram:
         objective=tuple(objective.tolist()),
         leq_rows=tuple((row, 0.0) for row in map(tuple, diff.tolist())),
         eq_rows=(((1.0,) * game.n, 1.0),),
-        lower_bounds=(0.0,) * game.n,
-        upper_bounds=(None,) * game.n,
     )
 
 
@@ -272,8 +270,7 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
         objective=(0.0,) * k + (1.0,),
         leq_rows=tuple(leq),
         eq_rows=(((1.0,) * k + (0.0,), 1.0),),
-        lower_bounds=(0.0,) * k + (None,),
-        upper_bounds=(None,) * (k + 1),
+        free={k},
     )
     sol = lp.solve(program, exact=exact)
     if not sol.is_optimal:

@@ -137,8 +137,8 @@ def _run_bimatrix(args) -> dict:
             )
         result = {"method": "nash", "equilibria": entries}
     elif method == "maximin":
-        xl, lguar = solve_maximin(game, LEADER)
-        yf, fguar = solve_maximin(game, FOLLOWER)
+        xl, lguar = solve_maximin(game, LEADER, exact=args.exact)
+        yf, fguar = solve_maximin(game, FOLLOWER, exact=args.exact)
         # each guarantee must hold against every pure reply of the opponent
         if (xl.as_array() @ game.u_leader).min() < lguar - GUARANTEE or (
             game.u_follower @ yf.as_array()

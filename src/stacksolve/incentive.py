@@ -314,8 +314,7 @@ def _incentive_lp(inst: IncentiveInstance) -> lp.LinearProgram:
         objective=objective,
         leq_rows=(((0.0,) * n + (1.0,), cap),),
         eq_rows=(((1.0,) * n + (0.0,), 1.0),),
-        lower_bounds=(0.0,) * n + (None,),
-        upper_bounds=(None,) * (n + 1),
+        free={n},
     )
 
 

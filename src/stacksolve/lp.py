@@ -1,5 +1,9 @@
 """Linear programming with optional exact rational arithmetic.
 
+A ``LinearProgram`` is in standard form: every variable is >= 0 unless it
+is named in ``free`` (then it is x+ - x- in the exact tableau, and -inf
+below in HiGHS), and any other bound is a row.
+
 Two interchangeable backends sit behind ``solve``:
 
 * ``exact=True``  -- a two-phase simplex with Bland's rule whose tableau
@@ -38,18 +42,17 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A maximization LP over real variables with optional box bounds.
+    """A maximization LP in standard form: variables >= 0 unless in ``free``.
 
-    ``leq_rows`` and ``eq_rows`` are ``(coefficients, rhs)`` pairs; bounds
-    are per-variable and ``None`` means unbounded on that side.
+    ``leq_rows`` and ``eq_rows`` are ``(coefficients, rhs)`` pairs; any other
+    bound on a variable is a row.
     """
 
     num_vars: int
     objective: tuple[float, ...]
     leq_rows: tuple[tuple[tuple[float, ...], float], ...] = ()
     eq_rows: tuple[tuple[tuple[float, ...], float], ...] = ()
-    lower_bounds: tuple[Optional[float], ...] = ()
-    upper_bounds: tuple[Optional[float], ...] = ()
+    free: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -58,14 +61,9 @@ class LinearProgram:
             raise InputError("objective length != num_vars")
         if any(len(coeffs) != self.num_vars for coeffs, _ in (*self.leq_rows, *self.eq_rows)):
             raise InputError("constraint row length != num_vars")
-        lo = self.lower_bounds or (None,) * self.num_vars
-        hi = self.upper_bounds or (None,) * self.num_vars
-        if len(lo) != self.num_vars or len(hi) != self.num_vars:
-            raise InputError("bound vectors must have num_vars entries")
-        if any(lb is not None and ub is not None and lb > ub for lb, ub in zip(lo, hi)):
-            raise InputError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower_bounds", tuple(lo))
-        object.__setattr__(self, "upper_bounds", tuple(hi))
+        if not all(0 <= i < self.num_vars for i in self.free):
+            raise InputError("free variable index out of range")
+        object.__setattr__(self, "free", frozenset(self.free))
 
     def with_leq_row(self, coeffs: Sequence[float], rhs: float) -> "LinearProgram":
         row = (tuple(float(c) for c in coeffs), float(rhs))
@@ -168,13 +166,10 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     c = -np.asarray(lp.objective, dtype=float)
     a = np.asarray([r[0] for r in rows], dtype=float).reshape(len(rows), n)
     rhs = np.asarray([r[1] for r in rows], dtype=float)
-    bounds = np.array((lp.lower_bounds, lp.upper_bounds), dtype=float)  # None -> nan
-    free = np.isnan(bounds)
-    if free.sum() != lp.lower_bounds.count(None) + lp.upper_bounds.count(None) or not all(
-        np.isfinite(v).all() for v in (c, a, rhs, bounds[~free])
-    ):
+    if not all(np.isfinite(v).all() for v in (c, a, rhs)):
         raise InputError("LP numbers must be finite")
-    bounds[0, free[0]], bounds[1, free[1]] = -np.inf, np.inf
+    lower = np.zeros(n)
+    lower[list(lp.free)] = -np.inf
     lhs = np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:]))
 
     # the rows column by column (HighsLp's default format), explicit zeros dropped
@@ -186,7 +181,7 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     model.a_matrix_.index_ = row_index
     model.a_matrix_.value_ = a[row_index, cols]
     model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = bounds
+    model.col_lower_, model.col_upper_ = lower, np.full(n, np.inf)
     model.row_lower_, model.row_upper_ = lhs, rhs
 
     highs = core._Highs()
@@ -207,7 +202,7 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     solution = highs.getSolution()
     x, slack = np.array(solution.col_value), rhs - solution.row_value
     if not (
-        np.all((bounds[0] - LP_RESIDUAL <= x) & (x <= bounds[1] + LP_RESIDUAL))
+        np.all(x >= lower - LP_RESIDUAL)
         and np.all(slack[:n_leq] >= -LP_RESIDUAL)
         and np.all(np.abs(slack[n_leq:]) <= LP_RESIDUAL)
     ):
@@ -245,45 +240,31 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _solve_exact(lp: LinearProgram) -> LpSolution:
-    n = lp.num_vars
     obj = [_ratio(v) for v in lp.objective]  # first, so a NaN is bad input even if infeasible
 
-    # Column layout for the nonnegative standard-form variables. Each
-    # original variable maps to (constant, [(column, multiplier), ...]); a
-    # two-sided bound adds the <=-row x_i <= ub.
-    col_of_var: list[tuple[tuple[int, int], list[tuple[int, int]]]] = []
-    leq_rows = list(lp.leq_rows)
+    # Column layout: a variable >= 0 keeps one column, a free one is the
+    # difference of two; cols_of_var[i] lists (column, multiplier) pairs.
+    cols_of_var: list[list[tuple[int, int]]] = []
     ncols = 0
-    for i, (lb, ub) in enumerate(zip(lp.lower_bounds, lp.upper_bounds)):
-        if lb is not None:
-            col_of_var.append((_ratio(lb), [(ncols, 1)]))
-            if ub is not None:
-                leq_rows.append((tuple(int(k == i) for k in range(n)), ub))
-            ncols += 1
-        elif ub is not None:
-            col_of_var.append((_ratio(ub), [(ncols, -1)]))
-            ncols += 1
-        else:
-            col_of_var.append(((0, 1), [(ncols, 1), (ncols + 1, -1)]))
-            ncols += 2
-    width = ncols + len(leq_rows)  # one slack per <= row
+    for i in range(lp.num_vars):
+        cols_of_var.append([(ncols, 1), (ncols + 1, -1)] if i in lp.free else [(ncols, 1)])
+        ncols += len(cols_of_var[-1])
+    width = ncols + len(lp.leq_rows)  # one slack per <= row
 
     def int_row(coeffs, rhs, slack):
         # coeffs . x <= rhs (with a slack) or == rhs, over the columns, put
         # over one common denominator and sign-normalized to rhs >= 0
-        nz = [(_ratio(a), var) for a, var in zip(coeffs, col_of_var) if a != 0]
+        nz = [(_ratio(a), cols) for a, cols in zip(coeffs, cols_of_var) if a != 0]
         rp, rq = _ratio(rhs)
-        den = lcm(rq, *(q * cq for (_, q), ((_, cq), _) in nz))
+        den = lcm(rq, *(q for (_, q), _ in nz))
         row = [0] * (width + 1)
-        rhs_num = rp * (den // rq)
-        for (p, q), ((cp, cq), cols) in nz:
+        for (p, q), cols in nz:
             for j, mult in cols:
                 row[j] = mult * p * (den // q)
-            rhs_num -= p * cp * (den // (q * cq))
-        row[-1] = rhs_num
+        row[-1] = rp * (den // rq)
         if slack is not None:
             row[slack] = den
-        if rhs_num < 0:
+        if row[-1] < 0:
             row = [-v for v in row]
         return _reduced(row, den)
 
@@ -292,8 +273,8 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    for r, (coeffs, rhs) in enumerate(leq_rows + list(lp.eq_rows)):
-        slack = ncols + r if r < len(leq_rows) else None
+    for r, (coeffs, rhs) in enumerate(lp.leq_rows + lp.eq_rows):
+        slack = ncols + r if r < len(lp.leq_rows) else None
         row, den = int_row(coeffs, rhs, slack)
         rows.append(row)
         dens.append(den)
@@ -327,7 +308,7 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
     # Phase 2 minimizes the negated objective.
     den = lcm(*(q for _, q in obj))
     row = [0] * (width + 1)
-    for (p, q), (_, cols) in zip(obj, col_of_var):
+    for (p, q), cols in zip(obj, cols_of_var):
         for j, mult in cols:
             row[j] = -mult * p * (den // q)
     rows.append(row)
@@ -337,15 +318,13 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
         return LpSolution(UNBOUNDED)
 
     # Answers as exact (numerator, denominator) pairs; int / int rounds
-    # correctly, as float(Fraction) does, so no Fraction is needed.
+    # correctly, as float(Fraction) does, so no Fraction is needed. The two
+    # columns of a free variable are negatives, so at most one is basic.
     value = {b: (rows[r][-1], dens[r]) for r, b in enumerate(basis)}
-    exact_x = []
-    for (num, den), cols in col_of_var:
-        for j, mult in cols:
-            if j in value:
-                vn, vd = value[j]
-                num, den = num * vd + mult * vn * den, den * vd
-        exact_x.append((num, den))
+    exact_x = [
+        next(((mult * value[j][0], value[j][1]) for j, mult in cols if j in value), (0, 1))
+        for cols in cols_of_var
+    ]
     obj_num, obj_den = 0, 1
     for (p, q), (num, den) in zip(obj, exact_x):
         if p != 0 and num != 0:

@@ -10,9 +10,10 @@ makes finding a matching identical to its pi-image (pi-TIM) as hard as
 maximum 3-dimensional matching.
 
 Both best responses run one exact branch-and-bound matcher at any size.
-Only the brute-force oracles ``opt_pure_pair`` and ``bruteforce_pitim`` and
-the CLI's ``pm bruteforce`` are capped at 12 edges; ``explicit_bimatrix``
-is capped at 4096 matchings.
+The brute forces all scan ``enumerate_matchings``: ``explicit_bimatrix``
+(capped at 4096 matchings), ``bruteforce_pitim`` with the CLI's
+``pm bruteforce``, and ``opt_pure_pair``, the largest matching whose
+pi-image is a matching; the last two are capped at 12 edges.
 """
 
 from __future__ import annotations
@@ -266,45 +267,20 @@ def greedy_pair(
 def opt_pure_pair(inst: PermMatchInstance) -> tuple[Matching, Matching, int]:
     """Exact max over pure pairs of |y ∩ pi(y')| (12-edge brute force).
 
-    Equivalent to picking the largest set of (pi(e'), e') pairs whose first
-    components form a matching and whose second components form a matching.
+    The value is the size of the largest matching S whose pi-image is a
+    matching too: a pair (y, y') gives such an S = {e' in y' : pi(e') in y},
+    of size |y ∩ pi(y')|, and y = pi(S), y' = S reach |S|. Returns
+    (pi(S), S, |S|) for the first largest S in ``enumerate_matchings`` order.
     """
-    e = inst.graph.num_edges
-    if e > BRUTE_FORCE_EDGE_LIMIT:
+    if inst.graph.num_edges > BRUTE_FORCE_EDGE_LIMIT:
         raise SizeLimitError(f"opt_pure_pair is limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
-    pairs = [(inst.pi[ep], ep) for ep in range(e)]
-    best = (0, frozenset(), frozenset())
-    y_used: set[int] = set()
-    yp_used: set[int] = set()
-    y: list[int] = []
-    yp: list[int] = []
 
-    def recurse(idx: int) -> None:
-        nonlocal best
-        if len(y) + (len(pairs) - idx) <= best[0]:
-            return
-        if idx == len(pairs):
-            if len(y) > best[0]:
-                best = (len(y), frozenset(y), frozenset(yp))
-            return
-        fe, se = pairs[idx]
-        fu, fv = inst.graph.edges[fe]
-        su, sv = inst.graph.edges[se]
-        if fu not in y_used and fv not in y_used and su not in yp_used and sv not in yp_used:
-            y.append(fe)
-            yp.append(se)
-            y_used.update((fu, fv))
-            yp_used.update((su, sv))
-            recurse(idx + 1)
-            y.pop()
-            yp.pop()
-            y_used.difference_update((fu, fv))
-            yp_used.difference_update((su, sv))
-        recurse(idx + 1)
+    def image_is_matching(s: Matching) -> bool:
+        ends = [v for e in inst.pi_image(s) for v in inst.graph.edges[e]]
+        return len(set(ends)) == len(ends)
 
-    recurse(0)
-    value, y_set, yp_set = best
-    return y_set, yp_set, value
+    best = max(filter(image_is_matching, enumerate_matchings(inst.graph)), key=len)
+    return inst.pi_image(best), best, len(best)
 
 
 def approx_leader_strategy(inst: PermMatchInstance, eps: float) -> TwoPointLeaderStrategy:

@@ -78,26 +78,17 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
     frac = Fraction
     n = program.num_vars
 
-    # Column layout for the nonnegative standard-form variables. Each
-    # original variable maps to (constant, [(column, multiplier), ...]).
-    col_of_var: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
-    extra_rows: list[tuple[list[Fraction], Fraction]] = []  # from two-sided bounds
+    # Column layout: a variable >= 0 keeps one column, a free one becomes
+    # the difference of two, so col_of_var[i] lists (column, multiplier).
+    col_of_var: list[list[tuple[int, Fraction]]] = []
     ncols = 0
     for i in range(n):
-        lb, ub = program.lower_bounds[i], program.upper_bounds[i]
-        if lb is not None:
-            col_of_var.append((frac(lb), [(ncols, frac(1))]))
-            if ub is not None:
-                row = [frac(0)] * (ncols + 1)
-                row[ncols] = frac(1)
-                extra_rows.append((row, frac(ub) - frac(lb)))
-            ncols += 1
-        elif ub is not None:
-            col_of_var.append((frac(ub), [(ncols, frac(-1))]))
-            ncols += 1
-        else:
-            col_of_var.append((frac(0), [(ncols, frac(1)), (ncols + 1, frac(-1))]))
+        if i in program.free:
+            col_of_var.append([(ncols, frac(1)), (ncols + 1, frac(-1))])
             ncols += 2
+        else:
+            col_of_var.append([(ncols, frac(1))])
+            ncols += 1
     nstruct = ncols
 
     def transform(coeffs: Sequence[float], rhs: float) -> tuple[list[Fraction], Fraction]:
@@ -107,9 +98,7 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
             if a == 0:
                 continue
             fa = frac(a)
-            const, cols = col_of_var[i]
-            r -= fa * const
-            for j, mult in cols:
+            for j, mult in col_of_var[i]:
                 out[j] += fa * mult
         return out, r
 
@@ -120,10 +109,6 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
         rows.append(out)
         row_kind.append("leq")
         rows[-1].append(r)
-    for out, r in extra_rows:
-        out = out + [frac(0)] * (nstruct - len(out))
-        rows.append(out + [r])
-        row_kind.append("leq")
     for coeffs, rhs in program.eq_rows:
         out, r = transform(coeffs, rhs)
         rows.append(out + [r])
@@ -182,8 +167,7 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
     cost2 = [frac(0)] * width
     obj = [frac(v) for v in program.objective]
     for i in range(n):
-        _, cols = col_of_var[i]
-        for j, mult in cols:
+        for j, mult in col_of_var[i]:
             cost2[j] += -obj[i] * mult  # minimize the negated objective
     z = _dense_priced_objective(rows, basis, cost2)
     status = _dense_bland(rows, basis, z)
@@ -195,11 +179,7 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
         u[b] = rows[r][-1]
     exact_x = []
     for i in range(n):
-        const, cols = col_of_var[i]
-        val = const
-        for j, mult in cols:
-            val += mult * u[j]
-        exact_x.append(val)
+        exact_x.append(sum(mult * u[j] for j, mult in col_of_var[i]))
     exact_obj = sum(o * v for o, v in zip(obj, exact_x))
     return lp.LpSolution(lp.OPTIMAL, [float(v) for v in exact_x], float(exact_obj))
 
@@ -278,7 +258,7 @@ def solve_highs_linprog(lp: LinearProgram) -> LpSolution:
     if lp.eq_rows:
         a_eq = np.asarray([r[0] for r in lp.eq_rows], dtype=float)
         b_eq = np.asarray([r[1] for r in lp.eq_rows], dtype=float)
-    bounds = list(zip(lp.lower_bounds, lp.upper_bounds))
+    bounds = [(None, None) if i in lp.free else (0.0, None) for i in range(lp.num_vars)]
     res = linprog(
         c,
         A_ub=a_ub,

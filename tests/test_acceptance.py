@@ -372,8 +372,6 @@ def test_criterion_8_oracle_equivalences():
             num_vars=2,
             objective=objective,
             leq_rows=tuple(box + extra),
-            lower_bounds=(0.0, 0.0),
-            upper_bounds=(None, None),
         )
         for exact in (False, True):
             sol = lp.solve(program, exact=exact)

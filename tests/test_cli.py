@@ -148,6 +148,23 @@ def test_maximin_solves_two_lps(tmp_path, capsys, monkeypatch):
     assert report["result"]["followerGuarantee"] == pytest.approx(0.5)
 
 
+def test_maximin_exact_solves_two_exact_lps(tmp_path, capsys, monkeypatch):
+    backends = []
+    real = lp.solve
+
+    def counting(program, exact=False):
+        backends.append(exact)
+        return real(program, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    path = write(tmp_path, "game.json", APPENDIX)
+    code, report = run_cli(capsys, "solve-bimatrix", "-i", path, "--method", "maximin", "--exact")
+    assert code == EXIT_OK
+    assert backends == [True, True]
+    assert report["result"]["leaderGuarantee"] == pytest.approx(1.0)
+    assert report["result"]["followerGuarantee"] == pytest.approx(0.5)
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, stacksolve.cli; print('scipy' in sys.modules)"

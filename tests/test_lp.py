@@ -18,13 +18,11 @@ from .instances import commit_instance, grid_instance
 from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog
 
 
-def two_var_lp(objective, rows, lower=(0.0, 0.0)):
+def two_var_lp(objective, rows):
     return lp.LinearProgram(
         num_vars=2,
         objective=tuple(objective),
         leq_rows=tuple((tuple(a), float(b)) for a, b in rows),
-        lower_bounds=tuple(lower),
-        upper_bounds=(None, None),
     )
 
 
@@ -34,8 +32,6 @@ def test_single_bound(exact):
         num_vars=1,
         objective=(1.0,),
         leq_rows=(((1.0,), 3.0),),
-        lower_bounds=(0.0,),
-        upper_bounds=(None,),
     )
     sol = lp.solve(program, exact=exact)
     assert sol.is_optimal
@@ -67,7 +63,7 @@ def test_contradictory_bounds_infeasible(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_unbounded_reported(exact):
-    program = lp.LinearProgram(num_vars=1, objective=(1.0,), lower_bounds=(0.0,), upper_bounds=(None,))
+    program = lp.LinearProgram(num_vars=1, objective=(1.0,))
     sol = lp.solve(program, exact=exact)
     assert sol.status == lp.UNBOUNDED
 
@@ -80,8 +76,7 @@ def test_equality_and_free_variable(exact):
         objective=(0.0, 1.0),
         leq_rows=(((-1.0, 1.0), 0.0),),
         eq_rows=(((1.0, 0.0), 1.0),),
-        lower_bounds=(0.0, None),
-        upper_bounds=(None, None),
+        free={1},
     )
     sol = lp.solve(program, exact=exact)
     assert sol.is_optimal
@@ -90,13 +85,13 @@ def test_equality_and_free_variable(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_upper_bounds_and_negative_lower(exact):
-    # max x+y with x in [-2, -1], y in [0, 5], x+y <= 3
+    # max x+y with x in [-2, -1], y in [0, 5], x+y <= 3: the bounds other
+    # than y >= 0 are rows, and x is free
     program = lp.LinearProgram(
         num_vars=2,
         objective=(1.0, 1.0),
-        leq_rows=(((1.0, 1.0), 3.0),),
-        lower_bounds=(-2.0, 0.0),
-        upper_bounds=(-1.0, 5.0),
+        leq_rows=(((1.0, 1.0), 3.0), ((1.0, 0.0), -1.0), ((-1.0, 0.0), 2.0), ((0.0, 1.0), 5.0)),
+        free={0},
     )
     sol = lp.solve(program, exact=exact)
     assert sol.is_optimal
@@ -120,8 +115,6 @@ def test_random_two_var_lps_match_vertex_oracle(exact):
             num_vars=2,
             objective=objective,
             leq_rows=tuple((tuple(float(c) for c in a), float(b)) for a, b in rows[:2] + rows[4:]),
-            lower_bounds=(0.0, 0.0),
-            upper_bounds=(None, None),
         )
         sol = lp.solve(program, exact=exact)
         assert expected is not None
@@ -204,7 +197,7 @@ def test_rejects_bad_shapes():
     with pytest.raises(InputError):
         lp.LinearProgram(num_vars=1, objective=(1.0,), leq_rows=(((1.0, 2.0), 0.0),))
     with pytest.raises(InputError):
-        lp.LinearProgram(num_vars=1, objective=(1.0,), lower_bounds=(2.0,), upper_bounds=(1.0,))
+        lp.LinearProgram(num_vars=1, objective=(1.0,), free={1})
 
 
 # ---------------------------------------------------------------------------
@@ -242,47 +235,41 @@ def exact_lps(draw):
         # a repeated equality leaves an artificial basic at level 0, which
         # phase 1 must evict or drop
         eq_rows.append(eq_rows[0])
-    lower, upper = [], []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["lower", "upper", "both", "free"]))
-        lo = draw(number) if kind in ("lower", "both") else None
-        hi = draw(number) if kind in ("upper", "both") else None
-        if kind == "both" and hi < lo:
-            lo, hi = hi, lo
-        lower.append(lo)
-        upper.append(hi)
+    leq_rows = draw(st.lists(row, max_size=4))
+    # bounds other than x_i >= 0 are rows: x_i <= b or -x_i <= -b
+    for i in range(n):
+        for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2, unique=True)):
+            unit = tuple(sign * int(k == i) for k in range(n))
+            leq_rows.append((unit, draw(number)))
     # with a zero objective every feasible vertex is optimal, so the point
     # returned is the one where the phase-1 pivots stop
     objective = draw(st.one_of(vector, st.just((0,) * n)))
     return lp.LinearProgram(
         num_vars=n,
         objective=objective,
-        leq_rows=tuple(draw(st.lists(row, max_size=4))),
+        leq_rows=tuple(leq_rows),
         eq_rows=tuple(eq_rows),
-        lower_bounds=tuple(lower),
-        upper_bounds=tuple(upper),
+        free=draw(st.frozensets(st.integers(0, n - 1))),
     )
 
 
-# A ray of optima (max x2 subject to x0 >= 0, x1 + x2 = 2 x0, 0 <= x2 <= 2):
-# which optimum comes back rests on the ratio test's tie rule.
+# A ray of optima (max x2 subject to x0 >= 0, x1 + x2 = 2 x0, 0 <= x2 <= 2;
+# x0 and x1 free): which optimum comes back rests on the ratio test's tie
+# rule.
 TIE_RULE_LP = lp.LinearProgram(
     num_vars=3,
     objective=(0.0, 0.0, 1.0),
-    leq_rows=(((-1.0, 0.0, 0.0), 0.0),),
+    leq_rows=(((-1.0, 0.0, 0.0), 0.0), ((0.0, 0.0, 1.0), 2.0)),
     eq_rows=(((-2.0, 1.0, 1.0), 0.0),),
-    lower_bounds=(None, None, 0.0),
-    upper_bounds=(None, None, 2.0),
+    free={0, 1},
 )
 
 
-# x1 = -1/2.2e-309 is the only feasible value, and no float holds it.
+# x1 = 1/2.2e-309 is the only feasible value, and no float holds it.
 FLOAT_OVERFLOW_LP = lp.LinearProgram(
     num_vars=2,
     objective=(0.0, 0.0),
-    eq_rows=(((0.0, 2.225073858507203e-309), -1.0),),
-    lower_bounds=(0.0, None),
-    upper_bounds=(None, 0.0),
+    eq_rows=(((0.0, -2.225073858507203e-309), -1.0),),
 )
 
 
@@ -307,6 +294,8 @@ def test_exact_backend_matches_dense_tableau_on_solver_lps(monkeypatch):
     for seed in range(3):
         game, _ = permmatch.explicit_bimatrix(gen.random_permmatch(seed, 8, 7))
         solve_stackelberg(game, exact=True)
+        solve_maximin(game, LEADER, exact=True)
+        solve_maximin(game, FOLLOWER, exact=True)
     for k in range(1, 5):
         inc.solve_stackelberg_incentive(commit_instance(k), exact=True)
     inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3), exact=True)
@@ -323,9 +312,13 @@ def test_exact_backend_takes_any_exact_number_type(number):
     program = lp.LinearProgram(
         num_vars=2,
         objective=(number(1), number(1)),
-        leq_rows=(((number(1), number(2)), number(4)), ((number(3), number(1)), number(6))),
-        lower_bounds=(number(0), number(-1)),
-        upper_bounds=(number(5), None),
+        leq_rows=(
+            ((number(1), number(2)), number(4)),
+            ((number(3), number(1)), number(6)),
+            ((number(1), number(0)), number(5)),
+            ((number(0), number(-1)), number(1)),
+        ),
+        free={1},
     )
     sol = lp.solve(program, exact=True)
     assert outcome(exact, program) == outcome(solve_exact_dense, program)
@@ -359,14 +352,13 @@ def test_exact_optimum_beyond_float_range_is_a_numerical_error():
 
 
 def lp_with(position, value):
-    # max x + y s.t. x + 2y <= 4, x - y = 0, x >= 0, y <= 5: optimal at x = y = 4/3
+    # max x + y s.t. x + 2y <= 4, x - y = 0, x >= 0, y free: optimal at x = y = 4/3
     fields = dict(
         num_vars=2,
         objective=(1.0, 1.0),
         leq_rows=(((1.0, 2.0), 4.0),),
         eq_rows=(((1.0, -1.0), 0.0),),
-        lower_bounds=(0.0, None),
-        upper_bounds=(None, 5.0),
+        free={1},
     )
     if position == "objective":
         fields["objective"] = (1.0, value)
@@ -379,12 +371,8 @@ def lp_with(position, value):
         fields["leq_rows"] = (((1.0, 2.0), value),)
     elif position == "eq coefficient":
         fields["eq_rows"] = (((1.0, value), 0.0),)
-    elif position == "eq rhs":
-        fields["eq_rows"] = (((1.0, -1.0), value),)
-    elif position == "lower bound":
-        fields["lower_bounds"] = (value, None)
     else:
-        fields["upper_bounds"] = (None, value)
+        fields["eq_rows"] = (((1.0, -1.0), value),)
     return lp.LinearProgram(**fields)
 
 
@@ -393,7 +381,7 @@ def lp_with(position, value):
 @pytest.mark.parametrize(
     "position",
     ["objective", "objective, infeasible", "leq coefficient", "leq rhs",
-     "eq coefficient", "eq rhs", "lower bound", "upper bound"],
+     "eq coefficient", "eq rhs"],
 )
 def test_non_finite_numbers_are_input_errors(exact, value, position):
     program = lp_with(position, value)

@@ -325,6 +325,18 @@ def test_opt_pure_pair_size_limit():
         pm.opt_pure_pair(inst)
 
 
+def test_opt_pure_pair_matches_bruteforce_over_all_pairs():
+    rng = random.Random(909)
+    for trial in range(80):
+        inst = random_permmatch(rng.randrange(1 << 40), rng.randrange(2, 7), rng.randrange(0, 9))
+        matchings = all_matchings_bruteforce(inst.graph.num_vertices, inst.graph.edges)
+        want = max(len(y & inst.pi_image(yp)) for y in matchings for yp in matchings)
+        y, yp, value = pm.opt_pure_pair(inst)
+        assert value == want, f"trial {trial}"
+        assert y in matchings and yp in matchings
+        assert len(y & inst.pi_image(yp)) == value
+
+
 def test_quarter_bound_mini_corpus():
     rng = random.Random(123)
     for trial in range(60):
