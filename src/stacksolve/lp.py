@@ -16,6 +16,8 @@ Two interchangeable backends sit behind ``solve``:
   options ``linprog(method="highs")`` would pass (feasibility tolerances at
   ``LP_FEASIBILITY``). linprog's finiteness and residual checks are kept,
   so the answers are linprog's, bit for bit, without its per-call overhead.
+  The bindings' extension file is loaded by itself, without importing
+  ``scipy.optimize``, whose import takes longer than a whole CLI solve.
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
@@ -25,7 +27,11 @@ optimum, add it, and repeat until no violation exceeds the tolerance.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import operator
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -145,11 +151,44 @@ def solve_with_generation(
 # HiGHS backend
 
 
-# The bindings (private to scipy) and linprog's options, loaded on first use
-# so that commands which solve no HiGHS LP skip scipy's start-up cost.
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """scipy's HiGHS extension, loaded from its own file.
+
+    Importing it the usual way runs ``scipy.optimize/__init__``, 0.4 s or
+    more, most of a HiGHS CLI run, and the bindings need none of it. The
+    file taken is the one the import system would pick: the first suffix of
+    ``EXTENSION_SUFFIXES`` present. The module is registered under its real
+    name, so a later ``import scipy.optimize`` reuses this very object, and
+    one imported earlier is reused here.
+    """
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    if scipy is None:
+        raise ImportError("HiGHS bindings not found: scipy is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"HiGHS bindings not found: no _core extension in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_CORE, loader))
+    loader.exec_module(module)
+    sys.modules[_CORE] = module
+    return module
+
+
+# The bindings (private to scipy, loaded by ``_load_core`` without
+# ``scipy.optimize``) and linprog's options, on first use, so that commands
+# which solve no HiGHS LP skip even that.
 @functools.cache
 def _highs():
-    from scipy.optimize._highspy import _core
+    _core = _load_core()
     options = _core.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone

@@ -1,9 +1,15 @@
 """Shared hypothesis profile: reproducible runs, no example database, no deadline.
 
 Each property test sets its own ``max_examples``; everything else comes from
-this profile. The ``fake_highs`` fixture stands in for the HiGHS solver.
+this profile. The ``fake_highs`` fixture stands in for the HiGHS solver;
+``fresh_python`` runs a new interpreter, for tests of what gets imported
+and of whole CLI processes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,3 +66,24 @@ def fake_highs(monkeypatch):
         monkeypatch.setattr(core, "_Highs", FakeHighs)
 
     return install
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(*args)``: run ``python *args`` and return the finished process.
+
+    ``stacksolve`` comes from this checkout and ``tests`` is importable.
+    """
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root)])
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    return run

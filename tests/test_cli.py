@@ -1,7 +1,5 @@
+import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -165,17 +163,44 @@ def test_maximin_exact_solves_two_exact_lps(tmp_path, capsys, monkeypatch):
     assert report["result"]["followerGuarantee"] == pytest.approx(0.5)
 
 
-def test_cli_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, stacksolve.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+def test_cli_import_does_not_load_scipy(fresh_python):
+    out = fresh_python("-c", "import sys, stacksolve.cli; print('scipy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def cli_in_fresh_python(fresh_python, path, setup=""):
+    """Run ``solve-bimatrix --method se`` on ``path`` in a new interpreter.
+
+    ``setup`` runs after ``stacksolve.cli`` is imported, before the solve.
+    The last stdout line tells whether HiGHS's bindings and ``scipy.optimize``
+    were loaded.
+    """
+    return fresh_python(
+        "-c",
+        "import sys\n"
+        "from stacksolve.cli import main\n"
+        f"{setup}\n"
+        f"code = main(['solve-bimatrix', '-i', {path!r}, '--method', 'se'])\n"
+        "print(*(m in sys.modules for m in ('scipy.optimize._highspy._core', 'scipy.optimize')))\n"
+        "sys.exit(code)\n",
+    )
+
+
+def test_highs_cli_solve_leaves_scipy_optimize_unloaded(tmp_path, fresh_python):
+    out = cli_in_fresh_python(fresh_python, write(tmp_path, "game.json", APPENDIX))
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[-1] == "True False"
+
+
+def test_missing_highs_bindings_exit_1_naming_the_folder(tmp_path, fresh_python):
+    # no extension suffix matches, as if scipy shipped no HiGHS bindings
+    hide = "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = ['.missing']"
+    out = cli_in_fresh_python(fresh_python, write(tmp_path, "game.json", APPENDIX), hide)
+    assert out.returncode == EXIT_INTERNAL
+    scipy = importlib.util.find_spec("scipy")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    assert "internal error" in out.stderr and str(folder) in out.stderr
 
 
 def test_discretize_requires_eps(tmp_path, capsys):
@@ -261,16 +286,10 @@ def test_pm_approx(tmp_path, capsys):
     assert result["guaranteeFraction"] == pytest.approx((1 - 0.03) / 12)
 
 
-def test_pm_approx_breaks_ties_for_the_leader_above_twelve_edges(tmp_path):
+def test_pm_approx_breaks_ties_for_the_leader_above_twelve_edges(tmp_path, fresh_python):
     # 13 edges; a best response without the leader-favouring tie-break gives 1.323333
     path = write(tmp_path, "pm.json", permmatch_to_json_obj(random_permmatch(0, 8, 13)))
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-m", "stacksolve.cli", "pm", "approx", "-i", path, "--eps", "1/100"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
+    out = fresh_python("-m", "stacksolve.cli", "pm", "approx", "-i", path, "--eps", "1/100")
     assert out.returncode == EXIT_OK
     assert out.stderr == ""
     assert json.loads(out.stdout)["result"]["leaderPayoff"] == pytest.approx(2.0, abs=1e-9)

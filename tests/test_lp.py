@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +501,74 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
     outcomes = [outcome(highs, program) for program in programs]
     assert Counter(o[0] for o in outcomes)[lp.INFEASIBLE] > 0
     assert outcomes == [outcome(solve_highs_linprog, program) for program in programs]
+
+
+# ---------------------------------------------------------------------------
+# HiGHS's bindings, loaded from their file without scipy.optimize
+
+# Solves one LP through lp, then checks in the same process that lp and
+# scipy.optimize hold one bindings module and that linprog gives lp's bits.
+SOLVE_ONE_LP = """
+from stacksolve import lp
+program = lp.LinearProgram(2, (1.0, 1.0), (((1.0, 2.0), 4.0), ((3.0, 1.0), 5.0)))
+solution = lp.solve(program)
+"""
+SAME_MODULE_SAME_BITS = """
+from scipy.optimize._highspy import _core
+from tests.oracles import solve_highs_linprog
+bits = lambda s: (s.status, [v.hex() for v in s.values], s.objective_value.hex())
+print(lp._highs()[0] is _core, bits(solution) == bits(solve_highs_linprog(program)))
+"""
+LOAD_ORDERS = {
+    "stacksolve first": (
+        SOLVE_ONE_LP + "import sys\nassert 'scipy.optimize' not in sys.modules\nimport scipy.optimize\n"
+    ),
+    "scipy.optimize first": "import scipy.optimize\n" + SOLVE_ONE_LP,
+}
+
+
+@pytest.mark.parametrize("order", LOAD_ORDERS)
+def test_both_load_orders_share_one_bindings_module(fresh_python, order):
+    out = fresh_python("-c", LOAD_ORDERS[order] + SAME_MODULE_SAME_BITS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
+
+
+def test_loader_picks_the_file_scipy_imports(fresh_python):
+    ours = fresh_python("-c", "from stacksolve import lp; print(lp._highs()[0].__file__)")
+    scipys = fresh_python("-c", "import scipy.optimize._highspy._core as core; print(core.__file__)")
+    assert ours.returncode == scipys.returncode == 0, ours.stderr + scipys.stderr
+    assert ours.stdout == scipys.stdout != ""
+
+
+def scipy_imports(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that import scipy or one of its modules."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_lp_touches_scipy():
+    # importing scipy.optimize costs 0.4 s or more: one stray import brings
+    # that back into every CLI run, so lp loads the bindings and nothing else
+    # names scipy
+    package = Path(lp.__file__).parent
+    mentions = [p.name for p in sorted(package.rglob("*.py")) if p.name != "lp.py" and "scipy" in p.read_text()]
+    assert not mentions, f"only lp.py may touch scipy: {mentions}"
+    assert not scipy_imports(ast.parse(Path(lp.__file__).read_text())), "lp.py imports scipy"
+
+
+def test_guard_flags_scipy_imports():
+    source = "import numpy, scipy.optimize\nfrom scipy import sparse\nfrom .scipy import x\nimport scipyish\n"
+    assert scipy_imports(ast.parse(source)) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
