@@ -160,10 +160,9 @@ def _column_lp(game: BimatrixGame, j: int, exact: bool) -> lp.LinearProgram:
         objective = np.ldexp(objective, -math.frexp(np.abs(game.u_leader).max())[1])
         diff = np.ldexp(diff, -math.frexp(np.abs(uf).max())[1])
     return lp.LinearProgram(
-        num_vars=game.n,
-        objective=tuple(objective.tolist()),
-        leq_rows=tuple((row, 0.0) for row in map(tuple, diff.tolist())),
-        eq_rows=(((1.0,) * game.n, 1.0),),
+        objective=objective,
+        leq_rows=np.concatenate((diff, np.zeros((len(diff), 1))), axis=1),
+        eq_rows=np.ones((1, game.n + 1)),  # sum(x) = 1
     )
 
 
@@ -261,15 +260,12 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
     else:
         raise InputError(f"unknown player {player!r}")
     k, opp = payoff.shape
-    # variables: k probabilities plus the guaranteed value v
-    leq = []
-    for j in range(opp):
-        leq.append((tuple(-payoff[:, j]) + (1.0,), 0.0))
+    # variables: k probabilities plus the guaranteed value v; row j says
+    # v - payoff[:, j] . x <= 0, and the probabilities sum to 1
     program = lp.LinearProgram(
-        num_vars=k + 1,
-        objective=(0.0,) * k + (1.0,),
-        leq_rows=tuple(leq),
-        eq_rows=(((1.0,) * k + (0.0,), 1.0),),
+        objective=np.append(np.zeros(k), 1.0),
+        leq_rows=np.column_stack((-payoff.T, np.ones(opp), np.zeros(opp))),
+        eq_rows=[np.append(np.ones(k), (0.0, 1.0))],
         free={k},
     )
     sol = lp.solve(program, exact=exact)

@@ -21,7 +21,6 @@ from .bimatrix import (
     FOLLOWER,
     LEADER,
     BimatrixGame,
-    MixedStrategy,
     expected_utilities,
     solve_maximin,
     solve_nash_support_enumeration,
@@ -105,10 +104,6 @@ def _report(args, digest: str, result: dict, started: float) -> dict:
 # solve-bimatrix / discretize
 
 
-def _strategy_list(strategy: MixedStrategy) -> list[float]:
-    return list(strategy.probs)
-
-
 def _run_bimatrix(args) -> dict:
     blob, game = _load(args.input, BimatrixGame.from_json)
     method = args.method
@@ -117,7 +112,7 @@ def _run_bimatrix(args) -> dict:
         validate_stackelberg_solution(game, sol)
         result = {
             "method": "se",
-            "leader": _strategy_list(sol.leader),
+            "leader": list(sol.leader.probs),
             "followerResponse": sol.follower_response,
             "leaderPayoff": sol.leader_payoff,
             "followerPayoff": sol.follower_payoff,
@@ -129,8 +124,8 @@ def _run_bimatrix(args) -> dict:
             lpay, fpay = expected_utilities(game, x, y)
             entries.append(
                 {
-                    "leader": _strategy_list(x),
-                    "follower": _strategy_list(y),
+                    "leader": list(x.probs),
+                    "follower": list(y.probs),
                     "leaderPayoff": lpay,
                     "followerPayoff": fpay,
                 }
@@ -147,8 +142,8 @@ def _run_bimatrix(args) -> dict:
         lpay, fpay = expected_utilities(game, xl, yf)
         result = {
             "method": "maximin",
-            "leaderStrategy": _strategy_list(xl),
-            "followerStrategy": _strategy_list(yf),
+            "leaderStrategy": list(xl.probs),
+            "followerStrategy": list(yf.probs),
             "realizedLeaderPayoff": lpay,
             "realizedFollowerPayoff": fpay,
             "leaderGuarantee": lguar,
@@ -259,7 +254,7 @@ def _run_pm(args) -> dict:
         else:
             strategy = permmatch.approx_leader_strategy(inst, eps)
         response = permmatch.follower_best_response_pm(inst, strategy)
-        lpay = sum(p * len(m & inst.pi_image(response)) for m, p in strategy.support)
+        lpay = permmatch._expected_leader(inst, strategy.support, response)
         fpay = sum(p * len(m & response) for m, p in strategy.support)
         result = {
             "action": "bestresponse",

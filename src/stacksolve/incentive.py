@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -305,15 +306,13 @@ def separation_oracle_for(inst: IncentiveInstance) -> lp.SeparationOracle:
 
 def _incentive_lp(inst: IncentiveInstance) -> lp.LinearProgram:
     n = len(inst.elements)
-    objective = tuple(inst.leader_reward[e] for e in inst.elements) + (1.0,)
     # W <= 1 + sum |c| holds for every family member, so this cap never cuts
     # the optimum; it only keeps the initial relaxation bounded.
     cap = 1.0 + sum(abs(inst.follower_reward[e]) for e in inst.elements)
     return lp.LinearProgram(
-        num_vars=n + 1,
-        objective=objective,
-        leq_rows=(((0.0,) * n + (1.0,), cap),),
-        eq_rows=(((1.0,) * n + (0.0,), 1.0),),
+        objective=[inst.leader_reward[e] for e in inst.elements] + [1.0],
+        leq_rows=[[0.0] * n + [1.0, cap]],
+        eq_rows=[[1.0] * n + [0.0, 1.0]],
         free={n},
     )
 
@@ -520,8 +519,9 @@ def incentive_from_json(text: str) -> IncentiveInstance:
     if fam["type"] == "explicit":
         family = ExplicitFamily(tuple(frozenset(s) for s in fam["sets"]))
     elif fam["type"] == "path":
-        edges = tuple((e["id"], int(e["u"]), int(e["v"])) for e in fam["edges"])
-        family = PathFamily(int(fam["vertices"]), edges, int(fam["source"]), int(fam["sink"]))
+        index = operator.index
+        edges = tuple((e["id"], index(e["u"]), index(e["v"])) for e in fam["edges"])
+        family = PathFamily(index(fam["vertices"]), edges, index(fam["source"]), index(fam["sink"]))
     else:
         raise InputError(f"unknown family type {fam['type']!r}")
     return IncentiveInstance(tuple(elements), c, big_c, family)

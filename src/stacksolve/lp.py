@@ -2,7 +2,11 @@
 
 A ``LinearProgram`` is in standard form: every variable is >= 0 unless it
 is named in ``free`` (then it is x+ - x- in the exact tableau, and -inf
-below in HiGHS), and any other bound is a row.
+below in HiGHS), and any other bound is a row. Its numbers are read-only
+float arrays, built once: the objective (n values), and the <= and ==
+rows as k x (n + 1) arrays, each row its n coefficients, then its
+right-hand side. Callers build them with numpy; HiGHS takes slices of
+them, and the exact simplex reads each number once as a Python float.
 
 Two interchangeable backends sit behind ``solve``:
 
@@ -29,7 +33,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -46,34 +49,53 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """A maximization LP in standard form: variables >= 0 unless in ``free``.
 
-    ``leq_rows`` and ``eq_rows`` are ``(coefficients, rhs)`` pairs; any other
-    bound on a variable is a row.
+    ``objective`` holds the n objective coefficients. ``leq_rows`` and
+    ``eq_rows`` are k x (n + 1) arrays: row r says ``row[:-1] . x <= row[-1]``
+    (or ``==``). Any array-like is taken and stored as a read-only float
+    array; any other bound on a variable is a row.
     """
 
-    num_vars: int
-    objective: tuple[float, ...]
-    leq_rows: tuple[tuple[tuple[float, ...], float], ...] = ()
-    eq_rows: tuple[tuple[tuple[float, ...], float], ...] = ()
+    objective: np.ndarray
+    leq_rows: np.ndarray = ()
+    eq_rows: np.ndarray = ()
     free: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise InputError("LP needs at least one variable")
-        if len(self.objective) != self.num_vars:
-            raise InputError("objective length != num_vars")
-        if any(len(coeffs) != self.num_vars for coeffs, _ in (*self.leq_rows, *self.eq_rows)):
-            raise InputError("constraint row length != num_vars")
-        if not all(0 <= i < self.num_vars for i in self.free):
+        objective = _frozen(self.objective)
+        if objective.ndim != 1 or len(objective) == 0:
+            raise InputError("LP needs a nonempty objective vector")
+        n = len(objective)
+        object.__setattr__(self, "objective", objective)
+        for name in ("leq_rows", "eq_rows"):
+            rows = _frozen(getattr(self, name))
+            if rows.shape == (0,):
+                rows = rows.reshape(0, n + 1)
+            if rows.ndim != 2 or rows.shape[1] != n + 1:
+                raise InputError(f"{name} must be rows of {n} coefficients and a right-hand side")
+            object.__setattr__(self, name, rows)
+        if not all(0 <= i < n for i in self.free):
             raise InputError("free variable index out of range")
         object.__setattr__(self, "free", frozenset(self.free))
 
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
     def with_leq_row(self, coeffs: Sequence[float], rhs: float) -> "LinearProgram":
-        row = (tuple(float(c) for c in coeffs), float(rhs))
-        return replace(self, leq_rows=self.leq_rows + (row,))
+        return replace(self, leq_rows=(*self.leq_rows, np.append(coeffs, rhs)))
+
+
+def _frozen(values) -> np.ndarray:
+    try:
+        array = np.array(values, dtype=float)
+    except ValueError as exc:  # ragged rows, or text
+        raise InputError(f"LP numbers must form an array: {exc}") from None
+    array.setflags(write=False)
+    return array
 
 
 @dataclass
@@ -115,6 +137,9 @@ def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
     exceeded, solver breakdown, an optimum beyond the float range); that is
     never conflated with infeasibility. Non-finite numbers raise InputError.
     """
+    # count_nonzero runs in C; .all() would add numpy's Python wrapper to every LP
+    if any(np.count_nonzero(np.isfinite(a)) != a.size for a in (lp.objective, lp.leq_rows, lp.eq_rows)):
+        raise InputError("LP numbers must be finite")
     return _solve_exact(lp) if exact else _solve_highs(lp)
 
 
@@ -201,12 +226,8 @@ def _highs():
 def _solve_highs(lp: LinearProgram) -> LpSolution:
     core, options = _highs()
     n, n_leq = lp.num_vars, len(lp.leq_rows)
-    rows = lp.leq_rows + lp.eq_rows
-    c = -np.asarray(lp.objective, dtype=float)
-    a = np.asarray([r[0] for r in rows], dtype=float).reshape(len(rows), n)
-    rhs = np.asarray([r[1] for r in rows], dtype=float)
-    if not all(np.isfinite(v).all() for v in (c, a, rhs)):
-        raise InputError("LP numbers must be finite")
+    rows = np.concatenate((lp.leq_rows, lp.eq_rows))
+    c, a, rhs = -lp.objective, rows[:, :-1], rows[:, -1]
     lower = np.zeros(n)
     lower[list(lp.free)] = -np.inf
     lhs = np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:]))
@@ -262,15 +283,6 @@ _PIVOT_GUARD = 200_000
 # ints, and the pivots are those of a Fraction tableau on the same values.
 
 
-def _ratio(v) -> tuple[int, int]:
-    try:
-        return v.as_integer_ratio()
-    except AttributeError:  # numpy integer scalars have no as_integer_ratio
-        return operator.index(v), 1
-    except (OverflowError, ValueError):  # infinities and NaN
-        raise InputError("LP numbers must be finite") from None
-
-
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     g = gcd(den, *row)
     if g == 1:
@@ -279,7 +291,7 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _solve_exact(lp: LinearProgram) -> LpSolution:
-    obj = [_ratio(v) for v in lp.objective]  # first, so a NaN is bad input even if infeasible
+    obj = [v.as_integer_ratio() for v in lp.objective.tolist()]
 
     # Column layout: a variable >= 0 keeps one column, a free one is the
     # difference of two; cols_of_var[i] lists (column, multiplier) pairs.
@@ -290,11 +302,12 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
         ncols += len(cols_of_var[-1])
     width = ncols + len(lp.leq_rows)  # one slack per <= row
 
-    def int_row(coeffs, rhs, slack):
-        # coeffs . x <= rhs (with a slack) or == rhs, over the columns, put
-        # over one common denominator and sign-normalized to rhs >= 0
-        nz = [(_ratio(a), cols) for a, cols in zip(coeffs, cols_of_var) if a != 0]
-        rp, rq = _ratio(rhs)
+    def int_row(numbers, slack):
+        # numbers[:-1] . x <= numbers[-1] (with a slack) or == numbers[-1],
+        # over the columns, put over one common denominator and
+        # sign-normalized to a right-hand side >= 0
+        nz = [(a.as_integer_ratio(), cols) for a, cols in zip(numbers, cols_of_var) if a != 0]
+        rp, rq = numbers[-1].as_integer_ratio()
         den = lcm(rq, *(q for (_, q), _ in nz))
         row = [0] * (width + 1)
         for (p, q), cols in nz:
@@ -312,9 +325,9 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    for r, (coeffs, rhs) in enumerate(lp.leq_rows + lp.eq_rows):
+    for r, numbers in enumerate(lp.leq_rows.tolist() + lp.eq_rows.tolist()):
         slack = ncols + r if r < len(lp.leq_rows) else None
-        row, den = int_row(coeffs, rhs, slack)
+        row, den = int_row(numbers, slack)
         rows.append(row)
         dens.append(den)
         basis.append(slack if slack is not None and row[slack] > 0 else -1)

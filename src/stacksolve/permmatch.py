@@ -19,6 +19,7 @@ pi-image is a matching; the last two are capped at 12 edges.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -41,12 +42,13 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for u, v in self.edges:
+        edges = tuple((operator.index(u), operator.index(v)) for u, v in self.edges)
+        for u, v in edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise InputError("edge endpoint out of range")
             if u == v:
                 raise InputError("self-loops are not allowed")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:
@@ -60,7 +62,7 @@ class PermMatchInstance:
 
     def __post_init__(self):
         e = self.graph.num_edges
-        pi = tuple(int(v) for v in self.pi)
+        pi = tuple(map(operator.index, self.pi))
         if sorted(pi) != list(range(e)):
             raise InputError("pi must be a bijection over the edge ids")
         object.__setattr__(self, "pi", pi)
@@ -78,7 +80,7 @@ class PermMatchInstance:
 
 def as_matching(graph: Multigraph, edge_ids: Iterable[int]) -> Matching:
     """Validate vertex-disjointness and return the edge set."""
-    ids = frozenset(int(e) for e in edge_ids)
+    ids = frozenset(map(operator.index, edge_ids))
     seen: set[int] = set()
     for e in ids:
         if not 0 <= e < graph.num_edges:
@@ -364,12 +366,11 @@ class ThreeDMInstance:
     def __post_init__(self):
         if min(self.n_a, self.n_b, self.n_c) < 0:
             raise InputError("part sizes must be nonnegative")
-        for a, b, c in self.triples:
+        triples = tuple(tuple(map(operator.index, t)) for t in self.triples)
+        for a, b, c in triples:
             if not (0 <= a < self.n_a and 0 <= b < self.n_b and 0 <= c < self.n_c):
                 raise InputError("triple index out of range")
-        object.__setattr__(
-            self, "triples", tuple((int(a), int(b), int(c)) for a, b, c in self.triples)
-        )
+        object.__setattr__(self, "triples", triples)
 
 
 @dataclass(frozen=True)
@@ -443,8 +444,8 @@ def permmatch_from_json(text: str) -> PermMatchInstance:
     entries = sorted(data["edges"], key=lambda e: e["id"])
     if [e["id"] for e in entries] != list(range(len(entries))):
         raise InputError("edge ids must be exactly 0..E-1")
-    graph = Multigraph(int(data["vertices"]), tuple((int(e["u"]), int(e["v"])) for e in entries))
-    return PermMatchInstance(graph, tuple(int(v) for v in data["pi"]))
+    graph = Multigraph(operator.index(data["vertices"]), tuple((e["u"], e["v"]) for e in entries))
+    return PermMatchInstance(graph, data["pi"])
 
 
 def permmatch_to_json_obj(inst: PermMatchInstance) -> dict:
@@ -458,10 +459,10 @@ def permmatch_to_json_obj(inst: PermMatchInstance) -> dict:
 def threedm_from_json(text: str) -> ThreeDMInstance:
     data = json.loads(text)
     return ThreeDMInstance(
-        int(data["nA"]),
-        int(data["nB"]),
-        int(data["nC"]),
-        tuple((int(a), int(b), int(c)) for a, b, c in data["triples"]),
+        operator.index(data["nA"]),
+        operator.index(data["nB"]),
+        operator.index(data["nC"]),
+        data["triples"],
     )
 
 

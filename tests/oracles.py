@@ -104,12 +104,12 @@ def solve_exact_dense(program: lp.LinearProgram) -> lp.LpSolution:
 
     rows: list[list[Fraction]] = []
     row_kind: list[str] = []  # "leq" or "eq"
-    for coeffs, rhs in program.leq_rows:
+    for *coeffs, rhs in program.leq_rows.tolist():
         out, r = transform(coeffs, rhs)
         rows.append(out)
         row_kind.append("leq")
         rows[-1].append(r)
-    for coeffs, rhs in program.eq_rows:
+    for *coeffs, rhs in program.eq_rows.tolist():
         out, r = transform(coeffs, rhs)
         rows.append(out + [r])
         row_kind.append("eq")
@@ -250,14 +250,12 @@ def solve_highs_linprog(lp: LinearProgram) -> LpSolution:
     """
     from scipy.optimize import linprog
 
-    c = -np.asarray(lp.objective, dtype=float)
+    c = -lp.objective
     a_ub = b_ub = a_eq = b_eq = None
-    if lp.leq_rows:
-        a_ub = np.asarray([r[0] for r in lp.leq_rows], dtype=float)
-        b_ub = np.asarray([r[1] for r in lp.leq_rows], dtype=float)
-    if lp.eq_rows:
-        a_eq = np.asarray([r[0] for r in lp.eq_rows], dtype=float)
-        b_eq = np.asarray([r[1] for r in lp.eq_rows], dtype=float)
+    if len(lp.leq_rows):
+        a_ub, b_ub = lp.leq_rows[:, :-1], lp.leq_rows[:, -1]
+    if len(lp.eq_rows):
+        a_eq, b_eq = lp.eq_rows[:, :-1], lp.eq_rows[:, -1]
     bounds = [(None, None) if i in lp.free else (0.0, None) for i in range(lp.num_vars)]
     res = linprog(
         c,

@@ -368,11 +368,7 @@ def test_criterion_8_oracle_equivalences():
         nonneg = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)]
         objective = (rng.uniform(-1, 2), rng.uniform(-1, 2))
         expected = lp_vertex_oracle(objective, box + extra + nonneg)
-        program = lp.LinearProgram(
-            num_vars=2,
-            objective=objective,
-            leq_rows=tuple(box + extra),
-        )
+        program = lp.LinearProgram(objective=objective, leq_rows=[(*a, b) for a, b in box + extra])
         for exact in (False, True):
             sol = lp.solve(program, exact=exact)
             if not sol.is_optimal or abs(sol.objective_value - expected[0]) > 1e-8:

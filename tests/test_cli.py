@@ -384,6 +384,43 @@ def test_reduce_invalid_triple_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def with_entry(obj, path, value):
+    """A deep copy of ``obj`` whose entry at ``path`` (keys and indices) is ``value``."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+TDM = {"nA": 2, "nB": 2, "nC": 2, "triples": [[0, 0, 0], [1, 1, 1]]}
+COMMIT_1 = incentive_to_json_obj(commit_instance(1))
+
+
+# Each value would truncate to a valid integer, so only the type check refuses it.
+@pytest.mark.parametrize(
+    "command, instance, strategy",
+    [
+        pytest.param(["pm", "approx"], with_entry(SWAP_PM, ("edges", 1, "v"), 3.7), None, id="pm edge endpoint"),
+        pytest.param(["pm", "approx"], with_entry(SWAP_PM, ("pi", 0), 1.5), None, id="pm pi entry"),
+        pytest.param(["pm", "bestresponse"], SWAP_PM, {"support": [{"edges": [0.9], "prob": 1.0}]}, id="strategy edge id"),
+        pytest.param(["reduce", "3dm-to-pm"], with_entry(TDM, ("nC",), 2.5), None, id="3dm part size"),
+        pytest.param(["reduce", "3dm-to-pm"], with_entry(TDM, ("triples", 1, 0), 1.9), None, id="3dm triple index"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("family", "vertices"), 4.5), None, id="path vertices"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("family", "source"), 0.5), None, id="path source"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("family", "sink"), 3.2), None, id="path sink"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("family", "edges", 0, "v"), 1.7), None, id="path endpoint"),
+    ],
+)
+def test_fractional_integer_fields_exit_2(tmp_path, capsys, command, instance, strategy):
+    argv = [*command, "-i", write(tmp_path, "in.json", instance), "-o", str(tmp_path / "out.json")]
+    if strategy is not None:
+        argv += ["--strategy", write(tmp_path, "strategy.json", strategy)]
+    assert main(argv) == EXIT_INPUT
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -21,20 +21,12 @@ from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog
 
 
 def two_var_lp(objective, rows):
-    return lp.LinearProgram(
-        num_vars=2,
-        objective=tuple(objective),
-        leq_rows=tuple((tuple(a), float(b)) for a, b in rows),
-    )
+    return lp.LinearProgram(objective=objective, leq_rows=[(*a, b) for a, b in rows])
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_single_bound(exact):
-    program = lp.LinearProgram(
-        num_vars=1,
-        objective=(1.0,),
-        leq_rows=(((1.0,), 3.0),),
-    )
+    program = lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 3.0)])
     sol = lp.solve(program, exact=exact)
     assert sol.is_optimal
     assert abs(sol.objective_value - 3.0) < 1e-9
@@ -54,18 +46,14 @@ def test_two_var_example_matches_vertex_enumeration(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_contradictory_bounds_infeasible(exact):
-    program = lp.LinearProgram(
-        num_vars=1,
-        objective=(1.0,),
-        leq_rows=(((1.0,), 1.0), ((-1.0,), -2.0)),
-    )
+    program = lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)])
     sol = lp.solve(program, exact=exact)
     assert sol.status == lp.INFEASIBLE
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_unbounded_reported(exact):
-    program = lp.LinearProgram(num_vars=1, objective=(1.0,))
+    program = lp.LinearProgram(objective=(1.0,))
     sol = lp.solve(program, exact=exact)
     assert sol.status == lp.UNBOUNDED
 
@@ -74,10 +62,9 @@ def test_unbounded_reported(exact):
 def test_equality_and_free_variable(exact):
     # max v s.t. v <= x, x = 1; v free
     program = lp.LinearProgram(
-        num_vars=2,
         objective=(0.0, 1.0),
-        leq_rows=(((-1.0, 1.0), 0.0),),
-        eq_rows=(((1.0, 0.0), 1.0),),
+        leq_rows=[(-1.0, 1.0, 0.0)],
+        eq_rows=[(1.0, 0.0, 1.0)],
         free={1},
     )
     sol = lp.solve(program, exact=exact)
@@ -90,9 +77,8 @@ def test_upper_bounds_and_negative_lower(exact):
     # max x+y with x in [-2, -1], y in [0, 5], x+y <= 3: the bounds other
     # than y >= 0 are rows, and x is free
     program = lp.LinearProgram(
-        num_vars=2,
         objective=(1.0, 1.0),
-        leq_rows=(((1.0, 1.0), 3.0), ((1.0, 0.0), -1.0), ((-1.0, 0.0), 2.0), ((0.0, 1.0), 5.0)),
+        leq_rows=[(1.0, 1.0, 3.0), (1.0, 0.0, -1.0), (-1.0, 0.0, 2.0), (0.0, 1.0, 5.0)],
         free={0},
     )
     sol = lp.solve(program, exact=exact)
@@ -113,11 +99,7 @@ def test_random_two_var_lps_match_vertex_oracle(exact):
             rows.append((a, rng.uniform(0.5, 4)))
         objective = (rng.uniform(-1, 2), rng.uniform(-1, 2))
         expected = lp_vertex_oracle(objective, rows)
-        program = lp.LinearProgram(
-            num_vars=2,
-            objective=objective,
-            leq_rows=tuple((tuple(float(c) for c in a), float(b)) for a, b in rows[:2] + rows[4:]),
-        )
+        program = two_var_lp(objective, rows[:2] + rows[4:])
         sol = lp.solve(program, exact=exact)
         assert expected is not None
         assert sol.is_optimal
@@ -132,7 +114,7 @@ def test_optimal_solution_satisfies_all_rows():
         for exact in (False, True):
             sol = lp.solve(program, exact=exact)
             assert sol.is_optimal
-            for coeffs, rhs in program.leq_rows:
+            for *coeffs, rhs in program.leq_rows.tolist():
                 assert sum(c * v for c, v in zip(coeffs, sol.values)) <= rhs + 1e-8
             assert abs(sol.objective_value - sum(o * v for o, v in zip(program.objective, sol.values))) < 1e-8
 
@@ -172,11 +154,7 @@ def test_generation_matches_materialized_constraints():
 
 
 def test_generation_propagates_infeasible_base():
-    base = lp.LinearProgram(
-        num_vars=1,
-        objective=(1.0,),
-        leq_rows=(((1.0,), 1.0), ((-1.0,), -2.0)),
-    )
+    base = lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)])
     sol = lp.solve_with_generation(base, lambda values: None)
     assert sol.status == lp.INFEASIBLE
 
@@ -194,12 +172,33 @@ def test_generation_round_limit():
 
 
 def test_rejects_bad_shapes():
-    with pytest.raises(InputError):
-        lp.LinearProgram(num_vars=2, objective=(1.0,))
-    with pytest.raises(InputError):
-        lp.LinearProgram(num_vars=1, objective=(1.0,), leq_rows=(((1.0, 2.0), 0.0),))
-    with pytest.raises(InputError):
-        lp.LinearProgram(num_vars=1, objective=(1.0,), free={1})
+    bad = [
+        dict(objective=()),
+        dict(objective=(1.0,), leq_rows=[(1.0, 2.0, 0.0)]),
+        dict(objective=(1.0,), leq_rows=[(1.0,)]),
+        dict(objective=(1.0,), eq_rows=[(1.0, 2.0, 0.0)]),
+        dict(objective=(1.0, 1.0), eq_rows=[(1.0, 2.0, 0.0), (1.0, 0.0)]),
+        # a row is one flat sequence, not a (coefficients, rhs) pair
+        dict(objective=(1.0,), leq_rows=[((1.0,), 0.0)]),
+        dict(objective=(1.0,), free={1}),
+    ]
+    for fields in bad:
+        with pytest.raises(InputError):
+            lp.LinearProgram(**fields)
+
+
+def test_with_leq_row_leaves_the_base_lp_unchanged_and_arrays_are_read_only():
+    rows = np.array([(1.0, 2.0, 4.0)])
+    base = lp.LinearProgram(objective=(1.0, 1.0), leq_rows=rows, eq_rows=[(1.0, -1.0, 0.0)])
+    rows[0, 0] = 9.0  # the LP holds its own copy
+    grown = base.with_leq_row((3.0, 1.0), 6.0)
+    assert base.leq_rows.tolist() == [[1.0, 2.0, 4.0]]
+    assert grown.leq_rows.tolist() == [[1.0, 2.0, 4.0], [3.0, 1.0, 6.0]]
+    assert grown.eq_rows.tolist() == base.eq_rows.tolist() and grown.num_vars == 2
+    for program in (base, grown):
+        for array in (program.objective, program.leq_rows, program.eq_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def exact_lps(draw):
         number = st.floats(-1e3, 1e3, allow_nan=False)
     vector = st.lists(number, min_size=n, max_size=n).map(tuple)
     # right-hand sides of 0 make degenerate vertices
-    row = st.tuples(vector, st.one_of(st.just(0), number))
+    row = st.tuples(vector, st.one_of(st.just(0), number)).map(lambda r: (*r[0], r[1]))
     eq_rows = draw(st.lists(row, max_size=2))
     if eq_rows and draw(st.booleans()):
         # a repeated equality leaves an artificial basic at level 0, which
@@ -242,15 +241,14 @@ def exact_lps(draw):
     for i in range(n):
         for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2, unique=True)):
             unit = tuple(sign * int(k == i) for k in range(n))
-            leq_rows.append((unit, draw(number)))
+            leq_rows.append((*unit, draw(number)))
     # with a zero objective every feasible vertex is optimal, so the point
     # returned is the one where the phase-1 pivots stop
     objective = draw(st.one_of(vector, st.just((0,) * n)))
     return lp.LinearProgram(
-        num_vars=n,
         objective=objective,
-        leq_rows=tuple(leq_rows),
-        eq_rows=tuple(eq_rows),
+        leq_rows=leq_rows,
+        eq_rows=eq_rows,
         free=draw(st.frozensets(st.integers(0, n - 1))),
     )
 
@@ -259,19 +257,17 @@ def exact_lps(draw):
 # x0 and x1 free): which optimum comes back rests on the ratio test's tie
 # rule.
 TIE_RULE_LP = lp.LinearProgram(
-    num_vars=3,
     objective=(0.0, 0.0, 1.0),
-    leq_rows=(((-1.0, 0.0, 0.0), 0.0), ((0.0, 0.0, 1.0), 2.0)),
-    eq_rows=(((-2.0, 1.0, 1.0), 0.0),),
+    leq_rows=[(-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 2.0)],
+    eq_rows=[(-2.0, 1.0, 1.0, 0.0)],
     free={0, 1},
 )
 
 
 # x1 = 1/2.2e-309 is the only feasible value, and no float holds it.
 FLOAT_OVERFLOW_LP = lp.LinearProgram(
-    num_vars=2,
     objective=(0.0, 0.0),
-    eq_rows=(((0.0, -2.225073858507203e-309), -1.0),),
+    eq_rows=[(0.0, -2.225073858507203e-309, -1.0)],
 )
 
 
@@ -310,16 +306,16 @@ def test_exact_backend_matches_dense_tableau_on_solver_lps(monkeypatch):
 
 @pytest.mark.parametrize("number", [np.int64, Fraction, float])
 def test_exact_backend_takes_any_exact_number_type(number):
-    # numpy integer scalars have no as_integer_ratio
+    # the LP converts every number to float once, when it is built, so
+    # numpy integers and Fractions reach the backends as floats
     program = lp.LinearProgram(
-        num_vars=2,
         objective=(number(1), number(1)),
-        leq_rows=(
-            ((number(1), number(2)), number(4)),
-            ((number(3), number(1)), number(6)),
-            ((number(1), number(0)), number(5)),
-            ((number(0), number(-1)), number(1)),
-        ),
+        leq_rows=[
+            (number(1), number(2), number(4)),
+            (number(3), number(1), number(6)),
+            (number(1), number(0), number(5)),
+            (number(0), number(-1), number(1)),
+        ],
         free={1},
     )
     sol = lp.solve(program, exact=True)
@@ -356,25 +352,24 @@ def test_exact_optimum_beyond_float_range_is_a_numerical_error():
 def lp_with(position, value):
     # max x + y s.t. x + 2y <= 4, x - y = 0, x >= 0, y free: optimal at x = y = 4/3
     fields = dict(
-        num_vars=2,
         objective=(1.0, 1.0),
-        leq_rows=(((1.0, 2.0), 4.0),),
-        eq_rows=(((1.0, -1.0), 0.0),),
+        leq_rows=[(1.0, 2.0, 4.0)],
+        eq_rows=[(1.0, -1.0, 0.0)],
         free={1},
     )
     if position == "objective":
         fields["objective"] = (1.0, value)
     elif position == "objective, infeasible":
         fields["objective"] = (value, 1.0)
-        fields["leq_rows"] += (((0.0, 1.0), -6.0),)
+        fields["leq_rows"] += [(0.0, 1.0, -6.0)]
     elif position == "leq coefficient":
-        fields["leq_rows"] = (((value, 2.0), 4.0),)
+        fields["leq_rows"] = [(value, 2.0, 4.0)]
     elif position == "leq rhs":
-        fields["leq_rows"] = (((1.0, 2.0), value),)
+        fields["leq_rows"] = [(1.0, 2.0, value)]
     elif position == "eq coefficient":
-        fields["eq_rows"] = (((1.0, value), 0.0),)
+        fields["eq_rows"] = [(1.0, value, 0.0)]
     else:
-        fields["eq_rows"] = (((1.0, -1.0), value),)
+        fields["eq_rows"] = [(1.0, -1.0, value)]
     return lp.LinearProgram(**fields)
 
 
@@ -408,11 +403,7 @@ def highs(program):
 
 # Infeasible by 5e-8: HiGHS's default primal tolerance, 1e-7, would call
 # x = 0 optimal.
-PRIMAL_TOLERANCE_LP = lp.LinearProgram(
-    num_vars=1,
-    objective=(1.0,),
-    leq_rows=(((1.0,), 0.0), ((-1.0,), -5e-8)),
-)
+PRIMAL_TOLERANCE_LP = lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 0.0), (-1.0, -5e-8)])
 
 
 @settings(max_examples=600)
@@ -510,7 +501,7 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
 # scipy.optimize hold one bindings module and that linprog gives lp's bits.
 SOLVE_ONE_LP = """
 from stacksolve import lp
-program = lp.LinearProgram(2, (1.0, 1.0), (((1.0, 2.0), 4.0), ((3.0, 1.0), 5.0)))
+program = lp.LinearProgram((1.0, 1.0), ((1.0, 2.0, 4.0), (3.0, 1.0, 5.0)))
 solution = lp.solve(program)
 """
 SAME_MODULE_SAME_BITS = """
