@@ -189,7 +189,7 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     tied response it may realize more than its column value, and more than
     the best column value only as far as the ``EQUAL`` tie margin allows.
 
-    On HiGHS the columns are visited by ``(-B_j, j)`` for the Lagrangian
+    Both backends visit the columns by ``(-B_j, j)`` for the Lagrangian
     bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974).
     By weak duality it holds for every x feasible for column j: for a rival
     r and lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
@@ -207,21 +207,20 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     value, and the answer is that of a visit of every column
     (``tests/oracles.unpruned_stackelberg``).
 
-    With ``exact=True`` every column is solved, in index order, and no
-    bound is computed. The answer is the same, and an exact solve costs the
-    same m LPs on every game of a given shape, where the pruned count would
-    swing with how the leader's bounds fall.
+    The exact backend runs the same loop with the same margin, which holds
+    there with room to spare: its x is exactly feasible, so the only errors
+    left are the rounding of x to floats, the float dot product and the
+    float B_j, each far below the margin. A skipped column's float value is
+    therefore strictly below the best one, and the answer equals the
+    unpruned one bit for bit.
     """
     ul = game.u_leader
-    order: Sequence[int] = range(game.m)
-    if not exact:
-        bound = _column_bounds(game)
-        order = np.argsort(-bound, kind="stable")
-        span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(game.u_follower).max()
-        margin = LP_FEASIBILITY * (2 * game.n + 1) * span
+    bound = _column_bounds(game)
+    span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(game.u_follower).max()
+    margin = LP_FEASIBILITY * (2 * game.n + 1) * span
     best: tuple[float, int, MixedStrategy] | None = None
-    for j in order:
-        if not exact and best is not None and bound[j] < best[0] - margin:
+    for j in np.argsort(-bound, kind="stable"):
+        if best is not None and bound[j] < best[0] - margin:
             break
         sol = lp.solve(_column_lp(game, j, exact), exact=exact)
         if not sol.is_optimal:

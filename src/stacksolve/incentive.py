@@ -62,7 +62,8 @@ class ExplicitFamily:
 
     def best_set(self, inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
         """Base payoff first, then the leader mass (leader payoff less its common drift), then id."""
-        cands = ((set_id(s), _base_value(inst, x, s), sum(x.get(e, 0.0) for e in s), False) for s in self.sets)
+        sids = map(set_id, self.sets)
+        cands = ((sid, _base_value(inst, x, sid), sum(x.get(e, 0.0) for e in sid), False) for sid in sids)
         return _best_of(cands)[:2]
 
     def explicit(self, limit: int) -> ExplicitFamily:
@@ -214,7 +215,8 @@ class IncentiveLeaderStrategy:
         object.__setattr__(self, "incentives", inc)
 
     def mass_on(self, members) -> float:
-        return sum(self.x.get(e, 0.0) for e in members)
+        """sum_{e in S} x_e, summed in set-id order so that the bits do not follow the hash seed."""
+        return sum(self.x.get(e, 0.0) for e in set_id(members))
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,8 @@ def follower_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid
 
 
 def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
-    return sum(-x.get(e, 0.0) + inst.follower_reward[e] for e in members)
+    """sum_{e in S} (-x_e + c_e), summed in set-id order, as ``mass_on`` is."""
+    return sum(-x.get(e, 0.0) + inst.follower_reward[e] for e in set_id(members))
 
 
 def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
@@ -428,7 +431,7 @@ def incentive_bimatrix(inst: IncentiveInstance, limit: int = 4096) -> tuple[Bima
     ul = np.zeros((len(inst.elements), len(ids)))
     uf = np.zeros_like(ul)
     for j, members in enumerate(fam.sets):
-        reward = sum(inst.follower_reward[e] for e in members)
+        reward = sum(inst.follower_reward[e] for e in ids[j])
         for i, e in enumerate(inst.elements):
             hit = 1.0 if e in members else 0.0
             ul[i, j] = hit + inst.leader_reward[e]

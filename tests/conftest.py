@@ -70,17 +70,18 @@ def fake_highs(monkeypatch):
 
 @pytest.fixture
 def fresh_python():
-    """``run(*args)``: run ``python *args`` and return the finished process.
+    """``run(*args, **env)``: run ``python *args`` and return the finished process.
 
-    ``stacksolve`` comes from this checkout and ``tests`` is importable.
+    ``stacksolve`` comes from this checkout and ``tests`` is importable;
+    ``env`` adds environment variables, such as ``PYTHONHASHSEED``.
     """
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "src"), str(root)])
 
-    def run(*args):
+    def run(*args, **env):
         return subprocess.run(
             [sys.executable, *args],
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, **env, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=120,

@@ -133,7 +133,7 @@ def test_criterion_2b_commit_example_no_incentive_se():
     # With k taxable copies of each bypass, mass g spread over them keeps
     # the chain a best response while 1 - g <= 0.6 + g/k, so the value is
     # (0.6k + 1)/(k + 1): above 0.6 and, for k >= 2, below the 0.8 of 2a.
-    for k in range(1, 5):
+    for k in range(1, 9):
         game, ids = inc.incentive_bimatrix(commit_instance(parallel=k))
         sol = solve_stackelberg(game, exact=True)
         want = (0.6 * k + 1) / (k + 1)

@@ -242,6 +242,14 @@ def test_solve_incentive_no_incentives(tmp_path, capsys):
     assert report["result"]["leaderPayoff"] == pytest.approx(0.7)
 
 
+def test_solve_incentive_no_incentives_on_81_paths(tmp_path, capsys):
+    # k = 8 bypass copies give (k + 1)^2 = 81 columns; the column bounds leave one exact LP
+    path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance(8)))
+    code, report = run_cli(capsys, "solve-incentive", "-i", path, "--no-incentives")
+    assert code == EXIT_OK
+    assert report["result"]["leaderPayoff"] == pytest.approx((0.6 * 8 + 1) / 9)
+
+
 def test_solve_incentive_path_limit_exit_3(tmp_path, capsys):
     path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance()))
     code = main(["solve-incentive", "-i", path, "--no-incentives", "--path-limit", "3"])

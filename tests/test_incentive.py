@@ -493,3 +493,22 @@ def test_missing_path_after_validation_is_not_input_error(monkeypatch):
     with pytest.raises(ToolkitError) as caught:
         inc.base_best_set(commit_instance(), COMMIT_X)
     assert not isinstance(caught.value, InputError)
+
+
+FOLLOWER_PAYOFF_BITS = """
+import random
+from stacksolve import incentive as inc
+from tests.instances import grid_instance
+for seed, size in ((2, 3), (9, 4)):
+    for exact in (False, True):
+        inst = grid_instance(random.Random(seed), size, size)
+        print(inc.solve_stackelberg_incentive(inst, exact=exact).follower_payoff.hex())
+"""
+
+
+def test_follower_payoff_bits_do_not_follow_the_hash_seed(fresh_python):
+    # the sums over a set run in set-id order, not in the frozenset's hash order
+    runs = [fresh_python("-c", FOLLOWER_PAYOFF_BITS, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.split()) == 4

@@ -17,7 +17,7 @@ from stacksolve.errors import InputError, LpNumericalError
 from stacksolve.tolerances import LP_RESIDUAL
 
 from .instances import commit_instance, grid_instance
-from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog
+from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog, unpruned_stackelberg
 
 
 def two_var_lp(objective, rows):
@@ -291,7 +291,7 @@ def test_exact_backend_matches_dense_tableau_on_solver_lps(monkeypatch):
     monkeypatch.setattr(lp, "solve", capture)
     for seed in range(3):
         game, _ = permmatch.explicit_bimatrix(gen.random_permmatch(seed, 8, 7))
-        solve_stackelberg(game, exact=True)
+        unpruned_stackelberg(game, exact=True)  # every column's LP, not only those left by the pruning
         solve_maximin(game, LEADER, exact=True)
         solve_maximin(game, FOLLOWER, exact=True)
     for k in range(1, 5):

@@ -1,23 +1,25 @@
-"""Bound-ordered pruning of the Multiple-LPs solver.
+"""Bound-ordered pruning of the Multiple-LPs solver, on both LP backends.
 
-On HiGHS, ``solve_stackelberg`` visits the follower columns by descending
-Lagrangian bound B_j (``bimatrix._column_bounds``) and stops once a bound
-falls below the best column value by more than the margin that HiGHS's
-feasibility tolerance allows. The winner is the column of the largest
-column value u_leader[:, j] . x, the lowest index among equal values, so
-no column the loop skips could have won. These tests compare it bit for bit with the all-columns loop of
-``oracles.unpruned_stackelberg``, which shares the column LPs, check the
-bound against every column's exact LP value, and count the LPs solved.
-The exact backend solves every column, so that its cost does not swing
-with how the bounds fall.
+``solve_stackelberg`` visits the follower columns by descending Lagrangian
+bound B_j (``bimatrix._column_bounds``) and stops once a bound falls below
+the best column value by more than the margin that HiGHS's feasibility
+tolerance allows; the exact backend runs the same loop, where only float
+rounding stands between a column's bound and its value. The winner is the
+column of the largest column value u_leader[:, j] . x, the lowest index
+among equal values, so no column the loop skips could have won. These
+tests compare it bit for bit with the all-columns loop of
+``oracles.unpruned_stackelberg``, which shares the column LPs, on random,
+0-3 integer, commit and permuted-matching games; check the bound against
+every column's exact LP value; and count the LPs solved.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from stacksolve import bimatrix, lp
+from stacksolve import bimatrix, lp, permmatch
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg, validate_stackelberg_solution
+from stacksolve.gen import random_permmatch
 from stacksolve.incentive import incentive_bimatrix
 
 from .instances import bimatrix_games, commit_instance
@@ -36,9 +38,25 @@ def test_pruned_matches_unpruned_highs(game):
     assert_same_as_unpruned(game, exact=False)
 
 
-@settings(max_examples=60)
-@given(bimatrix_games(max_n=4, max_m=4))
+@settings(max_examples=150)
+@given(bimatrix_games(max_n=6, max_m=6))
 def test_pruned_matches_unpruned_exact(game):
+    assert_same_as_unpruned(game, exact=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_matches_unpruned_exact_on_integer_games(seed):
+    # payoffs 0-3 tie many bounds with the best column value
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(4, 9, size=2)
+    game = BimatrixGame(rng.integers(0, 4, (n, m)).astype(float), rng.integers(0, 4, (n, m)).astype(float))
+    assert_same_as_unpruned(game, exact=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pruned_matches_unpruned_exact_on_matching_games(seed):
+    # the explicit permuted-matching games of the exact benchmark's shape
+    game, _ = permmatch.explicit_bimatrix(random_permmatch(seed, 8, 7))
     assert_same_as_unpruned(game, exact=True)
 
 
@@ -80,13 +98,22 @@ def lp_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k", range(1, 7))
-def test_commit_games_solve_one_highs_lp(lp_calls, k):
+def assert_commit_game_solves_one_lp(lp_calls, k, exact):
     # every column has leader bound max_i uL = 1, so that bound alone kept all (k+1)^2
     game, _ = incentive_bimatrix(commit_instance(k))
-    sol = solve_stackelberg(game)
+    sol = solve_stackelberg(game, exact=exact)
     assert len(lp_calls) == 1
     assert sol.leader_payoff == pytest.approx((0.6 * k + 1) / (k + 1), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_commit_games_solve_one_highs_lp(lp_calls, k):
+    assert_commit_game_solves_one_lp(lp_calls, k, exact=False)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_commit_games_solve_one_exact_lp(lp_calls, k):
+    assert_commit_game_solves_one_lp(lp_calls, k, exact=True)
 
 
 # column 0 has the top bound 5, reached at row 0 where the follower strictly
@@ -98,15 +125,11 @@ DOMINANT = BimatrixGame(
 
 
 def test_dominant_bound_solves_one_lp(lp_calls):
-    sol = solve_stackelberg(DOMINANT)
-    assert len(lp_calls) == 1
-    assert sol.follower_response == 0 and sol.leader_payoff == pytest.approx(5.0)
-
-
-def test_exact_backend_solves_every_column(lp_calls):
-    sol = solve_stackelberg(DOMINANT, exact=True)
-    assert len(lp_calls) == DOMINANT.m
-    assert sol.follower_response == 0 and sol.leader_payoff == pytest.approx(5.0)
+    for exact in (False, True):
+        sol = solve_stackelberg(DOMINANT, exact=exact)
+        assert len(lp_calls) == 1
+        assert sol.follower_response == 0 and sol.leader_payoff == pytest.approx(5.0)
+        lp_calls.clear()
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -134,11 +157,12 @@ def test_the_column_value_ranks_the_columns_not_the_realized_payoff(lp_calls):
     # Column 0's LP value is 1/2, at x = (1/2, 1/2), where the follower ties
     # and takes column 1, so it realizes 1, as column 1 (LP value 1) does.
     # Ranked by realized payoff, column 0 would win as the lower index, but
-    # only when it is solved, and its bound 1/2 lets HiGHS skip it. Ranked
-    # by column value, column 1 wins on both backends.
+    # only when it is solved, and its bound 1/2 lets either backend skip it.
+    # Ranked by column value, column 1 wins on both backends.
     game = BimatrixGame(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert bimatrix._column_bounds(game).tolist() == [0.5, 1.0]
     highs = solve_stackelberg(game)
-    assert len(lp_calls) == 1
-    for sol in (highs, solve_stackelberg(game, exact=True)):
+    exact = solve_stackelberg(game, exact=True)
+    assert len(lp_calls) == 2
+    for sol in (highs, exact):
         assert sol.follower_response == 1 and sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
