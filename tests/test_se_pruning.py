@@ -124,12 +124,19 @@ DOMINANT = BimatrixGame(
 )
 
 
+def assert_dominant_bound_solves_one_lp(lp_calls, exact):
+    sol = solve_stackelberg(DOMINANT, exact=exact)
+    assert len(lp_calls) == 1
+    assert sol.follower_response == 0 and sol.leader_payoff == pytest.approx(5.0)
+
+
 def test_dominant_bound_solves_one_lp(lp_calls):
-    for exact in (False, True):
-        sol = solve_stackelberg(DOMINANT, exact=exact)
-        assert len(lp_calls) == 1
-        assert sol.follower_response == 0 and sol.leader_payoff == pytest.approx(5.0)
-        lp_calls.clear()
+    assert_dominant_bound_solves_one_lp(lp_calls, exact=False)
+
+
+def test_exact_backend_solves_one_lp_on_the_dominant_bound(lp_calls):
+    # the exact backend prunes like HiGHS: column 0 alone is solved
+    assert_dominant_bound_solves_one_lp(lp_calls, exact=True)
 
 
 @pytest.mark.parametrize("exact", [False, True])
