@@ -6,7 +6,6 @@ from .bimatrix import (
     StackelbergSolution,
     expected_utilities,
     follower_best_response,
-    realized_maximin_profile,
     solve_maximin,
     solve_nash_support_enumeration,
     solve_stackelberg,

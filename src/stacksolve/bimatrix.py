@@ -274,14 +274,6 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
     return strat, float(sol.values[k])
 
 
-def realized_maximin_profile(game: BimatrixGame, exact: bool = False) -> tuple[MixedStrategy, MixedStrategy, float, float]:
-    """Pair both players' maximin strategies and evaluate the realized payoffs."""
-    xl, _ = solve_maximin(game, LEADER, exact=exact)
-    yf, _ = solve_maximin(game, FOLLOWER, exact=exact)
-    lpay, fpay = expected_utilities(game, xl, yf)
-    return xl, yf, lpay, fpay
-
-
 NASH_SIZE_LIMIT = 8
 
 

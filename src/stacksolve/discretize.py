@@ -17,6 +17,16 @@ and the rows come out in lexicographic order. Blocks are grouped, and a
 block too long on its own is cut, so that no chunk exceeds ``_CHUNK`` rows;
 the chunk bound caps the float arrays a solve holds at once. Each chunk is
 scored with one pair of matrix products.
+
+The prefixes form a tree, and ``discretized_se`` searches it by branch and
+bound (Land & Doig 1960). A prefix's bound is the best leader payoff any
+point below it could reach if the follower were ignored: the numerators
+fixed so far, plus the remaining mass on the best leader row left for each
+column. A prefix whose bound falls below the best payoff scored so far, by
+more than the float rounding of the two (see ``discretized_se``), is
+dropped unscored. The answer is the one the full scan gives, up to the
+chunk rounding of exact ties that ``discretized_se`` describes; only
+``candidates_examined`` shows the points skipped.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -118,7 +128,9 @@ def _slices(prefixes: np.ndarray, rems: np.ndarray, chunk: int) -> list[tuple[np
     return runs
 
 
-def _grid_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+def _grid_blocks(
+    n: int, k: int, keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+) -> Iterator[np.ndarray]:
     """Every length-n row of nonnegative ints summing to k, in lex order.
 
     Yields int64 arrays of at most ``_CHUNK`` rows. A prefix (the first
@@ -128,6 +140,12 @@ def _grid_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     the arrays held stay bounded however large the grid is. A run of blocks
     expands with one ``np.repeat``; a block longer than ``_CHUNK`` is cut by
     ranges of a.
+
+    ``keep(prefixes, rems)``, if given, is called on each run of prefixes
+    (of any length up to n - 2) when it is taken off the stack, and returns
+    a boolean mask over them; a prefix it rejects is dropped with every row
+    below it. It runs between yields, so it sees what the caller has done
+    with the rows yielded so far.
     """
     chunk = _CHUNK
     if n == 1:
@@ -136,6 +154,12 @@ def _grid_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     pending = [(np.zeros((1, 0), dtype=np.int64), np.array([k], dtype=np.int64))]
     while pending:
         prefixes, rems = pending.pop()
+        if keep is not None:
+            mask = keep(prefixes, rems)
+            if not mask.all():
+                prefixes, rems = prefixes[mask], rems[mask]
+                if not len(rems):
+                    continue
         sizes = rems + 1
         if prefixes.shape[1] < n - 2:
             heads = _ramps(sizes)
@@ -170,22 +194,66 @@ def discretized_se(
 ) -> ApproxSolution:
     """Best recorded (grid strategy, relaxed response) pair.
 
-    Ties are decided on float-evaluated leader payoffs: the first grid
-    strategy in lexicographic order holding the largest float payoff wins,
-    and within one grid point the lowest column index. Two points whose
-    payoffs tie exactly may still differ in their float values, since a
-    BLAS product can round the same row differently depending on the
-    chunk's row count; which of them wins can then depend on where the
-    chunk boundaries fall.
+    Tie rule: ties are decided on float-evaluated leader payoffs. The first
+    grid point in lexicographic order holding the largest float payoff
+    wins (a later point must score strictly more), and within one grid
+    point the lowest column index. Two points whose payoffs tie exactly may
+    still differ in their float values, since a BLAS product can round the
+    same row differently depending on the chunk's row count; which of them
+    wins can then depend on where the chunk boundaries fall, and pruning
+    shapes the chunks too.
+
+    Bound: a prefix p of length d with remainder R bounds the payoff of
+    every point below it by
+    B(p) = max_j [sum_{i<d} (p_i/k) uL[i,j] + (R/k) max_{i>=d} uL[i,j]],
+    since the relaxed follower only masks columns. A prefix is dropped,
+    with every point below it, when its float B(p) is below the incumbent
+    (the best payoff scored so far) minus ``margin``.
+
+    Margin: ``margin = 4 (n + 2) (u M + eta)``, with u = 2**-53 the unit
+    roundoff and eta = 2**-1074 the smallest subnormal. B(p) and a scored
+    payoff are each a float dot product of at most n + 1 terms with
+    |x_i| <= 1 and |uL| <= M, after the rounding of c_i/k; each product can
+    also lose up to eta/2 to underflow. So each is within
+    (n + 2)(u M + eta) of its real value, to first order, and the factor 2
+    covers the higher-order terms and the rounding of
+    ``incumbent - margin``. Every point below a dropped prefix thus scores
+    strictly below the incumbent, so it would lose the strict comparison
+    anyway.
+
+    Incumbent: it starts at the best vertex k e_i, scored exactly (one
+    weight of 1.0), so pruning works from the first chunk on. The scan
+    still scores that vertex in its lex place, since its prefix's bound is
+    at least its payoff. ``candidates_examined`` counts the points scored.
     """
     count = _check_cap(game.n, params, cap)
+    n, k = game.n, params.k
     big_m = max_abs_payoff(game)
-    slack = 2.0 * game.n * params.eps * big_m
+    slack = 2.0 * n * params.eps * big_m
+    margin = 4 * (n + 2) * (2.0**-53 * big_m + 2.0**-1074)
     ul = game.u_leader
     uf = game.u_follower
+    tails = np.maximum.accumulate(ul[::-1], axis=0)[::-1]  # tails[d] = max_{i>=d} ul[i]
+    # B(p) is the largest entry of columns[d] @ (p, R) / k; row j of
+    # columns[d] is (uL[:d, j], tails[d, j])
+    columns = [np.vstack((ul[:d], tails[d])).T.copy() for d in range(n - 1)]
+
+    # the vertex k e_i scores row i of the payoff matrices, exactly
+    incumbent = float(np.where(uf >= uf.max(axis=1, keepdims=True) - slack - ZERO, ul, -np.inf).max())
+
+    def keep(prefixes, rems):
+        d = prefixes.shape[1]
+        # (p, R) / k as columns, so the max over j runs along contiguous rows
+        weights = np.empty((d + 1, len(rems)))
+        np.divide(prefixes.T, k, out=weights[:d])
+        np.divide(rems, k, out=weights[d])
+        return (columns[d] @ weights).max(axis=0) >= incumbent - margin
+
     best: tuple[float, list[int], int, float] | None = None  # payoff, numerators, j, fpay
-    for rows in _grid_blocks(game.n, params.k):
-        xs = rows / params.k
+    examined = 0
+    for rows in _grid_blocks(n, k, keep):
+        examined += len(rows)
+        xs = rows / k
         fvals = xs @ uf
         lvals = xs @ ul
         tops = fvals.max(axis=1, keepdims=True)
@@ -196,17 +264,18 @@ def discretized_se(
         i, j = divmod(int(masked.argmax()), game.m)
         if best is None or masked[i, j] > best[0]:
             best = (float(masked[i, j]), rows[i].tolist(), j, float(fvals[i, j]))
+            incumbent = max(incumbent, best[0])
     assert best is not None
     payoff, numerators, j, fpay = best
     return ApproxSolution(
-        leader=MixedStrategy(tuple(c / params.k for c in numerators)),
+        leader=MixedStrategy(tuple(c / k for c in numerators)),
         follower_response=j,
         leader_payoff=payoff,
         follower_payoff=fpay,
         slack=slack,
         max_payoff=big_m,
         grid_size=count,
-        candidates_examined=count,
+        candidates_examined=examined,
     )
 
 

@@ -320,11 +320,6 @@ def _incentive_lp(inst: IncentiveInstance) -> lp.LinearProgram:
     )
 
 
-def best_reward_set(inst: IncentiveInstance) -> SetId:
-    """argmax over the family of the follower's total element reward."""
-    return base_best_set(inst, {})[0]
-
-
 def solve_stackelberg_incentive(
     inst: IncentiveInstance,
     exact: bool = True,
@@ -348,7 +343,7 @@ def solve_stackelberg_incentive(
         raise ToolkitError(f"incentive LP reported {sol.status} on a validated instance")
     x = {e: max(0.0, sol.values[i]) for i, e in enumerate(inst.elements)}
     w_star = float(sol.values[n])
-    target = best_reward_set(inst)
+    target, _ = base_best_set(inst, {})  # the best total follower reward
     v_star = -w_star - _base_value(inst, x, target)
     if v_star < -GUARANTEE:
         raise ToolkitError("negative incentive from a feasible LP point")

@@ -324,20 +324,6 @@ def bruteforce_pitim(inst: PermMatchInstance) -> tuple[Matching, int]:
     return best[1], best[0]
 
 
-def extract_pitim_from_se(
-    inst: PermMatchInstance, x: StrategyLike, y: Iterable[int]
-) -> tuple[Matching, int]:
-    """Read a pi-TIM candidate off a commitment solution.
-
-    The follower's (near-)best response itself is the candidate: when the
-    pair is close to optimal on a yes-instance, y is close to pi(y), so its
-    pi-TIM value is close to maximal.
-    """
-    del x  # the leader's mixture certifies quality but is not needed here
-    ids = as_matching(inst.graph, y)
-    return ids, pitim_value(inst, ids)
-
-
 def explicit_bimatrix(inst: PermMatchInstance, max_matchings: int = 4096) -> tuple[BimatrixGame, list[Matching]]:
     """The game in explicit form, one pure strategy per matching."""
     matchings = enumerate_matchings(inst.graph, limit=max_matchings)

@@ -9,6 +9,8 @@ rest of the solver so that they isolate the part that changed:
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
 ``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs) and
 ``discretized_se_reference`` (the grid enumeration and chunk scan).
+It also holds two helpers only the tests use, ``realized_maximin_profile``
+and ``extract_pitim_from_se``.
 """
 
 from __future__ import annotations
@@ -339,6 +341,14 @@ def unpruned_stackelberg(game, exact: bool = False):
     return StackelbergSolution(x, response, payoff, follower)
 
 
+def realized_maximin_profile(game, exact: bool = False) -> tuple[MixedStrategy, MixedStrategy, float, float]:
+    """Pair both players' maximin strategies and evaluate the realized payoffs."""
+    xl, _ = bimatrix.solve_maximin(game, bimatrix.LEADER, exact=exact)
+    yf, _ = bimatrix.solve_maximin(game, bimatrix.FOLLOWER, exact=exact)
+    lpay, fpay = expected_utilities(game, xl, yf)
+    return xl, yf, lpay, fpay
+
+
 # ---------------------------------------------------------------------------
 # eps-grid discretization
 
@@ -499,6 +509,16 @@ def follower_best_response_bruteforce(inst, support) -> tuple[float, float]:
         scored.append((follower, leader))
     best_f = max(f for f, _ in scored)
     return best_f, max(l for f, l in scored if f >= best_f - 1e-9)
+
+
+def extract_pitim_from_se(inst, y: Iterable[int]) -> tuple[pm.Matching, int]:
+    """Read a pi-TIM candidate off a commitment solution's follower response.
+
+    When the pair is close to optimal on a yes-instance, y is close to
+    pi(y), so its pi-TIM value is close to maximal.
+    """
+    ids = pm.as_matching(inst.graph, y)
+    return ids, pm.pitim_value(inst, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from stacksolve import permmatch as pm
 from stacksolve.bimatrix import (
     BimatrixGame,
     expected_utilities,
-    realized_maximin_profile,
     solve_nash_support_enumeration,
     solve_stackelberg,
 )
@@ -45,6 +44,7 @@ from .oracles import (
     is_3d_matching,
     lp_vertex_oracle,
     max_weight_matching_bruteforce,
+    realized_maximin_profile,
 )
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))

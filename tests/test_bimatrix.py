@@ -12,7 +12,6 @@ from stacksolve.bimatrix import (
     MixedStrategy,
     expected_utilities,
     follower_best_response,
-    realized_maximin_profile,
     solve_maximin,
     solve_nash_support_enumeration,
     solve_stackelberg,
@@ -21,7 +20,7 @@ from stacksolve.bimatrix import (
 from stacksolve.errors import InputError, SizeLimitError
 
 from .instances import random_game_payoffs
-from .oracles import grid_search_stackelberg
+from .oracles import grid_search_stackelberg, realized_maximin_profile
 
 # The 2x2 comparison game where the commitment, simultaneous-move, and
 # worst-case solutions all differ.

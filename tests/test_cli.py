@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stacksolve import cli, lp, permmatch
+from stacksolve import cli, discretize, lp, permmatch
 from stacksolve.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_OK, main
 from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permmatch
 
@@ -72,6 +72,18 @@ def test_discretize_alias(tmp_path, capsys):
     assert result["slack"] == pytest.approx(0.4)
     assert result["leaderPayoff"] >= 7.5 - 0.4 - 1e-9
     assert result["gridSize"] == 101
+
+
+def test_discretize_reports_the_points_scored(tmp_path, capsys):
+    game = random_bimatrix(0, 4, 8)
+    path = write(tmp_path, "game.json", game.to_json_obj())
+    code, report = run_cli(capsys, "discretize", "-i", path, "--eps", "1/60")
+    assert code == EXIT_OK
+    result = report["result"]
+    assert result["gridSize"] == 39711
+    want = discretize.discretized_se(game, discretize.GridParams(60))
+    assert result["candidatesExamined"] == want.candidates_examined
+    assert 1 <= result["candidatesExamined"] < result["gridSize"] / 10
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

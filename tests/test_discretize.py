@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacksolve import discretize as dz
+from stacksolve import gen
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
@@ -75,7 +76,7 @@ def test_discretized_se_appendix_game():
     assert sol.leader_payoff == pytest.approx(8.5)
     assert sol.leader.probs == (0.7, 0.3)
     assert sol.grid_size == 101
-    assert sol.candidates_examined == 101
+    assert 1 <= sol.candidates_examined <= sol.grid_size
 
 
 def test_discretized_se_single_profile():
@@ -201,15 +202,18 @@ def test_grid_strategies_follow_composition_order():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, dz._CHUNK])
 def test_exact_ties_keep_the_first_point_and_lowest_column(monkeypatch, chunk):
-    # zero leader payoffs tie exactly everywhere, so the first grid point
-    # (0, ..., 0, 1) wins, with its lowest relaxed response
+    # equal leader payoffs tie exactly everywhere, so the first grid point
+    # (0, ..., 0, 1) wins, with its lowest relaxed response; every bound
+    # equals the incumbent, so no point is pruned
     monkeypatch.setattr(dz, "_CHUNK", chunk)
     rng = random.Random(chunk)
     for n, m, k in [(2, 3, 20), (3, 4, 9), (5, 2, 6)]:
-        game = BimatrixGame(np.zeros((n, m)), random_game_payoffs(rng, n, m).u_follower)
-        sol = dz.discretized_se(game, dz.GridParams(k))
-        assert sol.leader.probs == (0.0,) * (n - 1) + (1.0,)
-        assert sol.follower_response == min(dz.almost_best_responses(game, sol.leader, sol.slack))
+        for value in (0.0, 0.5):
+            game = BimatrixGame(np.full((n, m), value), random_game_payoffs(rng, n, m).u_follower)
+            sol = dz.discretized_se(game, dz.GridParams(k))
+            assert sol.leader.probs == (0.0,) * (n - 1) + (1.0,)
+            assert sol.follower_response == min(dz.almost_best_responses(game, sol.leader, sol.slack))
+            assert sol.candidates_examined == sol.grid_size
 
 
 @st.composite
@@ -237,10 +241,117 @@ def test_discretized_se_matches_reference(case, chunk):
         got = dz.discretized_se(game, params)
     want = discretized_se_reference(game, params)
     assert (got.slack, got.max_payoff) == (want.slack, want.max_payoff)
-    assert got.grid_size == got.candidates_examined == want.grid_size
+    assert got.grid_size == want.grid_size
+    assert 1 <= got.candidates_examined <= got.grid_size
     assert abs(got.leader_payoff - want.leader_payoff) <= ROUNDING_TOL
     if (got.leader, got.follower_response) == (want.leader, want.follower_response):
         assert abs(got.follower_payoff - want.follower_payoff) <= ROUNDING_TOL
     else:
         # a tie the two scans rounded differently
         assert got.follower_response in dz.almost_best_responses(game, got.leader, got.slack)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound over the grid prefixes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, dz._CHUNK])
+def test_grid_blocks_drop_the_rows_below_rejected_prefixes(monkeypatch, chunk):
+    # rejecting every prefix whose first numerator is odd drops exactly the
+    # rows that start with an odd numerator, at whatever depth it is seen
+    monkeypatch.setattr(dz, "_CHUNK", chunk)
+
+    def keep(prefixes, rems):
+        assert len(prefixes) == len(rems) >= 1
+        if prefixes.shape[1] == 0:
+            return np.ones(len(rems), dtype=bool)
+        return prefixes[:, 0] % 2 == 0
+
+    for n in range(3, 7):
+        for k in range(0, 11):
+            blocks = list(dz._grid_blocks(n, k, keep))
+            assert all(1 <= len(b) <= chunk for b in blocks)
+            want = [c for c in _compositions(n, k) if c[0] % 2 == 0]
+            assert [tuple(row) for b in blocks for row in b.tolist()] == want
+
+
+def test_pruning_skips_most_of_a_random_grid():
+    # a fixed game, so pruning cannot silently switch off
+    game, params = gen.random_bimatrix(0, 4, 8), dz.GridParams(60)
+    sol = dz.discretized_se(game, params)
+    assert sol.candidates_examined < sol.grid_size / 10
+    want = discretized_se_reference(game, params)
+    assert (sol.leader, sol.follower_response) == (want.leader, want.follower_response)
+    assert abs(sol.leader_payoff - want.leader_payoff) <= ROUNDING_TOL
+
+
+def test_pruned_scan_keeps_chunks_bounded_on_one_long_block(monkeypatch):
+    k = 2 * dz._CHUNK + 5
+    game = gen.random_bimatrix(1, 2, 5)
+    calls = []
+    blocks = dz._grid_blocks
+
+    def recorded(n, k, keep=None):
+        calls.append(keep is not None)
+        for rows in blocks(n, k, keep):
+            calls.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(dz, "_grid_blocks", recorded)
+    sol = dz.discretized_se(game, dz.GridParams(k))
+    assert calls[0] is True and calls[1:] and all(1 <= c <= dz._CHUNK for c in calls[1:])
+    assert sum(calls[1:]) == sol.candidates_examined
+    want = discretized_se_reference(game, dz.GridParams(k))
+    assert (sol.leader, sol.follower_response) == (want.leader, want.follower_response)
+
+
+@st.composite
+def scaled_grid_games(draw):
+    """Continuous random games, so exact ties do not occur, with n = 1..6,
+    m = 1..8 and k = 1..30. Half are scaled as a whole by 2**e, |e| <= 600;
+    the other half mix magnitudes, each entry scaled by its own 2**e with
+    |e| <= 300. Returns the game, the grid and M."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ul, uf = rng.uniform(-1.0, 1.0, (2, n, m))
+    if draw(st.booleans()):
+        scale = 2.0 ** draw(st.integers(-600, 600))
+        ul, uf = ul * scale, uf * scale
+    else:
+        ul = ul * 2.0 ** rng.integers(-300, 301, (n, m))
+        uf = uf * 2.0 ** rng.integers(-300, 301, (n, m))
+    game = BimatrixGame(ul, uf)
+    return game, dz.GridParams(k), dz.max_abs_payoff(game)
+
+
+@settings(max_examples=300)
+@given(scaled_grid_games())
+def test_pruning_holds_at_every_scale(case):
+    game, params, scale = case
+    got = dz.discretized_se(game, params)
+    want = discretized_se_reference(game, params)
+    assert (got.leader, got.follower_response) == (want.leader, want.follower_response)
+    assert abs(got.leader_payoff - want.leader_payoff) <= ROUNDING_TOL * scale
+    assert 1 <= got.candidates_examined <= got.grid_size
+
+
+def test_pruning_holds_on_subnormal_payoffs():
+    # every payoff is a few multiples of the smallest subnormal, so u M
+    # underflows and the margin is all eta. Underflow rounds the products
+    # of the first point (0, 0, 0.8, 0.1, 0.1) up to the vertex's payoff;
+    # with a margin of u M alone, its prefix's bound rounds below it and
+    # the scan drops the winner
+    tiny = 2.0**-1074
+    ul = np.array([[-7, 4], [-7, -3], [-11, 11], [3, 5], [-3, 7]]) * tiny
+    uf = np.array([[-1, 3], [-14, 12], [-2, 0], [-9, -6], [-4, -2]]) * tiny
+    game, params = BimatrixGame(ul, uf), dz.GridParams(30)
+    got = dz.discretized_se(game, params)
+    want = discretized_se_reference(game, params)
+    assert (got.leader, got.follower_response, got.leader_payoff) == (
+        want.leader,
+        want.follower_response,
+        want.leader_payoff,
+    )
+    assert got.leader.probs == (0.0, 0.0, 0.8, 0.1, 0.1)

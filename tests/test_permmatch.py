@@ -14,6 +14,7 @@ from .oracles import (
     all_matchings_bruteforce,
     bruteforce_3dm_value,
     common_dist,
+    extract_pitim_from_se,
     follower_best_response_bruteforce,
     is_3d_matching,
     lexmax_matching_bruteforce,
@@ -488,14 +489,14 @@ def test_extract_size_is_half_pitim_value():
 def test_extract_pitim_from_se_perfect_instance():
     inst = identity_instance([(0, 1), (2, 3)], 4)
     m = frozenset({0, 1})
-    got, value = pm.extract_pitim_from_se(inst, ((m, 1.0),), m)
+    got, value = extract_pitim_from_se(inst, m)
     assert got == m and value == 2  # n/2 with n = 4 vertices
 
 
 def test_extract_pitim_from_se_approx_output():
     inst = swap_instance()
-    strategy, response, _ = pm.approx_solve(inst, 0.01)
-    _, value = pm.extract_pitim_from_se(inst, strategy, response)
+    _, response, _ = pm.approx_solve(inst, 0.01)
+    _, value = extract_pitim_from_se(inst, response)
     assert value == 2
 
 
@@ -506,7 +507,7 @@ def test_extract_pitim_dominated_by_bruteforce():
         game, matchings = pm.explicit_bimatrix(inst)
         sol = solve_stackelberg(game)
         y = matchings[sol.follower_response]
-        _, value = pm.extract_pitim_from_se(inst, ((y, 1.0),), y)
+        _, value = extract_pitim_from_se(inst, y)
         assert value <= pm.bruteforce_pitim(inst)[1]
 
 
