@@ -289,42 +289,37 @@ def solve_nash_support_enumeration(game: BimatrixGame) -> list[tuple[MixedStrate
     found: list[tuple[MixedStrategy, MixedStrategy]] = []
     seen: set[tuple] = set()
     for k in range(1, min(n, m) + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(m), k):
-                x = _indifference_solution(uf, rows, cols, axis=0)
-                y = _indifference_solution(ul, rows, cols, axis=1)
+        for rows in map(list, itertools.combinations(range(n), k)):
+            for cols in map(list, itertools.combinations(range(m), k)):
+                x = _indifferent(uf[np.ix_(rows, cols)])
+                y = _indifferent(ul[np.ix_(rows, cols)].T)
                 if x is None or y is None:
                     continue
-                if not (_is_best_response_support(uf, x, rows, cols, axis=0)
-                        and _is_best_response_support(ul, y, rows, cols, axis=1)):
+                # every support strategy must be a best response to the other side's mix
+                fvals = x @ uf[rows, :]
+                lvals = ul[:, cols] @ y
+                if not ((fvals[cols] >= fvals.max() - NEAR_BEST).all()
+                        and (lvals[rows] >= lvals.max() - NEAR_BEST).all()):
                     continue
-                xs = _embed(x, rows, n)
-                ys = _embed(y, cols, m)
-                key = (tuple(round(v, 9) for v in xs), tuple(round(v, 9) for v in ys))
+                xs, ys = np.zeros(n), np.zeros(m)
+                xs[rows], ys[cols] = x, y
+                key = (tuple(round(v, 9) for v in xs.tolist()), tuple(round(v, 9) for v in ys.tolist()))
                 if key not in seen:
                     seen.add(key)
-                    found.append((MixedStrategy(xs), MixedStrategy(ys)))
+                    found.append((MixedStrategy(tuple(xs)), MixedStrategy(tuple(ys))))
     return found
 
 
-def _indifference_solution(payoff, rows, cols, axis):
-    """Mix over one side's support making the other side indifferent.
+def _indifferent(mat):
+    """Weights on the rows of the k x k block ``mat`` that make its columns pay the same.
 
-    axis=0: solve for row-player weights equalizing the column payoffs in
-    ``cols`` (uses the column player's matrix); axis=1 is the transpose case.
+    Solves the k - 1 differences of consecutive columns, plus a row of ones
+    for the sum; None if there is no such mixture.
     """
-    mat = payoff[np.ix_(rows, cols)]
-    if axis == 1:
-        mat = mat.T
-    k = mat.shape[0]
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    for i in range(k - 1):
-        a[i, :] = mat[:, i] - mat[:, i + 1]
-    a[k - 1, :] = 1.0
-    b[k - 1] = 1.0
+    k = len(mat)
+    a = np.vstack(((mat[:, :-1] - mat[:, 1:]).T, np.ones(k)))
     try:
-        w = np.linalg.solve(a, b)
+        w = np.linalg.solve(a, np.eye(k)[-1])
     except np.linalg.LinAlgError:
         return None
     if np.any(w < -PROBABILITY):
@@ -334,22 +329,3 @@ def _indifference_solution(payoff, rows, cols, axis):
     if s <= 0:
         return None
     return w / s
-
-
-def _is_best_response_support(payoff, weights, rows, cols, axis):
-    """Check every support pure strategy is a best response to the mix."""
-    if axis == 0:
-        vals = weights @ payoff[list(rows), :]
-        support = cols
-    else:
-        vals = payoff[:, list(cols)] @ weights
-        support = rows
-    best = vals.max()
-    return all(vals[s] >= best - NEAR_BEST for s in support)
-
-
-def _embed(weights, support, size) -> tuple[float, ...]:
-    full = [0.0] * size
-    for w, s in zip(weights, support):
-        full[s] = float(w)
-    return tuple(full)

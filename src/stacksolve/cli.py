@@ -152,7 +152,7 @@ def _run_bimatrix(args) -> dict:
     elif method == "discretize":
         if args.eps is None:
             raise InputError("--eps is required for the discretize method")
-        params = discretize.GridParams.from_eps(_parse_eps(args.eps))
+        params = discretize.GridParams.from_eps(args.eps)
         sol = discretize.discretized_se(game, params)
         if sol.follower_response not in discretize.almost_best_responses(game, sol.leader, sol.slack):
             raise ToolkitError("discretized response failed the almost-best-response check")
@@ -211,7 +211,7 @@ def _run_pm(args) -> dict:
     eps = float(_parse_eps(args.eps)) if args.eps else 0.01
     if args.action == "approx":
         strategy, response, value = permmatch.approx_solve(inst, eps)
-        x, xp = permmatch.greedy_pair(inst)
+        (x, _), (xp, _) = strategy.support
         shared = len(x & inst.pi_image(xp))
         result = {
             "action": "approx",

@@ -9,6 +9,9 @@ is a ``2*n*eps*M``-approximate commitment solution: its leader payoff is at
 most that much below the exact optimum, and its response is that close to a
 follower best response.
 
+One mask, ``_within_slack``, admits responses down to best - slack - ZERO;
+the checkers, which evaluate payoffs anew, add ``tolerances.rounding(n, M)``.
+
 Grid points are enumerated as integer numerators over k, so membership in
 the grid is exact; only payoff evaluation uses floats. The enumeration is
 stars and bars in numpy: the first n - 2 numerators (a prefix) with
@@ -40,7 +43,7 @@ import numpy as np
 
 from .bimatrix import BimatrixGame, MixedStrategy
 from .errors import InputError, SizeLimitError
-from .tolerances import EQUAL, ZERO
+from .tolerances import EQUAL, ZERO, rounding
 
 DEFAULT_GRID_CAP = 10_000_000
 _CHUNK = 8192
@@ -180,13 +183,23 @@ def max_abs_payoff(game: BimatrixGame) -> float:
     return float(max(np.abs(game.u_leader).max(), np.abs(game.u_follower).max()))
 
 
+def _within_slack(fvals: np.ndarray, slack: float) -> np.ndarray:
+    """Mask of the follower payoffs (one row, or rows) within ``slack`` and ``ZERO`` of their row's best."""
+    return fvals >= fvals.max(axis=-1, keepdims=True) - slack - ZERO
+
+
 def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
-    """Columns whose follower payoff is within ``slack`` (and the ``ZERO`` margin) of the best one."""
+    """Columns whose follower payoff against ``x`` is within ``slack`` of the best one.
+
+    It evaluates x . uF anew, so it admits ``tolerances.rounding(n, M)`` more
+    than the scan of ``discretized_se``: every response the scan admits.
+    """
     if slack < 0:
         raise InputError("slack must be nonnegative")
     strat = x if isinstance(x, MixedStrategy) else MixedStrategy(tuple(x))
     vals = strat.as_array() @ game.u_follower
-    return {j for j in range(game.m) if vals[j] >= vals.max() - slack - ZERO}
+    mask = _within_slack(vals, slack + rounding(game.n, max_abs_payoff(game)))
+    return set(np.flatnonzero(mask).tolist())
 
 
 def discretized_se(
@@ -210,16 +223,9 @@ def discretized_se(
     with every point below it, when its float B(p) is below the incumbent
     (the best payoff scored so far) minus ``margin``.
 
-    Margin: ``margin = 4 (n + 2) (u M + eta)``, with u = 2**-53 the unit
-    roundoff and eta = 2**-1074 the smallest subnormal. B(p) and a scored
-    payoff are each a float dot product of at most n + 1 terms with
-    |x_i| <= 1 and |uL| <= M, after the rounding of c_i/k; each product can
-    also lose up to eta/2 to underflow. So each is within
-    (n + 2)(u M + eta) of its real value, to first order, and the factor 2
-    covers the higher-order terms and the rounding of
-    ``incumbent - margin``. Every point below a dropped prefix thus scores
-    strictly below the incumbent, so it would lose the strict comparison
-    anyway.
+    Margin: ``margin = tolerances.rounding(n, M)``, derived there, bounds how
+    far the float B(p) and a scored payoff part. Every point below a dropped
+    prefix thus scores strictly below the incumbent, so would lose anyway.
 
     Incumbent: it starts at the best vertex k e_i, scored exactly (one
     weight of 1.0), so pruning works from the first chunk on. The scan
@@ -230,7 +236,7 @@ def discretized_se(
     n, k = game.n, params.k
     big_m = max_abs_payoff(game)
     slack = 2.0 * n * params.eps * big_m
-    margin = 4 * (n + 2) * (2.0**-53 * big_m + 2.0**-1074)
+    margin = rounding(n, big_m)
     ul = game.u_leader
     uf = game.u_follower
     tails = np.maximum.accumulate(ul[::-1], axis=0)[::-1]  # tails[d] = max_{i>=d} ul[i]
@@ -239,7 +245,7 @@ def discretized_se(
     columns = [np.vstack((ul[:d], tails[d])).T.copy() for d in range(n - 1)]
 
     # the vertex k e_i scores row i of the payoff matrices, exactly
-    incumbent = float(np.where(uf >= uf.max(axis=1, keepdims=True) - slack - ZERO, ul, -np.inf).max())
+    incumbent = float(np.where(_within_slack(uf, slack), ul, -np.inf).max())
 
     def keep(prefixes, rems):
         d = prefixes.shape[1]
@@ -255,10 +261,7 @@ def discretized_se(
         examined += len(rows)
         xs = rows / k
         fvals = xs @ uf
-        lvals = xs @ ul
-        tops = fvals.max(axis=1, keepdims=True)
-        allowed = fvals >= tops - slack - ZERO
-        masked = np.where(allowed, lvals, -np.inf)
+        masked = np.where(_within_slack(fvals, slack), xs @ ul, -np.inf)
         # the flat argmax is the first row holding the chunk's maximum, and
         # its lowest column holding it; the strict > keeps earlier chunks
         i, j = divmod(int(masked.argmax()), game.m)
@@ -282,14 +285,12 @@ def discretized_se(
 def verify_eps_approx(game: BimatrixGame, sol: ApproxSolution, exact_leader_payoff: float) -> bool:
     """Recheck both approximation clauses with eps = sol.slack.
 
-    The follower must be within ``slack`` of its best response against the
-    recorded leader strategy, and the leader payoff at most ``slack`` below
-    the exact commitment value (values above it are legal because the
-    follower is relaxed).
+    The response must be among ``almost_best_responses`` to the recorded
+    leader strategy, and the leader payoff at most ``slack`` (and ``EQUAL``)
+    below the exact commitment value (values above it are legal because
+    the follower is relaxed).
     """
-    xv = sol.leader.as_array()
-    fvals = xv @ game.u_follower
-    if fvals[sol.follower_response] < fvals.max() - sol.slack - EQUAL:
+    if sol.follower_response not in almost_best_responses(game, sol.leader, sol.slack):
         return False
     return sol.leader_payoff >= exact_leader_payoff - sol.slack - EQUAL
 

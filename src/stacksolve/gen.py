@@ -34,7 +34,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) / 2.0**53
 
     def next_below(self, n: int) -> int:
         if n <= 0:

@@ -28,9 +28,31 @@ GUARANTEE = 1e-7
 # Support enumeration: a support strategy within this of the best payoff.
 NEAR_BEST = 1e-8
 # Zero and the float margin: values above it are nonzero (printed supports,
-# granted incentives, positive path rewards); the eps-grid solver and its
-# checker both admit responses down to best - slack - ZERO.
+# granted incentives, positive path rewards). The eps-grid scan admits
+# responses down to best - slack - ZERO, and its checkers ``rounding`` more.
 ZERO = 1e-12
+
+
+def rounding(n: int, scale: float) -> float:
+    """How far two float evaluations of eps-grid payoffs may part: 4 (n + 2)(u scale + eta).
+
+    u = 2**-53 is the unit roundoff and eta = 2**-1074 the smallest
+    subnormal. A float dot product x . c of at most n + 1 terms, x on the
+    simplex and |c| <= scale, is within (n + 1) u scale of its real value to
+    first order in any summation order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1); each product can lose eta/2 to
+    underflow. Pruning in ``discretize.discretized_se`` sets a leader bound
+    against the incumbent: with the rounding of the weights c_i/k, each is
+    within e = (n + 2)(u scale + eta) of its real value, they part by at
+    most 2e, and the factor 2 covers the higher-order terms and the rounding
+    of ``incumbent - margin``. The checkers set a single-row x . uF against
+    the scan's chunk product of the same float x: a column's value and its
+    row's best each part by at most 2n (u scale + eta), and the 8 (u scale
+    + eta) left covers the five roundings of best - slack - ZERO on both
+    sides, about 6 u scale: near that boundary best - slack is about the
+    column's value (at most scale), and slack at most 2 scale.
+    """
+    return 4 * (n + 2) * (2.0**-53 * scale + 2.0**-1074)
 
 
 def probabilities(values: Iterable[float], what: str) -> tuple[float, ...]:

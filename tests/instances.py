@@ -26,6 +26,20 @@ def random_game_payoffs(rng, n: int, m: int, low: float = 0.0, high: float = 1.0
     return BimatrixGame(np.asarray(ul), np.asarray(uf))
 
 
+def sevenths_game(scale: float, ul, uf) -> BimatrixGame:
+    """The game whose payoffs are v * scale / 7 for the integers v of ``ul`` and ``uf``."""
+    return BimatrixGame(np.asarray(ul) * scale / 7, np.asarray(uf) * scale / 7)
+
+
+# (game, eps) pairs where the eps-grid's chunk scan admits column 3 at
+# best - slack - ZERO or just above, while a single-row product of the same
+# x puts it below, by 2.9e-11 in A and 3.0e-8 in B: far more than ZERO.
+BOUNDARY_GAMES = {
+    "A": (sevenths_game(1e6, [[-1, 1, -1, 3], [-2, -2, -2, -1]], [[1, 1, 0, -3], [-3, 0, -2, 2]]), "1/6"),
+    "B": (sevenths_game(1e9, [[-3, -1, -1, 2], [2, -2, -2, 2]], [[1, 0, 3, 2], [-3, -3, 3, -3]]), "1/7"),
+}
+
+
 @st.composite
 def bimatrix_games(draw, max_n: int, max_m: int) -> BimatrixGame:
     """Hypothesis games: payoffs in [0, 1] or small integers 0-3; 1 x m and n x 1 shapes included."""

@@ -8,7 +8,7 @@ from stacksolve import cli, discretize, lp, permmatch
 from stacksolve.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_OK, main
 from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permmatch
 
-from .instances import commit_instance
+from .instances import BOUNDARY_GAMES, commit_instance
 from stacksolve.incentive import incentive_to_json_obj
 from stacksolve.permmatch import permmatch_to_json_obj
 
@@ -84,6 +84,24 @@ def test_discretize_reports_the_points_scored(tmp_path, capsys):
     want = discretize.discretized_se(game, discretize.GridParams(60))
     assert result["candidatesExamined"] == want.candidates_examined
     assert 1 <= result["candidatesExamined"] < result["gridSize"] / 10
+
+
+@pytest.mark.parametrize("name", BOUNDARY_GAMES)
+def test_discretize_accepts_a_response_on_the_slack_boundary(tmp_path, capsys, name):
+    # the CLI rechecks the response with almost_best_responses, which must
+    # admit what the scan admitted on the slack boundary
+    game, eps = BOUNDARY_GAMES[name]
+    path = write(tmp_path, "game.json", game.to_json_obj())
+    code, report = run_cli(capsys, "discretize", "-i", path, "--eps", eps)
+    assert code == EXIT_OK
+    assert report["result"]["followerResponse"] == 3
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0", "2/3", "0"])
+def test_discretize_bad_eps_exit_2(tmp_path, capsys, eps):
+    path = write(tmp_path, "game.json", APPENDIX)
+    assert main(["solve-bimatrix", "-i", path, "--method", "discretize", "--eps", eps]) == EXIT_INPUT
+    capsys.readouterr()
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from stacksolve import gen
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
-from .instances import bimatrix_games, random_game_payoffs
+from .instances import BOUNDARY_GAMES, bimatrix_games, random_game_payoffs, sevenths_game
 from .oracles import _compositions, discretized_se_reference, grid_strategies
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -134,6 +134,31 @@ def test_exact_on_grid_with_zero_slack_possible():
     sol = dz.discretized_se(game, dz.GridParams(2))
     exact = solve_stackelberg(game).leader_payoff
     assert sol.leader_payoff == exact == 2.0
+
+
+@pytest.mark.parametrize("name", BOUNDARY_GAMES)
+def test_checkers_accept_a_response_on_the_slack_boundary(name):
+    game, eps = BOUNDARY_GAMES[name]
+    sol = dz.discretized_se(game, dz.GridParams.from_eps(eps))
+    assert sol.follower_response == 3
+    assert 3 in dz.almost_best_responses(game, sol.leader, sol.slack)
+    assert dz.verify_eps_approx(game, sol, solve_stackelberg(game, exact=True).leader_payoff)
+
+
+def test_checkers_accept_every_answer_at_large_payoff_scales():
+    # 2 x 4 games of v * s / 7 with v = -3..3 and s = 1e5..1e9, whose
+    # columns often land on the slack boundary; in a few of them the
+    # checkers' single-row product puts the scan's response below
+    # best - slack - ZERO
+    rng = random.Random(1)
+    for trial in range(1000):
+        k, scale = rng.randint(2, 8), 10.0 ** rng.randint(5, 9)
+        ul = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
+        uf = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
+        game = sevenths_game(scale, ul, uf)
+        sol = dz.discretized_se(game, dz.GridParams(k))
+        assert sol.follower_response in dz.almost_best_responses(game, sol.leader, sol.slack), trial
+        assert dz.verify_eps_approx(game, sol, solve_stackelberg(game).leader_payoff), trial
 
 
 def test_verify_eps_approx_rejects_bad_response():

@@ -20,7 +20,8 @@ from stacksolve.errors import InputError
 from stacksolve.incentive import IncentiveLeaderStrategy
 
 PACKAGE = Path(tolerances.__file__).parent
-FLOAT_LITERAL = re.compile(r"\d(\.\d*)?e-\d+")
+# 1e-9 style literals, and negative powers of two such as 2.0**-53
+FLOAT_LITERAL = re.compile(r"\d(\.\d*)?e-\d+|\b2(\.0*)?\s*\*\*\s*-")
 TOLERANCE_CONSTANT = re.compile(r"^\w+_(TOL|MARGIN)\s*(:[^=]*)?=(?!=)")
 TOL = tolerances.PROBABILITY
 
@@ -49,7 +50,10 @@ def test_guard_flags_literals_and_constants():
     assert policy_violations("RELAXED_MARGIN: float = EQUAL\n") != []
     assert policy_violations("    if p > 1e-12:\n") != []
     assert policy_violations("    verifies V >= -W - 1.5e-7.\n") != []
+    assert policy_violations("    margin = 4 * (n + 2) * (2.0**-53 * big_m + 2.0**-1074)\n") != []
+    assert policy_violations("    tiny = 2 ** -1074\n") != []
     assert policy_violations("if a.TIE_TOL == b:\nkey = round(v, 9)\n") == []
+    assert policy_violations("return (self.next_u64() >> 11) / 2.0**53\nx = 12**-1\n") == []
 
 
 def _widest_accepted_sum(side: float) -> float:
