@@ -23,13 +23,17 @@ scored with one pair of matrix products.
 
 The prefixes form a tree, and ``discretized_se`` searches it by branch and
 bound (Land & Doig 1960). A prefix's bound is the best leader payoff any
-point below it could reach if the follower were ignored: the numerators
-fixed so far, plus the remaining mass on the best leader row left for each
-column. A prefix whose bound falls below the best payoff scored so far, by
-more than the float rounding of the two (see ``discretized_se``), is
-dropped unscored. The answer is the one the full scan gives, up to the
-chunk rounding of exact ties that ``discretized_se`` describes; only
-``candidates_examined`` shows the points skipped.
+point below it could reach: the numerators fixed so far, plus the
+remaining mass on the best leader row left for each column, over the
+columns the relaxed follower could still take. A column is ruled out
+below a prefix when even its follower payoff with the remaining mass on
+its best row falls short, by more than the slack, of what another column
+gives with the remaining mass on its worst row. A prefix whose bound falls
+below the best payoff scored so far, by more than the float rounding of
+the two (see ``discretized_se``), is dropped unscored. Both bounds come from
+one matrix product per run of prefixes. The answer is the one the full scan
+gives, up to the chunk rounding of exact ties that ``discretized_se``
+describes; only ``candidates_examined`` shows the points skipped.
 """
 
 from __future__ import annotations
@@ -184,8 +188,11 @@ def max_abs_payoff(game: BimatrixGame) -> float:
 
 
 def _within_slack(fvals: np.ndarray, slack: float) -> np.ndarray:
-    """Mask of the follower payoffs (one row, or rows) within ``slack`` and ``ZERO`` of their row's best."""
-    return fvals >= fvals.max(axis=-1, keepdims=True) - slack - ZERO
+    """Mask of the follower payoffs (rows) within ``slack`` and ``ZERO`` of their row's best."""
+    # a max along short rows is several times slower than down the columns
+    # of the transposed copy; max is exact, so the bits are the same
+    best = np.ascontiguousarray(fvals.T).max(axis=0)
+    return fvals >= (best - slack - ZERO)[:, None]
 
 
 def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
@@ -197,9 +204,9 @@ def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
     if slack < 0:
         raise InputError("slack must be nonnegative")
     strat = x if isinstance(x, MixedStrategy) else MixedStrategy(tuple(x))
-    vals = strat.as_array() @ game.u_follower
+    vals = strat.as_array()[None, :] @ game.u_follower
     mask = _within_slack(vals, slack + rounding(game.n, max_abs_payoff(game)))
-    return set(np.flatnonzero(mask).tolist())
+    return set(np.flatnonzero(mask[0]).tolist())
 
 
 def discretized_se(
@@ -216,16 +223,32 @@ def discretized_se(
     wins can then depend on where the chunk boundaries fall, and pruning
     shapes the chunks too.
 
-    Bound: a prefix p of length d with remainder R bounds the payoff of
-    every point below it by
-    B(p) = max_j [sum_{i<d} (p_i/k) uL[i,j] + (R/k) max_{i>=d} uL[i,j]],
-    since the relaxed follower only masks columns. A prefix is dropped,
-    with every point below it, when its float B(p) is below the incumbent
-    (the best payoff scored so far) minus ``margin``.
+    Bound: a prefix p of length d with remainder R bounds column j's
+    payoffs u = uL or uF at every point below it by
+    hi_j(p) = sum_{i<d} (p_i/k) u[i,j] + (R/k) max_{i>=d} u[i,j]
+    from above and by lo_j(p), the same with min, from below. Every point
+    below p gives some follower column at least max_l lo_l(p), so the
+    relaxed follower never takes a column j whose follower
+    hi_j(p) < max_l lo_l(p) - slack - ZERO - 2 margin. The leader bound
+    B(p) is the largest leader hi_j(p) over the columns left. A prefix is
+    dropped, with every point below it, when its float B(p) is below the
+    incumbent (the best payoff scored so far) minus ``margin``.
 
     Margin: ``margin = tolerances.rounding(n, M)``, derived there, bounds how
     far the float B(p) and a scored payoff part. Every point below a dropped
     prefix thus scores strictly below the incumbent, so would lose anyway.
+    Dropping a column takes twice that. With e = margin / 4, each float
+    hi_j, lo_l and scored follower payoff is within e of its real value, so
+    a scored payoff of column j is at most the float hi_j + 2e and its row's
+    best at least the float max_l lo_l - 2e: one margin. The other covers
+    the five float subtractions of the two thresholds, the scan's and this
+    one. A column is dropped only when both lie within M + 3e of 0, so each
+    rounds by at most u (M + 3e) + eta (u and eta as there), and five of
+    those are below 4 (n + 2)(u M + eta). A dropped column thus fails the
+    scan's mask at every point below p, and B(p) still bounds every payoff
+    the scan records there.
+    Where no column is dropped, which is where the follower cannot rule one
+    out, B(p) is the leader-only bound.
 
     Incumbent: it starts at the best vertex k e_i, scored exactly (one
     weight of 1.0), so pruning works from the first chunk on. The scan
@@ -239,10 +262,17 @@ def discretized_se(
     margin = rounding(n, big_m)
     ul = game.u_leader
     uf = game.u_follower
-    tails = np.maximum.accumulate(ul[::-1], axis=0)[::-1]  # tails[d] = max_{i>=d} ul[i]
-    # B(p) is the largest entry of columns[d] @ (p, R) / k; row j of
-    # columns[d] is (uL[:d, j], tails[d, j])
-    columns = [np.vstack((ul[:d], tails[d])).T.copy() for d in range(n - 1)]
+    m = game.m
+    stacked = np.hstack((ul, uf, uf))
+    # tails[d]: the column maxima of uL[d:] and uF[d:], then the minima of uF[d:]
+    tails = np.hstack((
+        np.maximum.accumulate(stacked[::-1, : 2 * m], axis=0)[::-1],
+        np.minimum.accumulate(uf[::-1], axis=0)[::-1],
+    ))
+    # row j of columns[d] is (stacked[:d, j], tails[d, j]), so one product
+    # with (p, R) / k gives the leader's hi_j, then the follower's hi_j and lo_j
+    columns = [np.vstack((stacked[:d], tails[d])).T.copy() for d in range(n - 1)]
+    exclusion_margin = 2 * margin  # see "Margin" above
 
     # the vertex k e_i scores row i of the payoff matrices, exactly
     incumbent = float(np.where(_within_slack(uf, slack), ul, -np.inf).max())
@@ -253,7 +283,10 @@ def discretized_se(
         weights = np.empty((d + 1, len(rems)))
         np.divide(prefixes.T, k, out=weights[:d])
         np.divide(rems, k, out=weights[d])
-        return (columns[d] @ weights).max(axis=0) >= incumbent - margin
+        vals = columns[d] @ weights
+        lead, f_hi, f_lo = vals[:m], vals[m : 2 * m], vals[2 * m :]
+        reachable = f_hi >= f_lo.max(axis=0) - slack - ZERO - exclusion_margin
+        return np.where(reachable, lead, -np.inf).max(axis=0) >= incumbent - margin
 
     best: tuple[float, list[int], int, float] | None = None  # payoff, numerators, j, fpay
     examined = 0

@@ -10,10 +10,14 @@ makes finding a matching identical to its pi-image (pi-TIM) as hard as
 maximum 3-dimensional matching.
 
 Both best responses run one exact branch-and-bound matcher at any size.
-The brute forces all scan ``enumerate_matchings``: ``explicit_bimatrix``
-(capped at 4096 matchings), ``bruteforce_pitim`` with the CLI's
-``pm bruteforce``, and ``opt_pure_pair``, the largest matching whose
-pi-image is a matching; the last two are capped at 12 edges.
+It bounds a partial matching by the remaining candidates' total weight
+first, and when that does not prune, by half the heaviest free remaining
+candidate at each free vertex, since a vertex takes one edge; its worst
+case is still exponential in the number of edges. The brute forces all
+scan ``enumerate_matchings``: ``explicit_bimatrix`` (capped at 4096
+matchings), ``bruteforce_pitim`` with the CLI's ``pm bruteforce``, and
+``opt_pure_pair``, the largest matching whose pi-image is a matching; the
+last two are capped at 12 edges.
 """
 
 from __future__ import annotations
@@ -148,7 +152,24 @@ def max_weight_matching(
     edge-id set, which keeps results reproducible across runs. Edges with
     negative weight, or with zero weight and no positive tie weight, are
     never included. Candidates are branched on in order of
-    ``(-weight, -tie weight, id)`` so that a heavy incumbent comes first.
+    ``(-weight, -tie weight, id)``, taking a candidate before leaving it
+    out, so that a heavy incumbent comes first.
+
+    Bound: a node has decided the candidates before position ``idx``. The
+    sum of the remaining candidates' weights (and positive tie weights)
+    bounds its completion; this O(1) test runs first. When it does not
+    prune, the completion is bounded by the sum over free vertices v of
+    half the weight of the heaviest remaining candidate at v with both ends
+    free: an edge is worth at most half of each end's heaviest, and a
+    vertex takes one edge. One scan of the weight-sorted candidates finds
+    it, stopping once the running sum passes the incumbent by ``EQUAL``
+    (nothing could be pruned then); the tie bound is the sum of the free
+    candidates' positive tie weights. A node is dropped only when none of
+    its leaves could be accepted, so the answer is the exhaustive search's.
+    The worst case is still exponential in the number of edges.
+
+    The search runs on an explicit stack, so the number of edges is not
+    limited by Python's recursion depth.
     """
     ties = [0.0] * graph.num_edges if tie_weights is None else tie_weights
     if len(weights) != graph.num_edges or len(ties) != graph.num_edges:
@@ -159,42 +180,70 @@ def max_weight_matching(
         (e for e in range(graph.num_edges) if weights[e] > 0 or (weights[e] == 0 and ties[e] > 0)),
         key=lambda e: (-weights[e], -ties[e], e),
     )
-    suffix_w = [0.0] * (len(cand) + 1)
-    suffix_t = [0.0] * (len(cand) + 1)
-    for i in range(len(cand) - 1, -1, -1):
-        suffix_w[i] = suffix_w[i + 1] + weights[cand[i]]
-        suffix_t[i] = suffix_t[i + 1] + max(ties[cand[i]], 0.0)
+    n = len(cand)
+    w = [float(weights[e]) for e in cand]
+    t = [float(ties[e]) for e in cand]
+    half = [0.5 * x for x in w]
+    # endpoints relabelled 0..V'-1 in candidate order; a candidate's two
+    # ends are the bits of an int
+    label: dict[int, int] = {}
+    ends = []
+    for e in cand:
+        u, v = graph.edges[e]
+        lu = label.setdefault(u, len(label))
+        ends.append((1 << lu) | (1 << label.setdefault(v, len(label))))
+    suffix_w = [0.0] * (n + 1)
+    suffix_t = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_w[i] = suffix_w[i + 1] + w[i]
+        suffix_t[i] = suffix_t[i + 1] + max(t[i], 0.0)
     best_w, best_t = 0.0, 0.0
     best_set: tuple[int, ...] = ()
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def recurse(idx: int, total: float, tie: float) -> None:
-        nonlocal best_w, best_t, best_set
+    # a node: first undecided position, weight and tie weight so far, the
+    # used vertex bits, and the chosen edge ids as a linked list (id, rest)
+    stack: list[tuple[int, float, float, int, tuple]] = [(0, 0.0, 0.0, 0, ())]
+    while stack:
+        idx, total, tie, used, chosen = stack.pop()
         bound = total + suffix_w[idx]
-        if bound < best_w - EQUAL or (
-            bound <= best_w + EQUAL and tie + suffix_t[idx] < best_t - EQUAL
-        ):
-            return
-        if idx == len(cand):
-            key = tuple(sorted(chosen))
-            if total > best_w + EQUAL or (
-                total >= best_w - EQUAL
-                and (tie > best_t + EQUAL or (tie >= best_t - EQUAL and key < best_set))
-            ):
-                best_w, best_t, best_set = total, tie, key
-            return
-        e = cand[idx]
-        u, v = graph.edges[e]
-        if u not in used and v not in used:
-            chosen.append(e)
-            used.update((u, v))
-            recurse(idx + 1, total + weights[e], tie + ties[e])
-            used.difference_update((u, v))
-            chosen.pop()
-        recurse(idx + 1, total, tie)
-
-    recurse(0, 0.0, 0.0)
+        if bound < best_w - EQUAL or (bound <= best_w + EQUAL and tie + suffix_t[idx] < best_t - EQUAL):
+            continue
+        limit = best_w + EQUAL
+        bound = total
+        free_ties = 0.0
+        seen = 0
+        first = -1  # the first free candidate at or after idx
+        for pos in range(idx, n):
+            ends_pos = ends[pos]
+            if used & ends_pos:
+                continue
+            if first < 0:
+                first = pos
+            fresh = ends_pos & ~seen
+            if fresh:
+                seen |= ends_pos
+                bound += w[pos] if fresh == ends_pos else half[pos]
+                if bound > limit:
+                    break
+            if t[pos] > 0:
+                free_ties += t[pos]
+        else:
+            if bound < best_w - EQUAL or (bound <= limit and tie + free_ties < best_t - EQUAL):
+                continue
+            if first < 0:  # a leaf: no remaining candidate fits
+                ids = []
+                while chosen:
+                    e, chosen = chosen
+                    ids.append(e)
+                key = tuple(sorted(ids))
+                if total > best_w + EQUAL or (
+                    total >= best_w - EQUAL
+                    and (tie > best_t + EQUAL or (tie >= best_t - EQUAL and key < best_set))
+                ):
+                    best_w, best_t, best_set = total, tie, key
+                continue
+        # leave candidate ``first`` out after taking it: the stack is LIFO
+        stack.append((first + 1, total, tie, used, chosen))
+        stack.append((first + 1, total + w[first], tie + t[first], used | ends[first], (cand[first], chosen)))
     return frozenset(best_set)
 
 

@@ -45,12 +45,17 @@ def rounding(n: int, scale: float) -> float:
     against the incumbent: with the rounding of the weights c_i/k, each is
     within e = (n + 2)(u scale + eta) of its real value, they part by at
     most 2e, and the factor 2 covers the higher-order terms and the rounding
-    of ``incumbent - margin``. The checkers set a single-row x . uF against
-    the scan's chunk product of the same float x: a column's value and its
-    row's best each part by at most 2n (u scale + eta), and the 8 (u scale
-    + eta) left covers the five roundings of best - slack - ZERO on both
-    sides, about 6 u scale: near that boundary best - slack is about the
-    column's value (at most scale), and slack at most 2 scale.
+    of ``incumbent - margin``. The same pruning drops a follower column whose
+    follower bound is below another column's lower bound by more than the
+    slack, ZERO and twice this margin: one covers the bounds against the
+    scanned payoffs (2e on each side), the other the five roundings of the
+    two thresholds, each about u scale when a column is dropped. The
+    checkers set a single-row x . uF against the scan's chunk product of
+    the same float x: a column's value and its row's best each part by at
+    most 2n (u scale + eta), and the 8 (u scale + eta) left covers the five
+    roundings of best - slack - ZERO on both sides, about 6 u scale: near
+    that boundary best - slack is about the column's value (at most scale),
+    and slack at most 2 scale.
     """
     return 4 * (n + 2) * (2.0**-53 * scale + 2.0**-1074)
 

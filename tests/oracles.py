@@ -7,8 +7,9 @@ differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
-``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs) and
-``discretized_se_reference`` (the grid enumeration and chunk scan).
+``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs),
+``discretized_se_reference`` (the grid enumeration and chunk scan) and
+``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
 It also holds two helpers only the tests use, ``realized_maximin_profile``
 and ``extract_pitim_from_se``.
 """
@@ -27,7 +28,7 @@ from stacksolve import lp
 from stacksolve import permmatch as pm
 from stacksolve.errors import LpNumericalError
 from stacksolve.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
-from stacksolve.tolerances import LP_FEASIBILITY
+from stacksolve.tolerances import EQUAL, LP_FEASIBILITY
 from stacksolve.bimatrix import (
     MixedStrategy,
     StackelbergSolution,
@@ -458,6 +459,59 @@ def max_weight_matching_bruteforce(num_vertices: int, edges, weights) -> tuple[f
             best_w = w
             best_m = m
     return best_w, best_m
+
+
+def suffix_bound_matching(graph, weights, tie_weights=None) -> frozenset[int]:
+    """``permmatch.max_weight_matching`` as it searched before its vertex bound.
+
+    The same candidates, branching order, acceptance and tie rules, bounded
+    only by the sums of the remaining candidates' weights and positive tie
+    weights, and recursing once per candidate. It visits every leaf the
+    vertex-bounded search could accept, so the two must return the same edge
+    set; it reaches edge counts brute force cannot.
+    """
+    ties = [0.0] * graph.num_edges if tie_weights is None else tie_weights
+    cand = sorted(
+        (e for e in range(graph.num_edges) if weights[e] > 0 or (weights[e] == 0 and ties[e] > 0)),
+        key=lambda e: (-weights[e], -ties[e], e),
+    )
+    suffix_w = [0.0] * (len(cand) + 1)
+    suffix_t = [0.0] * (len(cand) + 1)
+    for i in range(len(cand) - 1, -1, -1):
+        suffix_w[i] = suffix_w[i + 1] + weights[cand[i]]
+        suffix_t[i] = suffix_t[i + 1] + max(ties[cand[i]], 0.0)
+    best_w, best_t = 0.0, 0.0
+    best_set: tuple[int, ...] = ()
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def recurse(idx: int, total: float, tie: float) -> None:
+        nonlocal best_w, best_t, best_set
+        bound = total + suffix_w[idx]
+        if bound < best_w - EQUAL or (
+            bound <= best_w + EQUAL and tie + suffix_t[idx] < best_t - EQUAL
+        ):
+            return
+        if idx == len(cand):
+            key = tuple(sorted(chosen))
+            if total > best_w + EQUAL or (
+                total >= best_w - EQUAL
+                and (tie > best_t + EQUAL or (tie >= best_t - EQUAL and key < best_set))
+            ):
+                best_w, best_t, best_set = total, tie, key
+            return
+        e = cand[idx]
+        u, v = graph.edges[e]
+        if u not in used and v not in used:
+            chosen.append(e)
+            used.update((u, v))
+            recurse(idx + 1, total + weights[e], tie + ties[e])
+            used.difference_update((u, v))
+            chosen.pop()
+        recurse(idx + 1, total, tie)
+
+    recurse(0, 0.0, 0.0)
+    return frozenset(best_set)
 
 
 def lexmax_matching_bruteforce(num_vertices: int, edges, weights, ties) -> frozenset[int]:

@@ -333,6 +333,16 @@ def test_pm_approx_breaks_ties_for_the_leader_above_twelve_edges(tmp_path, fresh
     assert json.loads(out.stdout)["result"]["leaderPayoff"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("action", ["approx", "bestresponse"])
+def test_pm_actions_take_1200_disjoint_edges(tmp_path, capsys, action):
+    # a matcher recursing once per candidate exceeds Python's limit here
+    edges = [{"id": i, "u": 2 * i, "v": 2 * i + 1} for i in range(1200)]
+    path = write(tmp_path, "pm.json", {"vertices": 2400, "edges": edges, "pi": list(range(1200))})
+    code, report = run_cli(capsys, "pm", action, "-i", path)
+    assert code == EXIT_OK
+    assert report["result"]["response"] == list(range(1200))
+
+
 def test_pm_bruteforce(tmp_path, capsys):
     path = write(tmp_path, "pm.json", SWAP_PM)
     code, report = run_cli(capsys, "pm", "bruteforce", "-i", path)

@@ -310,6 +310,17 @@ def test_pruning_skips_most_of_a_random_grid():
     assert abs(sol.leader_payoff - want.leader_payoff) <= ROUNDING_TOL
 
 
+def test_pruning_drops_the_columns_the_follower_rules_out():
+    # the leader's best columns are out of the follower's reach here, so a
+    # leader-only bound scores all 10,011 points
+    game, params = gen.random_bimatrix(1, 3, 8), dz.GridParams(140)
+    sol = dz.discretized_se(game, params)
+    assert sol.candidates_examined < sol.grid_size / 10
+    want = discretized_se_reference(game, params)
+    assert (sol.leader, sol.follower_response) == (want.leader, want.follower_response)
+    assert abs(sol.leader_payoff - want.leader_payoff) <= ROUNDING_TOL
+
+
 def test_pruned_scan_keeps_chunks_bounded_on_one_long_block(monkeypatch):
     k = 2 * dz._CHUNK + 5
     game = gen.random_bimatrix(1, 2, 5)

@@ -20,6 +20,7 @@ from .oracles import (
     lexmax_matching_bruteforce,
     max_weight_matching_bruteforce,
     pm_utilities,
+    suffix_bound_matching,
 )
 
 E0, E1 = 0, 1
@@ -162,6 +163,50 @@ def test_max_weight_matching_tie_weights_matches_bruteforce(data):
     got = pm.max_weight_matching(graph, weights, ties)
     want = lexmax_matching_bruteforce(graph.num_vertices, graph.edges, weights, ties or [0.0] * graph.num_edges)
     assert got == want
+
+
+# sums such as 0.1 + 0.2 against 0.3 differ by an ulp, tiny weights fall
+# inside EQUAL, and negative tie weights make the tie bound skip edges
+NEAR_TIES = st.sampled_from([1 / 3, 2 / 3, 0.1, 0.2, 0.3, 0.5, 1.0, 1e-10, 0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_max_weight_matching_matches_the_suffix_bound_search(data):
+    n = data.draw(st.integers(4, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda uv: uv[0] != uv[1])
+    edges = data.draw(st.lists(pairs, min_size=10, max_size=30))
+    graph = pm.Multigraph(n, tuple(edges))
+    e = len(edges)
+    weight = NEAR_TIES | st.floats(-0.5, 1.0)
+    weights = data.draw(st.lists(weight, min_size=e, max_size=e))
+    tie = NEAR_TIES | NEAR_TIES.map(lambda x: -x) | st.floats(-1.0, 1.0)
+    ties = data.draw(st.lists(tie, min_size=e, max_size=e) | st.none())
+    assert pm.max_weight_matching(graph, weights, ties) == suffix_bound_matching(graph, weights, ties)
+
+
+def test_follower_weight_matches_networkx_at_forty_to_sixty_edges():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    for edges in (40, 48, 54, 60):
+        inst = random_permmatch(rng.randrange(1 << 40), edges // 3, edges)
+        support = []
+        for _ in range(8):
+            used, chosen = set(), []
+            for e in rng.sample(range(edges), edges):
+                u, v = inst.graph.edges[e]
+                if u not in used and v not in used:
+                    chosen.append(e)
+                    used.update((u, v))
+            support.append((frozenset(chosen), 1 / 8))
+        weights = [sum(p for m, p in support if e in m) for e in range(edges)]
+        got = sum(weights[e] for e in pm.follower_best_response_pm(inst, support))
+        graph = nx.Graph()
+        for e, (u, v) in enumerate(inst.graph.edges):
+            if weights[e] > graph.get_edge_data(u, v, {"weight": 0.0})["weight"]:
+                graph.add_edge(u, v, weight=weights[e])
+        want = sum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
+        assert abs(got - want) <= 1e-9, edges
 
 
 def test_enumerate_matchings_matches_bruteforce_counts():
