@@ -275,6 +275,8 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
 
 
 NASH_SIZE_LIMIT = 8
+# most pure strategies a brute force writes out in explicit form
+EXPLICIT_LIMIT = 4096
 
 
 def solve_nash_support_enumeration(game: BimatrixGame) -> list[tuple[MixedStrategy, MixedStrategy]]:

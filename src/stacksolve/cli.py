@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__, discretize, gen, incentive, permmatch
 from .bimatrix import (
+    EXPLICIT_LIMIT,
     FOLLOWER,
     LEADER,
     BimatrixGame,
@@ -229,15 +230,13 @@ def _run_pm(args) -> dict:
             "guaranteeFraction": (1 - 3 * eps) / 12,
         }
     elif args.action == "bruteforce":
-        if inst.graph.num_edges > permmatch.BRUTE_FORCE_EDGE_LIMIT:
-            raise SizeLimitError("bruteforce requires at most 12 edges")
+        best_m, best_v = permmatch.bruteforce_pitim(inst)  # raises above 12 edges
         game, matchings = permmatch.explicit_bimatrix(inst)
         sol = solve_stackelberg(game, exact=True)
         validate_stackelberg_solution(game, sol)
         support = [
             (matchings[i], p) for i, p in enumerate(sol.leader.probs) if p > ZERO
         ]
-        best_m, best_v = permmatch.bruteforce_pitim(inst)
         result = {
             "action": "bruteforce",
             "stackelberg": {
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     inc.add_argument("-i", "--input", required=True)
     inc.add_argument("-o", "--output")
     inc.add_argument("--no-incentives", action="store_true")
-    inc.add_argument("--path-limit", type=int, default=4096)
+    inc.add_argument("--path-limit", type=int, default=EXPLICIT_LIMIT)
     inc.set_defaults(handler=_run_incentive)
 
     pm = sub.add_parser("pm", help="permuted-matching solvers")

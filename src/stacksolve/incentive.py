@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import lp
-from .bimatrix import BimatrixGame
+from .bimatrix import EXPLICIT_LIMIT, BimatrixGame
 from .errors import InputError, SizeLimitError, ToolkitError
 from .tolerances import EQUAL, GUARANTEE, ZERO, probabilities
 
@@ -144,26 +144,24 @@ class PathFamily:
         return set_id(path), -sum(weights[e] for e in path)
 
     def explicit(self, limit: int) -> ExplicitFamily:
-        """The explicit list of simple s-t paths; more than ``limit`` raise."""
+        """The simple s-t paths, depth first in ``adjacency()`` order; more than ``limit`` raise.
+
+        The walk runs on an explicit stack of (vertex, trail, visited bits),
+        so a path's length is not limited by Python's recursion depth.
+        """
         adj = self.adjacency()
         paths: list[frozenset] = []
-        visited = [False] * self.num_vertices
-
-        def walk(v: int, trail: list[str]) -> None:
+        stack: list[tuple[int, tuple[str, ...], int]] = [(self.source, (), 0)]
+        while stack:
+            v, trail, visited = stack.pop()
             if v == self.sink:
                 paths.append(frozenset(trail))
                 if len(paths) > limit:
                     raise SizeLimitError(f"more than {limit} simple paths")
-                return
-            visited[v] = True
-            for eid, to in adj[v]:
-                if not visited[to]:
-                    trail.append(eid)
-                    walk(to, trail)
-                    trail.pop()
-            visited[v] = False
-
-        walk(self.source, [])
+                continue
+            visited |= 1 << v
+            # pushed in reverse, so that they are popped in adjacency order
+            stack.extend((to, trail + (e,), visited) for e, to in reversed(adj[v]) if not visited >> to & 1)
         if not paths:
             raise ToolkitError("no s-t path exists in a validated path family")
         return ExplicitFamily(tuple(paths))
@@ -405,33 +403,32 @@ def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderS
     return strat.incentives.get(s_prime, 0.0) >= needed - GUARANTEE
 
 
-def enumerate_family(inst: IncentiveInstance, limit: int = 4096) -> ExplicitFamily:
+def enumerate_family(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> ExplicitFamily:
     """The family as an explicit list of sets; path families list their simple s-t paths."""
     return inst.family.explicit(limit)
 
 
-def materialized(inst: IncentiveInstance, limit: int = 4096) -> IncentiveInstance:
+def materialized(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> IncentiveInstance:
     """The same instance with its path family replaced by explicit sets."""
     return replace(inst, family=enumerate_family(inst, limit))
 
 
-def incentive_bimatrix(inst: IncentiveInstance, limit: int = 4096) -> tuple[BimatrixGame, list[SetId]]:
+def incentive_bimatrix(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> tuple[BimatrixGame, list[SetId]]:
     """The no-incentive game in explicit form for the exact bimatrix solvers.
 
-    Rows are elements in instance order, columns the family members:
-    uL(e, S) = 1_{e in S} + C_e and uF(e, S) = -1_{e in S} + sum_{e' in S} c_{e'}.
+    Rows are elements in instance order, columns the family members in
+    ``enumerate_family`` order. With ``hits`` the 0/1 element-by-set matrix,
+    uL = hits + C_e and uF = sum_{e' in S} c_{e'} - hits (summed in set-id order).
     """
     fam = enumerate_family(inst, limit)
     ids = fam.ids()
-    ul = np.zeros((len(inst.elements), len(ids)))
-    uf = np.zeros_like(ul)
-    for j, members in enumerate(fam.sets):
-        reward = sum(inst.follower_reward[e] for e in ids[j])
-        for i, e in enumerate(inst.elements):
-            hit = 1.0 if e in members else 0.0
-            ul[i, j] = hit + inst.leader_reward[e]
-            uf[i, j] = -hit + reward
-    return BimatrixGame(ul, uf), ids
+    row = {e: i for i, e in enumerate(inst.elements)}
+    hits = np.zeros((len(inst.elements), len(ids)))
+    for j, sid in enumerate(ids):
+        hits[[row[e] for e in sid], j] = 1.0
+    leader = np.array([inst.leader_reward[e] for e in inst.elements])
+    reward = np.array([sum(inst.follower_reward[e] for e in sid) for sid in ids])
+    return BimatrixGame(hits + leader[:, None], reward - hits), ids
 
 
 # ---------------------------------------------------------------------------

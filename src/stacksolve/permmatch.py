@@ -14,8 +14,10 @@ It bounds a partial matching by the remaining candidates' total weight
 first, and when that does not prune, by half the heaviest free remaining
 candidate at each free vertex, since a vertex takes one edge; its worst
 case is still exponential in the number of edges. The brute forces all
-scan ``enumerate_matchings``: ``explicit_bimatrix`` (capped at 4096
-matchings), ``bruteforce_pitim`` with the CLI's ``pm bruteforce``, and
+scan ``enumerate_matchings``, which runs on an explicit stack:
+``explicit_bimatrix`` (capped at ``bimatrix.EXPLICIT_LIMIT`` matchings,
+its payoffs two products of the matching-by-edge incidence matrix),
+``bruteforce_pitim`` with the CLI's ``pm bruteforce``, and
 ``opt_pure_pair``, the largest matching whose pi-image is a matching; the
 last two are capped at 12 edges.
 """
@@ -29,7 +31,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bimatrix import BimatrixGame
+from .bimatrix import EXPLICIT_LIMIT, BimatrixGame
 from .errors import InputError, SizeLimitError
 from .tolerances import EQUAL, probabilities
 
@@ -78,9 +80,6 @@ class PermMatchInstance:
     def pi_image(self, edges: Iterable[int]) -> Matching:
         return frozenset(self.pi[e] for e in edges)
 
-    def pi_inverse(self, edge: int) -> int:
-        return self._pi_inv[edge]
-
 
 def as_matching(graph: Multigraph, edge_ids: Iterable[int]) -> Matching:
     """Validate vertex-disjointness and return the edge set."""
@@ -117,27 +116,26 @@ def _support(inst: PermMatchInstance, x: StrategyLike) -> list[tuple[Matching, f
 
 
 def enumerate_matchings(graph: Multigraph, limit: Optional[int] = None) -> list[Matching]:
-    """All matchings (including the empty one), in a fixed generation order."""
-    out: list[Matching] = []
-    chosen: list[int] = []
-    used: set[int] = set()
+    """All matchings (including the empty one); more than ``limit`` raise.
 
-    def recurse(idx: int) -> None:
+    Depth first over the edge ids, leaving each edge out before taking it,
+    on an explicit stack of (next edge, chosen ids, used vertex bits), so
+    the edge count is not limited by Python's recursion depth.
+    """
+    ends = [(1 << u) | (1 << v) for u, v in graph.edges]
+    out: list[Matching] = []
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
+    while stack:
+        idx, chosen, used = stack.pop()
         if idx == graph.num_edges:
             out.append(frozenset(chosen))
             if limit is not None and len(out) > limit:
                 raise SizeLimitError(f"more than {limit} matchings")
-            return
-        recurse(idx + 1)
-        u, v = graph.edges[idx]
-        if u not in used and v not in used:
-            chosen.append(idx)
-            used.update((u, v))
-            recurse(idx + 1)
-            used.difference_update((u, v))
-            chosen.pop()
-
-    recurse(0)
+            continue
+        # take edge idx after leaving it out: the stack is LIFO
+        if not used & ends[idx]:
+            stack.append((idx + 1, chosen + (idx,), used | ends[idx]))
+        stack.append((idx + 1, chosen, used))
     return out
 
 
@@ -247,11 +245,12 @@ def max_weight_matching(
     return frozenset(best_set)
 
 
-def _marginals(inst: PermMatchInstance, support: list[tuple[Matching, float]]) -> list[float]:
-    w = [0.0] * inst.graph.num_edges
+def _edge_mass(support: list[tuple[Matching, float]], label: Sequence[int]) -> list[float]:
+    """P[e in M] under the mixture, placed at ``label[e]`` (one entry per edge)."""
+    w = [0.0] * len(label)
     for m, p in support:
         for e in m:
-            w[e] += p
+            w[label[e]] += p
     return w
 
 
@@ -269,21 +268,13 @@ def follower_best_response_pm(inst: PermMatchInstance, x: StrategyLike) -> Match
     Edges that pay neither player are left out.
     """
     support = _support(inst, x)
-    leader_gain = [0.0] * inst.graph.num_edges
-    for m, p in support:
-        for e in m:
-            leader_gain[inst.pi_inverse(e)] += p
-    return max_weight_matching(inst.graph, _marginals(inst, support), leader_gain)
+    marginals = _edge_mass(support, range(inst.graph.num_edges))
+    return max_weight_matching(inst.graph, marginals, _edge_mass(support, inst._pi_inv))
 
 
 def leader_best_response_pm(inst: PermMatchInstance, y: StrategyLike) -> Matching:
     """Leader's best response: weights are P[pi^{-1}(e) in M_F]."""
-    support = _support(inst, y)
-    weights = [0.0] * inst.graph.num_edges
-    for m, p in support:
-        for e in m:
-            weights[inst.pi[e]] += p
-    return max_weight_matching(inst.graph, weights)
+    return max_weight_matching(inst.graph, _edge_mass(_support(inst, y), inst.pi))
 
 
 def greedy_pair(
@@ -362,29 +353,26 @@ def pitim_value(inst: PermMatchInstance, m: Iterable[int]) -> int:
 
 
 def bruteforce_pitim(inst: PermMatchInstance) -> tuple[Matching, int]:
-    """Exact pi-TIM optimum by matching enumeration (12-edge limit)."""
+    """Exact pi-TIM optimum by matching enumeration (12-edge limit); the first best one wins."""
     if inst.graph.num_edges > BRUTE_FORCE_EDGE_LIMIT:
         raise SizeLimitError(f"bruteforce_pitim is limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
-    best: tuple[int, Matching] = (-1, frozenset())
-    for m in enumerate_matchings(inst.graph):
-        v = len(m & inst.pi_image(m))
-        if v > best[0]:
-            best = (v, m)
-    return best[1], best[0]
+    best = max(enumerate_matchings(inst.graph), key=lambda m: len(m & inst.pi_image(m)))
+    return best, len(best & inst.pi_image(best))
 
 
-def explicit_bimatrix(inst: PermMatchInstance, max_matchings: int = 4096) -> tuple[BimatrixGame, list[Matching]]:
-    """The game in explicit form, one pure strategy per matching."""
+def explicit_bimatrix(
+    inst: PermMatchInstance, max_matchings: int = EXPLICIT_LIMIT
+) -> tuple[BimatrixGame, list[Matching]]:
+    """The game in explicit form, one pure strategy per matching in ``enumerate_matchings`` order.
+
+    With ``hits`` the 0/1 matching-by-edge matrix, uF = hits hits^T and
+    uL = hits hits[:, pi^{-1}]^T; the counts are small integers, so exact.
+    """
     matchings = enumerate_matchings(inst.graph, limit=max_matchings)
-    images = [inst.pi_image(m) for m in matchings]
-    k = len(matchings)
-    ul = np.zeros((k, k))
-    uf = np.zeros((k, k))
-    for i, mi in enumerate(matchings):
-        for j, mj in enumerate(matchings):
-            ul[i, j] = len(mi & images[j])
-            uf[i, j] = len(mi & mj)
-    return BimatrixGame(ul, uf), matchings
+    hits = np.zeros((len(matchings), inst.graph.num_edges))
+    for i, m in enumerate(matchings):
+        hits[i, list(m)] = 1.0
+    return BimatrixGame(hits @ hits[:, list(inst._pi_inv)].T, hits @ hits.T), matchings
 
 
 # ---------------------------------------------------------------------------

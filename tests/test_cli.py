@@ -280,6 +280,20 @@ def test_solve_incentive_no_incentives_on_81_paths(tmp_path, capsys):
     assert report["result"]["leaderPayoff"] == pytest.approx((0.6 * 8 + 1) / 9)
 
 
+def test_solve_incentive_no_incentives_on_a_1500_vertex_chain(tmp_path, capsys):
+    # one s-t path of 1,499 edges: the path enumeration must not hit Python's recursion depth
+    n = 1500
+    edges = [{"id": f"e{i:04d}", "u": i, "v": i + 1} for i in range(n - 1)]
+    obj = {
+        "elements": [{"id": e["id"], "c": -1.0, "C": 0.0} for e in edges],
+        "family": {"type": "path", "vertices": n, "edges": edges, "source": 0, "sink": n - 1},
+    }
+    path = write(tmp_path, "chain.json", obj)
+    code, report = run_cli(capsys, "solve-incentive", "-i", path, "--no-incentives")
+    assert code == EXIT_OK
+    assert report["result"]["leaderPayoff"] == 1.0
+
+
 def test_solve_incentive_path_limit_exit_3(tmp_path, capsys):
     path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance()))
     code = main(["solve-incentive", "-i", path, "--no-incentives", "--path-limit", "3"])

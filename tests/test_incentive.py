@@ -217,6 +217,13 @@ def test_enumerate_family_limit():
         inc.enumerate_family(commit_instance(), limit=3)
 
 
+def test_path_family_explicit_order():
+    # the path order is the column order of incentive_bimatrix, which decides exact ties in solve_stackelberg
+    edges = (("a", 0, 1), ("b", 1, 3), ("c", 0, 2), ("d", 2, 3), ("e", 1, 2))
+    paths = inc.PathFamily(4, edges, 0, 3).explicit(10).sets
+    assert paths == tuple(map(frozenset, ("ab", "ade", "cd", "bce")))
+
+
 def test_path_vs_materialized_same_solution():
     instance = commit_instance()
     flat = inc.materialized(instance)
@@ -234,6 +241,18 @@ def test_no_incentive_bimatrix_commit_value():
     sol = solve_stackelberg(game, exact=True)
     assert abs(sol.leader_payoff - 0.7) < 1e-6
     assert ids[sol.follower_response] == CHAIN_PATH
+
+
+def test_incentive_bimatrix_entries_match_the_per_entry_formula_bit_for_bit():
+    rng = random.Random(8)
+    for instance in [commit_instance(2)] + [grid_instance(rng, 3, 3) for _ in range(3)]:
+        game, ids = inc.incentive_bimatrix(instance)
+        for j, sid in enumerate(ids):
+            reward = sum(instance.follower_reward[e] for e in sid)
+            for i, e in enumerate(instance.elements):
+                hit = 1.0 if e in sid else 0.0
+                assert game.u_leader[i, j].hex() == (hit + instance.leader_reward[e]).hex()
+                assert game.u_follower[i, j].hex() == (-hit + reward).hex()
 
 
 def test_incentives_never_hurt_vs_no_incentive_se():

@@ -219,6 +219,12 @@ def test_enumerate_matchings_matches_bruteforce_counts():
         assert set(ours) == set(brute)
 
 
+def test_enumerate_matchings_order_leaves_each_edge_out_first():
+    # the order is the column order of explicit_bimatrix, which decides exact ties in solve_stackelberg
+    graph = pm.Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+    assert pm.enumerate_matchings(graph) == [frozenset(), {2}, {1}, {0}, {0, 2}]
+
+
 def test_follower_best_response_two_point_swap():
     inst = swap_instance()
     eps = 0.01
@@ -574,6 +580,24 @@ def test_explicit_bimatrix_limit():
     inst = identity_instance([(0, 1), (2, 3)], 4)
     with pytest.raises(SizeLimitError):
         pm.explicit_bimatrix(inst, max_matchings=3)
+
+
+def test_explicit_bimatrix_payoffs_count_shared_and_image_edges():
+    for seed in range(20):
+        inst = random_permmatch(seed, 3 + seed % 5, seed % 9)
+        game, matchings = pm.explicit_bimatrix(inst)
+        assert matchings == pm.enumerate_matchings(inst.graph)
+        ul = [[len(mi & inst.pi_image(mj)) for mj in matchings] for mi in matchings]
+        uf = [[len(mi & mj) for mj in matchings] for mi in matchings]
+        assert game.u_leader.tolist() == ul and game.u_follower.tolist() == uf
+
+
+def test_explicit_bimatrix_on_1200_disjoint_edges_hits_the_limit():
+    # the enumeration runs on an explicit stack, so it reaches its limit
+    # instead of Python's recursion depth
+    inst = identity_instance([(2 * i, 2 * i + 1) for i in range(1200)], 2400)
+    with pytest.raises(SizeLimitError, match="more than 4096 matchings"):
+        pm.explicit_bimatrix(inst)
 
 
 def test_validation_errors():

@@ -1,11 +1,15 @@
-"""The tolerance policy of ``stacksolve.tolerances``.
+"""The tolerance policy of ``stacksolve.tolerances``, and a recursion guard.
 
 Every float margin of the package is a named constant of that one module,
 and every strategy type checks its probabilities with
 ``tolerances.probabilities``. The guard below scans the package source so
 that a margin cannot creep back in as a literal or a per-module constant.
+A second guard keeps recursion out of the solver modules: a search that
+recurses once per edge or vertex fails with ``RecursionError`` before its
+``SizeLimitError`` can apply.
 """
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -54,6 +58,38 @@ def test_guard_flags_literals_and_constants():
     assert policy_violations("    tiny = 2 ** -1074\n") != []
     assert policy_violations("if a.TIE_TOL == b:\nkey = round(v, 9)\n") == []
     assert policy_violations("return (self.next_u64() >> 11) / 2.0**53\nx = 12**-1\n") == []
+
+
+# the CLI is left out: its ``_round_sig`` recursion follows the report's fixed nesting
+SOLVER_MODULES = ("bimatrix", "discretize", "incentive", "lp", "permmatch")
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions, nested closures included, that call themselves by bare name."""
+    return [
+        f"{node.lineno}: {node.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+
+
+def test_no_solver_module_recurses():
+    found = [
+        f"{name}.py:{hit}"
+        for name in SOLVER_MODULES
+        for hit in self_calls((PACKAGE / f"{name}.py").read_text())
+    ]
+    assert not found, "run these searches on an explicit stack:\n" + "\n".join(found)
+
+
+def test_recursion_guard_flags_self_calls_by_bare_name():
+    assert self_calls("def f(n):\n    return f(n - 1) if n else 0\n") == ["1: f"]
+    assert self_calls("def outer():\n    def walk(v):\n        walk(v)\n    walk(0)\n") == ["2: walk"]
+    assert self_calls("def f(x):\n    return g(x) + x.f()\n") == []
 
 
 def _widest_accepted_sum(side: float) -> float:
