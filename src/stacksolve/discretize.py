@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .bimatrix import BimatrixGame, MixedStrategy
+from .bimatrix import BimatrixGame, MixedStrategy, _coerce
 from .errors import InputError, SizeLimitError
 from .tolerances import EQUAL, ZERO, rounding
 
@@ -203,16 +203,15 @@ def almost_best_responses(game: BimatrixGame, x, slack: float) -> set[int]:
     """
     if slack < 0:
         raise InputError("slack must be nonnegative")
-    strat = x if isinstance(x, MixedStrategy) else MixedStrategy(tuple(x))
-    vals = strat.as_array()[None, :] @ game.u_follower
+    vals = _coerce(x, game.n, "leader").as_array()[None, :] @ game.u_follower
     mask = _within_slack(vals, slack + rounding(game.n, max_abs_payoff(game)))
     return set(np.flatnonzero(mask[0]).tolist())
 
 
-def discretized_se(
-    game: BimatrixGame, params: GridParams, cap: int = DEFAULT_GRID_CAP
-) -> ApproxSolution:
+def discretized_se(game: BimatrixGame, params: GridParams) -> ApproxSolution:
     """Best recorded (grid strategy, relaxed response) pair.
+
+    Grids above ``DEFAULT_GRID_CAP`` points raise ``SizeLimitError``.
 
     Tie rule: ties are decided on float-evaluated leader payoffs. The first
     grid point in lexicographic order holding the largest float payoff
@@ -255,7 +254,7 @@ def discretized_se(
     still scores that vertex in its lex place, since its prefix's bound is
     at least its payoff. ``candidates_examined`` counts the points scored.
     """
-    count = _check_cap(game.n, params, cap)
+    count = _check_cap(game.n, params, DEFAULT_GRID_CAP)
     n, k = game.n, params.k
     big_m = max_abs_payoff(game)
     slack = 2.0 * n * params.eps * big_m

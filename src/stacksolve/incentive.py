@@ -21,7 +21,7 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -62,8 +62,7 @@ class ExplicitFamily:
 
     def best_set(self, inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
         """Base payoff first, then the leader mass (leader payoff less its common drift), then id."""
-        sids = map(set_id, self.sets)
-        cands = ((sid, _base_value(inst, x, sid), sum(x.get(e, 0.0) for e in sid), False) for sid in sids)
+        cands = ((sid, _base_value(inst, x, sid), _mass(x, sid), False) for sid in map(set_id, self.sets))
         return _best_of(cands)[:2]
 
     def explicit(self, limit: int) -> ExplicitFamily:
@@ -141,7 +140,8 @@ class PathFamily:
         path = _lex_min_tight_path(self, weights, costs)
         if path is None:
             raise ToolkitError("no s-t path exists in a validated path family")
-        return set_id(path), -sum(weights[e] for e in path)
+        sid = set_id(path)
+        return sid, _base_value(inst, x, sid)
 
     def explicit(self, limit: int) -> ExplicitFamily:
         """The simple s-t paths, depth first in ``adjacency()`` order; more than ``limit`` raise.
@@ -188,6 +188,8 @@ class IncentiveInstance:
         elems = tuple(self.elements)
         if len(set(elems)) != len(elems) or not elems:
             raise InputError("elements must be nonempty and unique")
+        if not all(isinstance(e, str) for e in elems):
+            raise InputError("element ids must be strings")
         for name, table in (("c", self.follower_reward), ("C", self.leader_reward)):
             if set(table) != set(elems):
                 raise InputError(f"{name} must assign a value to every element")
@@ -211,10 +213,6 @@ class IncentiveLeaderStrategy:
         if not all(math.isfinite(v) and v >= 0 for v in inc.values()):
             raise InputError("incentives must be finite and nonnegative")
         object.__setattr__(self, "incentives", inc)
-
-    def mass_on(self, members) -> float:
-        """sum_{e in S} x_e, summed in set-id order so that the bits do not follow the hash seed."""
-        return sum(self.x.get(e, 0.0) for e in set_id(members))
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def _payoffs(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, members: f
     """(follower, leader) payoffs of a family member, without checks."""
     bonus = strat.incentives.get(set_id(members), 0.0)
     drift = sum(strat.x.get(e, 0.0) * inst.leader_reward[e] for e in inst.elements)
-    return _base_value(inst, strat.x, members) + bonus, strat.mass_on(members) - bonus + drift
+    return _base_value(inst, strat.x, members) + bonus, _mass(strat.x, members) - bonus + drift
 
 
 def leader_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid: SetId) -> float:
@@ -263,8 +261,13 @@ def follower_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid
     return _payoffs(inst, strat, _members_of(inst, set_id(sid)))[0]
 
 
+def _mass(x: Mapping, members) -> float:
+    """sum_{e in S} x_e, summed in set-id order so that the bits do not follow the hash seed."""
+    return sum(x.get(e, 0.0) for e in set_id(members))
+
+
 def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
-    """sum_{e in S} (-x_e + c_e), summed in set-id order, as ``mass_on`` is."""
+    """sum_{e in S} (-x_e + c_e), summed in set-id order, as ``_mass`` is."""
     return sum(-x.get(e, 0.0) + inst.follower_reward[e] for e in set_id(members))
 
 
@@ -277,7 +280,8 @@ def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
     families the lexicographically smallest edge-id sequence from the
     source. Explicit families are scanned; path families run shortest
     paths under edge weights ``x_e - c_e``, then under the costs ``-c_e``
-    over the tight edges.
+    over the tight edges. Both report the payoff of the set they pick by
+    ``_base_value``. The package calls it through this module's global.
     """
     return inst.family.best_set(inst, x)
 
@@ -348,9 +352,10 @@ def solve_stackelberg_incentive(
     v_star = max(0.0, v_star)
     incentives = {target: v_star} if v_star > ZERO else {}
     strategy = IncentiveLeaderStrategy(x, incentives)
-    lpay = leader_payoff(inst, strategy, target)
-    fpay = follower_payoff(inst, strategy, target)
-    if follower_payoff(inst, strategy, follower_best_set(inst, strategy)) - fpay > GUARANTEE:
+    # built here from the family's own member, so _check_pair could only flag a solver bug
+    fpay, lpay = _payoffs(inst, strategy, frozenset(target))
+    (_, best_fpay, _, _), _ = _choice(inst, strategy)
+    if best_fpay - fpay > GUARANTEE:
         raise ToolkitError("target set is not a follower best response within tolerance")
     return IncentiveSolution(
         strategy=strategy,
@@ -372,8 +377,18 @@ def follower_best_set(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -
     go to the leader; then incentivized sets win, then the smallest set id.
     """
     _check_pair(inst, strat)
-    sids = sorted(strat.incentives) + [base_best_set(inst, strat.x)[0]]
-    return _best_of((sid, *_payoffs(inst, strat, frozenset(sid)), sid in strat.incentives) for sid in sids)[0]
+    return _choice(inst, strat)[0][0]
+
+
+def _choice(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> tuple[tuple, float]:
+    """The follower's winning ``(sid, follower, leader, incentivized)``, and the best incentive-free payoff.
+
+    One oracle call, with no checks on ``strat``.
+    """
+    base_sid, base_val = base_best_set(inst, strat.x)
+    sids = sorted(strat.incentives) + [base_sid]
+    cands = ((sid, *_payoffs(inst, strat, frozenset(sid)), sid in strat.incentives) for sid in sids)
+    return _best_of(cands), base_val
 
 
 def _best_of(candidates: Iterable[tuple[SetId, float, float, bool]]) -> tuple[SetId, float, float, bool]:
@@ -397,31 +412,20 @@ def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderS
     With S' the follower's choice and -W' the best incentive-free payoff,
     verifies V_{S'} >= -W' - sum_{e in S'}(-x_e + c_e) - GUARANTEE.
     """
-    s_prime = follower_best_set(inst, strat)
-    _, best_base = base_best_set(inst, strat.x)
+    _check_pair(inst, strat)
+    (s_prime, *_), best_base = _choice(inst, strat)
     needed = best_base - _base_value(inst, strat.x, s_prime)
     return strat.incentives.get(s_prime, 0.0) >= needed - GUARANTEE
-
-
-def enumerate_family(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> ExplicitFamily:
-    """The family as an explicit list of sets; path families list their simple s-t paths."""
-    return inst.family.explicit(limit)
-
-
-def materialized(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> IncentiveInstance:
-    """The same instance with its path family replaced by explicit sets."""
-    return replace(inst, family=enumerate_family(inst, limit))
 
 
 def incentive_bimatrix(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> tuple[BimatrixGame, list[SetId]]:
     """The no-incentive game in explicit form for the exact bimatrix solvers.
 
     Rows are elements in instance order, columns the family members in
-    ``enumerate_family`` order. With ``hits`` the 0/1 element-by-set matrix,
+    ``inst.family.explicit`` order. With ``hits`` the 0/1 element-by-set matrix,
     uL = hits + C_e and uF = sum_{e' in S} c_{e'} - hits (summed in set-id order).
     """
-    fam = enumerate_family(inst, limit)
-    ids = fam.ids()
+    ids = inst.family.explicit(limit).ids()
     row = {e: i for i, e in enumerate(inst.elements)}
     hits = np.zeros((len(inst.elements), len(ids)))
     for j, sid in enumerate(ids):
@@ -450,22 +454,20 @@ def _dijkstra(num_vertices: int, into: list, sink: int, weights: Mapping) -> lis
     return dist
 
 
-def _tight(into: list, dist: list, weights: Mapping, tol: float) -> list:
-    """The edges of ``into`` with ``dist[u] = weights + dist[v]`` within ``tol``."""
+def _tight(into: list, dist: list, weights: Mapping) -> list:
+    """The edges of ``into`` with ``dist[u] = weights + dist[v]`` within ``EQUAL``."""
     return [
-        [(eid, u) for eid, u in edges if dist[u] is not None and abs(weights[eid] + dist[v] - dist[u]) <= tol]
+        [(eid, u) for eid, u in edges if dist[u] is not None and abs(weights[eid] + dist[v] - dist[u]) <= EQUAL]
         if dist[v] is not None else []
         for v, edges in enumerate(into)
     ]
 
 
-def _lex_min_tight_path(
-    fam: PathFamily, weights: Mapping, costs: Mapping, tol: float = EQUAL
-) -> Optional[list[str]]:
+def _lex_min_tight_path(fam: PathFamily, weights: Mapping, costs: Mapping) -> Optional[list[str]]:
     """Lexicographically-smallest edge-id s-t path of least weight, then least cost.
 
     An edge u -> v is tight when ``dist[u] = weights + dist[v]`` within
-    ``tol``; every s-t walk over tight edges is a shortest path. A second
+    ``EQUAL``; every s-t walk over tight edges is a shortest path. A second
     Dijkstra over the tight edges under ``costs`` (nonnegative) keeps the
     edges tight in both passes, whose s-t walks are the shortest paths of
     least cost. From the source, the walk takes the smallest-id kept edge
@@ -477,8 +479,8 @@ def _lex_min_tight_path(
     dist = _dijkstra(n, adj, fam.sink, weights)
     if dist[fam.source] is None:
         return None
-    into = _tight(adj, dist, weights, tol)
-    into = _tight(into, _dijkstra(n, into, fam.sink, costs), costs, tol)
+    into = _tight(adj, dist, weights)
+    into = _tight(into, _dijkstra(n, into, fam.sink, costs), costs)
     on_trail = [False] * n
     path: list[str] = []
     v = fam.source

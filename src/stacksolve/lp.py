@@ -25,7 +25,7 @@ Two interchangeable backends sit behind ``solve``:
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
-optimum, add it, and repeat until no violation exceeds the tolerance.
+optimum, add it, and repeat until no violation exceeds ``GUARANTEE``.
 """
 
 from __future__ import annotations
@@ -122,12 +122,7 @@ SeparationOracle = Callable[[Sequence[float]], Optional[Cut]]
 
 
 class GenerationLimitError(ToolkitError):
-    """Constraint generation hit its round limit; carries the last iterate."""
-
-    def __init__(self, rounds: int, last: LpSolution):
-        super().__init__(f"constraint generation did not converge in {rounds} rounds")
-        self.rounds = rounds
-        self.last = last
+    """Constraint generation hit its round limit."""
 
 
 def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
@@ -144,32 +139,25 @@ def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
 
 
 def solve_with_generation(
-    base: LinearProgram,
-    oracle: SeparationOracle,
-    tol: float = GUARANTEE,
-    max_rounds: Optional[int] = None,
-    exact: bool = False,
+    base: LinearProgram, oracle: SeparationOracle, max_rounds: int, exact: bool = False
 ) -> LpSolution:
     """Cutting-plane loop around ``solve`` driven by a separation oracle.
 
     Stops when the oracle reports no constraint violated by more than
-    ``tol``. Non-optimal statuses of the relaxation are returned as-is.
+    ``GUARANTEE``; raises ``GenerationLimitError`` after ``max_rounds``
+    relaxations without that. Non-optimal statuses of the relaxation are
+    returned as-is.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    if max_rounds is None:
-        max_rounds = 10 * (base.num_vars + 100)
     current = base
-    last: Optional[LpSolution] = None
     for _ in range(max_rounds):
         last = solve(current, exact=exact)
         if not last.is_optimal:
             return last
         cut = oracle(last.values)
-        if cut is None or cut.violation <= tol:
+        if cut is None or cut.violation <= GUARANTEE:
             return last
         current = current.with_leq_row(cut.coeffs, cut.rhs)
-    raise GenerationLimitError(max_rounds, last if last is not None else LpSolution(INFEASIBLE))
+    raise GenerationLimitError(f"constraint generation did not converge in {max_rounds} rounds")
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,15 @@ marginal edge probabilities. The greedy pair algorithm plus the
 makes finding a matching identical to its pi-image (pi-TIM) as hard as
 maximum 3-dimensional matching.
 
-Both best responses run one exact branch-and-bound matcher at any size.
-It bounds a partial matching by the remaining candidates' total weight
-first, and when that does not prune, by half the heaviest free remaining
-candidate at each free vertex, since a vertex takes one edge; its worst
-case is still exponential in the number of edges. The brute forces all
+The follower's best response runs one exact branch-and-bound matcher at
+any size. It bounds a partial matching by the remaining candidates' total
+weight first, and when that does not prune, by half the heaviest free
+remaining candidate at each free vertex, since a vertex takes one edge; its
+worst case is still exponential in the number of edges. The brute forces all
 scan ``enumerate_matchings``, which runs on an explicit stack:
 ``explicit_bimatrix`` (capped at ``bimatrix.EXPLICIT_LIMIT`` matchings,
-its payoffs two products of the matching-by-edge incidence matrix),
-``bruteforce_pitim`` with the CLI's ``pm bruteforce``, and
-``opt_pure_pair``, the largest matching whose pi-image is a matching; the
-last two are capped at 12 edges.
+its payoffs two products of the matching-by-edge incidence matrix), and
+``bruteforce_pitim`` with the CLI's ``pm bruteforce``, capped at 12 edges.
 """
 
 from __future__ import annotations
@@ -272,11 +270,6 @@ def follower_best_response_pm(inst: PermMatchInstance, x: StrategyLike) -> Match
     return max_weight_matching(inst.graph, marginals, _edge_mass(support, inst._pi_inv))
 
 
-def leader_best_response_pm(inst: PermMatchInstance, y: StrategyLike) -> Matching:
-    """Leader's best response: weights are P[pi^{-1}(e) in M_F]."""
-    return max_weight_matching(inst.graph, _edge_mass(_support(inst, y), inst.pi))
-
-
 def greedy_pair(
     inst: PermMatchInstance, edge_order: Optional[Sequence[int]] = None
 ) -> tuple[Matching, Matching]:
@@ -304,25 +297,6 @@ def greedy_pair(
         xp.add(ep)
         xp_used.update((pu, pv))
     return frozenset(x), frozenset(xp)
-
-
-def opt_pure_pair(inst: PermMatchInstance) -> tuple[Matching, Matching, int]:
-    """Exact max over pure pairs of |y ∩ pi(y')| (12-edge brute force).
-
-    The value is the size of the largest matching S whose pi-image is a
-    matching too: a pair (y, y') gives such an S = {e' in y' : pi(e') in y},
-    of size |y ∩ pi(y')|, and y = pi(S), y' = S reach |S|. Returns
-    (pi(S), S, |S|) for the first largest S in ``enumerate_matchings`` order.
-    """
-    if inst.graph.num_edges > BRUTE_FORCE_EDGE_LIMIT:
-        raise SizeLimitError(f"opt_pure_pair is limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
-
-    def image_is_matching(s: Matching) -> bool:
-        ends = [v for e in inst.pi_image(s) for v in inst.graph.edges[e]]
-        return len(set(ends)) == len(ends)
-
-    best = max(filter(image_is_matching, enumerate_matchings(inst.graph)), key=len)
-    return inst.pi_image(best), best, len(best)
 
 
 def approx_leader_strategy(inst: PermMatchInstance, eps: float) -> TwoPointLeaderStrategy:
@@ -360,15 +334,15 @@ def bruteforce_pitim(inst: PermMatchInstance) -> tuple[Matching, int]:
     return best, len(best & inst.pi_image(best))
 
 
-def explicit_bimatrix(
-    inst: PermMatchInstance, max_matchings: int = EXPLICIT_LIMIT
-) -> tuple[BimatrixGame, list[Matching]]:
+def explicit_bimatrix(inst: PermMatchInstance) -> tuple[BimatrixGame, list[Matching]]:
     """The game in explicit form, one pure strategy per matching in ``enumerate_matchings`` order.
+
+    More than ``EXPLICIT_LIMIT`` matchings raise ``SizeLimitError``.
 
     With ``hits`` the 0/1 matching-by-edge matrix, uF = hits hits^T and
     uL = hits hits[:, pi^{-1}]^T; the counts are small integers, so exact.
     """
-    matchings = enumerate_matchings(inst.graph, limit=max_matchings)
+    matchings = enumerate_matchings(inst.graph, limit=EXPLICIT_LIMIT)
     hits = np.zeros((len(matchings), inst.graph.num_edges))
     for i, m in enumerate(matchings):
         hits[i, list(m)] = 1.0

@@ -10,13 +10,17 @@ to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
 ``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
-It also holds two helpers only the tests use, ``realized_maximin_profile``
-and ``extract_pitim_from_se``.
+It also holds helpers only the tests use, which call the package's
+solvers: ``realized_maximin_profile``, ``extract_pitim_from_se``,
+``leader_best_response_pm`` (the matcher under the leader's weights),
+``opt_pure_pair`` (a 12-edge brute force) and ``materialized`` (a path
+family written out as explicit sets).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -24,12 +28,14 @@ import numpy as np
 
 from stacksolve import bimatrix
 from stacksolve import discretize as dz
+from stacksolve import incentive as inc
 from stacksolve import lp
 from stacksolve import permmatch as pm
-from stacksolve.errors import LpNumericalError
+from stacksolve.errors import LpNumericalError, SizeLimitError
 from stacksolve.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
 from stacksolve.tolerances import EQUAL, LP_FEASIBILITY
 from stacksolve.bimatrix import (
+    EXPLICIT_LIMIT,
     MixedStrategy,
     StackelbergSolution,
     expected_utilities,
@@ -565,6 +571,30 @@ def follower_best_response_bruteforce(inst, support) -> tuple[float, float]:
     return best_f, max(l for f, l in scored if f >= best_f - 1e-9)
 
 
+def leader_best_response_pm(inst, y) -> pm.Matching:
+    """Leader's best response to the follower mixture ``y``: weights are P[pi^{-1}(e) in M_F]."""
+    return pm.max_weight_matching(inst.graph, pm._edge_mass(pm._support(inst, y), inst.pi))
+
+
+def opt_pure_pair(inst) -> tuple[pm.Matching, pm.Matching, int]:
+    """Exact max over pure pairs of |y ∩ pi(y')| (12-edge brute force).
+
+    The value is the size of the largest matching S whose pi-image is a
+    matching too: a pair (y, y') gives such an S = {e' in y' : pi(e') in y},
+    of size |y ∩ pi(y')|, and y = pi(S), y' = S reach |S|. Returns
+    (pi(S), S, |S|) for the first largest S in ``enumerate_matchings`` order.
+    """
+    if inst.graph.num_edges > pm.BRUTE_FORCE_EDGE_LIMIT:
+        raise SizeLimitError(f"opt_pure_pair is limited to {pm.BRUTE_FORCE_EDGE_LIMIT} edges")
+
+    def image_is_matching(s: pm.Matching) -> bool:
+        ends = [v for e in inst.pi_image(s) for v in inst.graph.edges[e]]
+        return len(set(ends)) == len(ends)
+
+    best = max(filter(image_is_matching, pm.enumerate_matchings(inst.graph)), key=len)
+    return inst.pi_image(best), best, len(best)
+
+
 def extract_pitim_from_se(inst, y: Iterable[int]) -> tuple[pm.Matching, int]:
     """Read a pi-TIM candidate off a commitment solution's follower response.
 
@@ -650,6 +680,11 @@ def lex_min_tight_path_dfs(fam, weights: Mapping, costs: Mapping, tol: float = 1
         totals = [sum(table[e] for e in path) for path in paths]
         paths = [path for path, total in zip(paths, totals) if total <= min(totals) + tol]
     return paths[0]
+
+
+def materialized(inst: inc.IncentiveInstance) -> inc.IncentiveInstance:
+    """The same instance with its path family replaced by explicit sets."""
+    return replace(inst, family=inst.family.explicit(EXPLICIT_LIMIT))
 
 
 def incentive_grid_oracle(

@@ -327,6 +327,25 @@ def test_solve_incentive_non_finite_reward_exits_2(tmp_path, capsys, field, valu
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ids", [(1, "a"), (1, 2)], ids=["mixed", "integers"])
+@pytest.mark.parametrize("flags", [(), ("--no-incentives",)], ids=["incentives", "no-incentives"])
+def test_solve_incentive_non_string_ids_exit_2(tmp_path, capsys, ids, flags):
+    obj = {
+        "elements": [{"id": e, "c": 0.0, "C": 0.0} for e in ids],
+        "family": {"type": "explicit", "sets": [[e] for e in ids]},
+    }
+    path = write(tmp_path, "inst.json", obj)
+    assert main(["solve-incentive", "-i", path, *flags]) == EXIT_INPUT
+    assert "element ids must be strings" in capsys.readouterr().err
+
+
+def test_discretize_above_the_grid_cap_exit_3(tmp_path, capsys):
+    game = {"n": 8, "m": 2, "uL": [[0.0, 0.0]] * 8, "uF": [[0.0, 0.0]] * 8}
+    path = write(tmp_path, "game.json", game)
+    assert main(["discretize", "-i", path, "--eps", "1/1000"]) == EXIT_LIMIT
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_pm_approx(tmp_path, capsys):
     path = write(tmp_path, "pm.json", SWAP_PM)
     code, report = run_cli(capsys, "pm", "approx", "-i", path, "--eps", "1/100")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from stacksolve import discretize as dz
 from stacksolve import gen
-from stacksolve.bimatrix import BimatrixGame, solve_stackelberg
+from stacksolve.bimatrix import BimatrixGame, MixedStrategy, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
 from .instances import BOUNDARY_GAMES, bimatrix_games, random_game_payoffs, sevenths_game
@@ -52,6 +53,14 @@ def test_grid_strategies_count_three_parts():
 def test_grid_cap():
     with pytest.raises(SizeLimitError):
         grid_strategies(6, dz.GridParams(100), cap=1000)
+
+
+def test_discretized_se_refuses_grids_above_the_cap():
+    # C(1007, 7) points, about 2e16; the cap is checked before any point is built
+    game = BimatrixGame(np.zeros((8, 2)), np.zeros((8, 2)))
+    assert dz.grid_size(8, dz.GridParams(1000)) > dz.DEFAULT_GRID_CAP
+    with pytest.raises(SizeLimitError, match="above the cap of 10000000"):
+        dz.discretized_se(game, dz.GridParams(1000))
 
 
 def test_max_abs_payoff():
@@ -177,6 +186,15 @@ def test_verify_eps_approx_rejects_bad_response():
         candidates_examined=1,
     )
     assert not dz.verify_eps_approx(APPENDIX_GAME, broken, 7.5)
+
+
+@pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.25, 0.25)], ids=["short", "long"])
+def test_wrong_length_strategy_is_input_error(probs):
+    with pytest.raises(InputError, match="leader strategy has"):
+        dz.almost_best_responses(APPENDIX_GAME, probs, 0.0)
+    sol = replace(dz.discretized_se(APPENDIX_GAME, dz.GridParams(4)), leader=MixedStrategy(probs))
+    with pytest.raises(InputError, match="leader strategy has"):
+        dz.verify_eps_approx(APPENDIX_GAME, sol, 7.5)
 
 
 def test_verify_eps_approx_vacuous_slack():

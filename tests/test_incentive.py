@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stacksolve import incentive as inc
 from stacksolve import tolerances
-from stacksolve.bimatrix import solve_stackelberg
+from stacksolve.bimatrix import EXPLICIT_LIMIT, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError, ToolkitError
 
 from .instances import (
@@ -23,7 +23,7 @@ from .instances import (
     random_incentive_strategy,
     strategy,
 )
-from .oracles import incentive_grid_oracle, lex_min_tight_path_dfs
+from .oracles import incentive_grid_oracle, lex_min_tight_path_dfs, materialized
 
 
 def test_leader_payoff_commit_examples():
@@ -107,7 +107,7 @@ def test_generation_on_commit_family_reaches_w_star():
     sol = inc.lp.solve_with_generation(
         inc._incentive_lp(instance),
         inc.separation_oracle_for(instance),
-        tol=1e-7,
+        max_rounds=100,
         exact=True,
     )
     assert sol.is_optimal
@@ -167,7 +167,7 @@ def test_follower_best_set_commit_with_incentive():
 
 
 def test_follower_best_set_materialized_leader_favoring():
-    instance = inc.materialized(commit_instance())
+    instance = materialized(commit_instance())
     bare = strategy(COMMIT_X)
     # s-b-t ties with s-a-t at -3.8; the leader gets 0.6 from s-b-t vs 0.4
     assert inc.follower_best_set(instance, bare) == SBT_PATH
@@ -201,11 +201,11 @@ def test_lower_bound_random_strategies():
 
 
 def test_enumerate_family_counts():
-    assert len(inc.enumerate_family(commit_instance(parallel=1)).sets) == 4
+    assert len(commit_instance(parallel=1).family.explicit(EXPLICIT_LIMIT).sets) == 4
     single = inc.IncentiveInstance(
         ("st",), {"st": 0.0}, {"st": 0.0}, inc.PathFamily(2, (("st", 0, 1),), 0, 1)
     )
-    assert len(inc.enumerate_family(single).sets) == 1
+    assert len(single.family.explicit(EXPLICIT_LIMIT).sets) == 1
     with pytest.raises(InputError):
         inc.IncentiveInstance(
             ("e",), {"e": 0.0}, {"e": 0.0}, inc.PathFamily(3, (("e", 0, 1),), 0, 2)
@@ -214,7 +214,7 @@ def test_enumerate_family_counts():
 
 def test_enumerate_family_limit():
     with pytest.raises(SizeLimitError):
-        inc.enumerate_family(commit_instance(), limit=3)
+        commit_instance().family.explicit(3)
 
 
 def test_path_family_explicit_order():
@@ -226,7 +226,7 @@ def test_path_family_explicit_order():
 
 def test_path_vs_materialized_same_solution():
     instance = commit_instance()
-    flat = inc.materialized(instance)
+    flat = materialized(instance)
     a = inc.solve_stackelberg_incentive(instance)
     b = inc.solve_stackelberg_incentive(flat)
     assert abs(a.w_value - b.w_value) < 1e-7
@@ -354,9 +354,9 @@ def _checked_tight_path(monkeypatch):
     real = inc._lex_min_tight_path
     calls = []
 
-    def checked(fam, weights, costs, tol=tolerances.EQUAL):
-        path = real(fam, weights, costs, tol)
-        assert path == lex_min_tight_path_dfs(fam, weights, costs, tol)
+    def checked(fam, weights, costs):
+        path = real(fam, weights, costs)
+        assert path == lex_min_tight_path_dfs(fam, weights, costs, tolerances.EQUAL)
         calls.append(path)
         return path
 
@@ -427,7 +427,7 @@ def path_games(draw):
     inst = inc.IncentiveInstance(tuple(ids), {e: -c for e, c in zip(ids, cost)}, dict(zip(ids, gain)), fam)
     quarters = draw(st.lists(st.sampled_from(ids), min_size=4, max_size=4))
     x = {e: quarters.count(e) / 4 for e in ids}
-    paths = inc.enumerate_family(inst).ids()
+    paths = inst.family.explicit(EXPLICIT_LIMIT).ids()
     chosen = draw(st.lists(st.sampled_from(paths), max_size=2, unique=True))
     incentives = {sid: draw(st.sampled_from([0.25, 0.5, 1.0])) for sid in chosen}
     return inst, inc.IncentiveLeaderStrategy(x, incentives)
@@ -437,7 +437,7 @@ def path_games(draw):
 @given(path_games())
 def test_follower_best_set_same_rule_on_paths_and_materialized(case):
     inst, strat = case
-    flat = inc.materialized(inst)
+    flat = materialized(inst)
     # the strong Stackelberg choice: best follower payoff, then best leader payoff
     top = max((inc.follower_payoff(flat, strat, sid), inc.leader_payoff(flat, strat, sid)) for sid in flat.family.ids())
     for game in (inst, flat):
@@ -487,7 +487,7 @@ def test_path_family_rejects_sets_that_are_not_paths():
     instance = commit_instance(1)
     x = {"sa": 0.5, "bt": 0.5}
     off_path = inc.IncentiveLeaderStrategy(x, {("ab",): 5.0})
-    for game in (instance, inc.materialized(instance)):
+    for game in (instance, materialized(instance)):
         with pytest.raises(InputError):
             inc.follower_best_set(game, off_path)
         for sid in (("ab",), ("sa", "sb1"), ("ab", "bt", "sa", "sb1"), ("at1", "bt", "sb1")):
@@ -500,7 +500,7 @@ def test_path_family_rejects_sets_that_are_not_paths():
 def test_path_contains_matches_enumeration():
     instance = commit_instance(2)
     fam = instance.family
-    paths = set(inc.enumerate_family(instance).sets)
+    paths = set(fam.explicit(EXPLICIT_LIMIT).sets)
     edges = [eid for eid, _, _ in fam.edges]
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
@@ -508,7 +508,7 @@ def test_path_contains_matches_enumeration():
 
 
 def test_missing_path_after_validation_is_not_input_error(monkeypatch):
-    monkeypatch.setattr(inc, "_lex_min_tight_path", lambda fam, weights, costs, tol=tolerances.EQUAL: None)
+    monkeypatch.setattr(inc, "_lex_min_tight_path", lambda fam, weights, costs: None)
     with pytest.raises(ToolkitError) as caught:
         inc.base_best_set(commit_instance(), COMMIT_X)
     assert not isinstance(caught.value, InputError)

@@ -128,7 +128,7 @@ def test_redundant_constraint_keeps_objective():
 
 def test_vacuous_oracle_equals_plain_solve():
     program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
-    sol = lp.solve_with_generation(program, lambda values: None, tol=1e-7)
+    sol = lp.solve_with_generation(program, lambda values: None, max_rounds=10)
     plain = lp.solve(program)
     assert sol.is_optimal
     assert abs(sol.objective_value - plain.objective_value) < 1e-10
@@ -147,7 +147,7 @@ def test_generation_matches_materialized_constraints():
                 worst = lp.Cut(tuple(coeffs), rhs, violation)
         return worst if worst.violation > 0 else None
 
-    generated = lp.solve_with_generation(base, oracle, tol=1e-9, exact=True)
+    generated = lp.solve_with_generation(base, oracle, max_rounds=10, exact=True)
     materialized = lp.solve(two_var_lp((1, 1), rows), exact=True)
     assert generated.is_optimal
     assert abs(generated.objective_value - materialized.objective_value) < 1e-8
@@ -155,7 +155,7 @@ def test_generation_matches_materialized_constraints():
 
 def test_generation_propagates_infeasible_base():
     base = lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)])
-    sol = lp.solve_with_generation(base, lambda values: None)
+    sol = lp.solve_with_generation(base, lambda values: None, max_rounds=10)
     assert sol.status == lp.INFEASIBLE
 
 
@@ -333,7 +333,7 @@ def test_pivot_guard_raises_numerical_error(monkeypatch):
     with pytest.raises(LpNumericalError):
         lp.solve(program, exact=True)
     with pytest.raises(LpNumericalError):
-        lp.solve_with_generation(program, lambda values: None, exact=True)
+        lp.solve_with_generation(program, lambda values: None, max_rounds=10, exact=True)
 
 
 
@@ -577,7 +577,7 @@ def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model):
     with pytest.raises(LpNumericalError):
         lp.solve(program)
     with pytest.raises(LpNumericalError):
-        lp.solve_with_generation(program, lambda values: None)
+        lp.solve_with_generation(program, lambda values: None, max_rounds=10)
 
 
 @pytest.mark.parametrize("status, answer", [("kInfeasible", lp.INFEASIBLE), ("kUnbounded", lp.UNBOUNDED)])

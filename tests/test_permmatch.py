@@ -17,8 +17,10 @@ from .oracles import (
     extract_pitim_from_se,
     follower_best_response_bruteforce,
     is_3d_matching,
+    leader_best_response_pm,
     lexmax_matching_bruteforce,
     max_weight_matching_bruteforce,
+    opt_pure_pair,
     pm_utilities,
     suffix_bound_matching,
 )
@@ -273,7 +275,7 @@ def test_approx_solve_breaks_ties_for_the_leader_above_twelve_edges():
 
 def test_leader_best_response_point_mass():
     inst = swap_instance()
-    response = pm.leader_best_response_pm(inst, ((frozenset({E1}), 1.0),))
+    response = leader_best_response_pm(inst, ((frozenset({E1}), 1.0),))
     # pi(M_F) = {e0}; only e0 carries weight
     assert response == {E0}
 
@@ -281,7 +283,7 @@ def test_leader_best_response_point_mass():
 def test_leader_best_response_identity_perfect_matching():
     inst = identity_instance([(0, 1), (2, 3)], 4)
     m = frozenset({0, 1})
-    assert pm.leader_best_response_pm(inst, ((m, 1.0),)) == m
+    assert leader_best_response_pm(inst, ((m, 1.0),)) == m
 
 
 def test_leader_best_response_vs_bruteforce():
@@ -290,7 +292,7 @@ def test_leader_best_response_vs_bruteforce():
         inst = random_permmatch(rng.randrange(1 << 40), rng.randrange(3, 7), rng.randrange(1, 9))
         matchings = pm.enumerate_matchings(inst.graph)
         y = matchings[rng.randrange(len(matchings))]
-        got = pm.leader_best_response_pm(inst, ((y, 1.0),))
+        got = leader_best_response_pm(inst, ((y, 1.0),))
         best = max(len(m & inst.pi_image(y)) for m in matchings)
         assert len(got & inst.pi_image(y)) == best, f"trial {trial}"
 
@@ -355,26 +357,26 @@ def test_greedy_pair_invariants_all_orders():
 
 def test_opt_pure_pair_swap():
     inst = swap_instance()
-    y, yp, value = pm.opt_pure_pair(inst)
+    y, yp, value = opt_pure_pair(inst)
     assert value == 2
     assert y == yp == {E0, E1}
 
 
 def test_opt_pure_pair_identity_is_max_matching():
     inst = identity_instance([(0, 1), (1, 2), (2, 3)], 4)
-    _, _, value = pm.opt_pure_pair(inst)
+    _, _, value = opt_pure_pair(inst)
     assert value == 2  # the two outer edges
 
 
 def test_opt_pure_pair_empty():
     inst = pm.PermMatchInstance(pm.Multigraph(2, ()), ())
-    assert pm.opt_pure_pair(inst)[2] == 0
+    assert opt_pure_pair(inst)[2] == 0
 
 
 def test_opt_pure_pair_size_limit():
     inst = identity_instance([(0, 1)] * 13, 2)
     with pytest.raises(SizeLimitError):
-        pm.opt_pure_pair(inst)
+        opt_pure_pair(inst)
 
 
 def test_opt_pure_pair_matches_bruteforce_over_all_pairs():
@@ -383,7 +385,7 @@ def test_opt_pure_pair_matches_bruteforce_over_all_pairs():
         inst = random_permmatch(rng.randrange(1 << 40), rng.randrange(2, 7), rng.randrange(0, 9))
         matchings = all_matchings_bruteforce(inst.graph.num_vertices, inst.graph.edges)
         want = max(len(y & inst.pi_image(yp)) for y in matchings for yp in matchings)
-        y, yp, value = pm.opt_pure_pair(inst)
+        y, yp, value = opt_pure_pair(inst)
         assert value == want, f"trial {trial}"
         assert y in matchings and yp in matchings
         assert len(y & inst.pi_image(yp)) == value
@@ -393,7 +395,7 @@ def test_quarter_bound_mini_corpus():
     rng = random.Random(123)
     for trial in range(60):
         inst = random_permmatch(rng.randrange(1 << 40), rng.randrange(3, 8), rng.randrange(1, 9))
-        _, _, opt = pm.opt_pure_pair(inst)
+        _, _, opt = opt_pure_pair(inst)
         for order in (None, list(range(inst.graph.num_edges))[::-1]):
             x, xp = pm.greedy_pair(inst, order)
             assert 4 * len(x & inst.pi_image(xp)) >= opt, f"trial {trial}"
@@ -577,9 +579,10 @@ def test_explicit_bimatrix_swap_se_value():
 
 
 def test_explicit_bimatrix_limit():
-    inst = identity_instance([(0, 1), (2, 3)], 4)
-    with pytest.raises(SizeLimitError):
-        pm.explicit_bimatrix(inst, max_matchings=3)
+    # 2**13 matchings: 13 is the fewest disjoint edges above EXPLICIT_LIMIT = 4096
+    inst = identity_instance([(2 * i, 2 * i + 1) for i in range(13)], 26)
+    with pytest.raises(SizeLimitError, match="more than 4096 matchings"):
+        pm.explicit_bimatrix(inst)
 
 
 def test_explicit_bimatrix_payoffs_count_shared_and_image_edges():

@@ -1,4 +1,4 @@
-"""The tolerance policy of ``stacksolve.tolerances``, and a recursion guard.
+"""The tolerance policy of ``stacksolve.tolerances``, and guards on the package source.
 
 Every float margin of the package is a named constant of that one module,
 and every strategy type checks its probabilities with
@@ -6,7 +6,9 @@ and every strategy type checks its probabilities with
 that a margin cannot creep back in as a literal or a per-module constant.
 A second guard keeps recursion out of the solver modules: a search that
 recurses once per edge or vertex fails with ``RecursionError`` before its
-``SizeLimitError`` can apply.
+``SizeLimitError`` can apply. A third keeps test-only code out of them:
+a public function or class that no package or benchmark code uses, and
+that the package does not export, belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -22,6 +24,8 @@ from stacksolve import tolerances
 from stacksolve.bimatrix import MixedStrategy
 from stacksolve.errors import InputError
 from stacksolve.incentive import IncentiveLeaderStrategy
+
+from .oracles import leader_best_response_pm
 
 PACKAGE = Path(tolerances.__file__).parent
 # 1e-9 style literals, and negative powers of two such as 2.0**-53
@@ -92,6 +96,52 @@ def test_recursion_guard_flags_self_calls_by_bare_name():
     assert self_calls("def f(x):\n    return g(x) + x.f()\n") == []
 
 
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement refers to by ``Name`` or ``Attribute``, less its own name."""
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(stmt.name)
+    return names
+
+
+def unused_entry_points(modules: list[str], users: list[str], init: str) -> list[str]:
+    """Top-level public functions and classes of ``modules`` that nothing uses.
+
+    A name is used when code in ``modules`` or ``users``, outside the name's
+    own ``def`` or ``class``, refers to it, or when ``init`` imports it.
+    """
+    trees = [ast.parse(source) for source in modules + users]
+    used = {name for tree in trees for stmt in tree.body for name in _referenced(stmt)}
+    imports = (node for node in ast.walk(ast.parse(init)) if isinstance(node, ast.ImportFrom))
+    used |= {alias.name for node in imports for alias in node.names}
+    public = {
+        stmt.name
+        for tree in trees[: len(modules)]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+    return sorted(public - used)
+
+
+def test_no_test_only_entry_points_in_the_solver_modules():
+    modules = [(PACKAGE / f"{name}.py").read_text() for name in SOLVER_MODULES]
+    users = [path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.stem not in SOLVER_MODULES]
+    users += [path.read_text() for path in sorted((PACKAGE.parents[1] / "stackbench").glob("*.py"))]
+    found = unused_entry_points(modules, users, (PACKAGE / "__init__.py").read_text())
+    assert not found, "move these to tests/oracles.py, or export them:\n" + "\n".join(found)
+
+
+def test_entry_point_guard_flags_only_unused_names():
+    module = "def used(): pass\ndef exported(): pass\ndef lonely():\n    return lonely\nclass Helper: pass\n"
+    init = "from .m import exported\n"
+    assert unused_entry_points([module], ["x = m.used()\n"], init) == ["Helper", "lonely"]
+    assert unused_entry_points([module + "_HELPER = Helper\n"], ["used()\n"], init) == ["lonely"]
+
+
 def _widest_accepted_sum(side: float) -> float:
     """The float farthest from 1 on ``side`` (+1 or -1) that is within TOL of 1."""
     v = 1.0 + side * TOL
@@ -139,7 +189,7 @@ STRATEGY_TYPES = {
     "IncentiveLeaderStrategy": lambda probs: IncentiveLeaderStrategy({f"e{i}": p for i, p in enumerate(probs)}, {}),
     "TwoPointLeaderStrategy": lambda probs: pm.TwoPointLeaderStrategy(tuple(_raw_pairs(probs))),
     "follower_best_response_pm": lambda probs: pm.follower_best_response_pm(INSTANCE, _raw_pairs(probs)),
-    "leader_best_response_pm": lambda probs: pm.leader_best_response_pm(INSTANCE, _raw_pairs(probs)),
+    "leader_best_response_pm": lambda probs: leader_best_response_pm(INSTANCE, _raw_pairs(probs)),
 }
 
 
