@@ -166,15 +166,31 @@ def _column_lp(game: BimatrixGame, j: int, exact: bool) -> lp.LinearProgram:
     )
 
 
+# most floats in one temporary of ``_column_bounds``, unless n * m is more
+_BOUNDS_BLOCK = 1 << 15
+
+
 def _column_bounds(game: BimatrixGame) -> np.ndarray:
     """B_j = min over rivals r and multipliers lam of max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
 
-    Built column by column, so the temporaries hold |multipliers| * n * m
-    floats. The rival r = j adds max_i uL[i, j], as lam = 0 does.
+    Every column j at once, over a block of rivals r at a time: with
+    d[i, j, r] = uF[i, j] - uF[i, r], each lam takes the max over i, then the
+    min over the block, of uL[i, j] + lam d[i, j, r]. A block holds
+    max(1, _BOUNDS_BLOCK // (n m)) rivals, so the temporaries hold at most
+    max(_BOUNDS_BLOCK, n m) floats each. The rival r = j adds max_i uL[i, j],
+    as lam = 0 does.
     """
-    ul, uf = game.u_leader, game.u_follower
-    lam = _MULTIPLIERS[:, None, None]
-    return np.array([(ul[:, [j]] + lam * (uf[:, [j]] - uf)).max(axis=1).min() for j in range(game.m)])
+    ul, uf = game.u_leader[:, :, None], game.u_follower
+    n, m = game.n, game.m
+    step = max(1, _BOUNDS_BLOCK // (n * m))
+    bound = np.full(m, np.inf)
+    for start in range(0, m, step):
+        d = uf[:, :, None] - uf[:, None, start:start + step]
+        term = np.empty_like(d)
+        for lam in _MULTIPLIERS:
+            np.add(np.multiply(lam, d, out=term), ul, out=term)
+            np.minimum(bound, term.max(axis=0).min(axis=1), out=bound)
+    return bound
 
 
 def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSolution:
@@ -214,9 +230,19 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     therefore strictly below the best one, and the answer equals the
     unpruned one bit for bit.
     """
+    # With max|uF| >= 2^1023 a difference uF[i, j] - uF[i, r] can overflow.
+    # Such a game is solved with uF halved, which is exact (but for subnormal
+    # entries) and moves no follower best response, and the follower payoff
+    # is doubled back.
+    halve = np.abs(game.u_follower).max() >= 2.0**1023
+    if halve:
+        game = BimatrixGame(game.u_leader, game.u_follower / 2)
     ul = game.u_leader
-    bound = _column_bounds(game)
-    span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(game.u_follower).max()
+    # |uL[i, j] + lam d| <= span, so a bound overflows only when span does,
+    # and then the margin is infinite and no column is skipped
+    with np.errstate(over="ignore"):
+        bound = _column_bounds(game)
+        span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(game.u_follower).max()
     margin = LP_FEASIBILITY * (2 * game.n + 1) * span
     best: tuple[float, int, MixedStrategy] | None = None
     for j in np.argsort(-bound, kind="stable"):
@@ -234,7 +260,7 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     x = best[2]
     response = follower_best_response(game, x)
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
-    return StackelbergSolution(x, response, lpay, fpay)
+    return StackelbergSolution(x, response, lpay, 2 * fpay if halve else fpay)
 
 
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:

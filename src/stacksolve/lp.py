@@ -22,6 +22,11 @@ Two interchangeable backends sit behind ``solve``:
   so the answers are linprog's, bit for bit, without its per-call overhead.
   The bindings' extension file is loaded by itself, without importing
   ``scipy.optimize``, whose import takes longer than a whole CLI solve.
+  The model goes to HiGHS as plain arrays, through the array overload of
+  ``passModel``, and every LP is solved by one solver object made on first
+  use. ``passModel`` clears that object's model, basis and solution, so no
+  LP sees the one before. The object is not re-entrant: the package runs
+  no threads, and nothing may solve an LP from inside another solve.
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
@@ -197,8 +202,8 @@ def _load_core():
 
 
 # The bindings (private to scipy, loaded by ``_load_core`` without
-# ``scipy.optimize``) and linprog's options, on first use, so that commands
-# which solve no HiGHS LP skip even that.
+# ``scipy.optimize``) and the one solver, given linprog's options, on first
+# use, so that commands which solve no HiGHS LP skip even that.
 @functools.cache
 def _highs():
     _core = _load_core()
@@ -208,11 +213,13 @@ def _highs():
     options.log_to_console = options.output_flag = False
     options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_FEASIBILITY
-    return _core, options
+    highs = _core._Highs()
+    highs.passOptions(options)
+    return _core, highs
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
-    core, options = _highs()
+    core, highs = _highs()
     n, n_leq = lp.num_vars, len(lp.leq_rows)
     rows = np.concatenate((lp.leq_rows, lp.eq_rows))
     c, a, rhs = -lp.objective, rows[:, :-1], rows[:, -1]
@@ -220,21 +227,16 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     lower[list(lp.free)] = -np.inf
     lhs = np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:]))
 
-    # the rows column by column (HighsLp's default format), explicit zeros dropped
+    # the rows column by column, explicit zeros dropped; every variable is
+    # continuous (an empty integrality array is an error, not "none")
     cols, row_index = np.nonzero(a.T)
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
-    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1))
-    model.a_matrix_.index_ = row_index
-    model.a_matrix_.value_ = a[row_index, cols]
-    model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = lower, np.full(n, np.inf)
-    model.row_lower_, model.row_upper_ = lhs, rhs
-
-    highs = core._Highs()
-    highs.passOptions(options)
-    if highs.passModel(model) == core.HighsStatus.kError:
+    status = highs.passModel(
+        n, len(rows), len(cols), core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+        c, lower, np.full(n, np.inf), lhs, rhs,
+        np.searchsorted(cols, np.arange(n + 1)).astype(np.int32), row_index.astype(np.int32),
+        a[row_index, cols], np.zeros(n, np.int32),
+    )
+    if status == core.HighsStatus.kError:
         raise LpNumericalError("HiGHS rejected the model")
     run_status = highs.run()
     status = highs.getModelStatus()

@@ -35,7 +35,8 @@ def fake_highs(monkeypatch):
     ``install(status, pass_model=True, row_shift=0.0)``: every solve reports
     the model status ``status`` (a ``HighsModelStatus`` name); ``passModel``
     fails unless ``pass_model``; an optimum is x = 0 with every row activity
-    at its upper side plus ``row_shift``.
+    at its upper side plus ``row_shift``. ``lp`` keeps one solver object, so
+    it is dropped when a stub goes in and again after the test.
     """
     core, _ = lp._highs()
 
@@ -44,8 +45,9 @@ def fake_highs(monkeypatch):
             def passOptions(self, options):
                 return core.HighsStatus.kOk
 
-            def passModel(self, model):
-                self.model = model
+            def passModel(self, num_col, num_row, num_nz, a_format, sense, offset,
+                          cost, col_lower, col_upper, row_lower, row_upper, *matrix):
+                self.num_col, self.row_upper = num_col, row_upper
                 return core.HighsStatus.kOk if pass_model else core.HighsStatus.kError
 
             def run(self):
@@ -59,13 +61,15 @@ def fake_highs(monkeypatch):
 
             def getSolution(self):
                 return SimpleNamespace(
-                    col_value=[0.0] * self.model.num_col_,
-                    row_value=np.asarray(self.model.row_upper_) + row_shift,
+                    col_value=[0.0] * self.num_col,
+                    row_value=np.asarray(self.row_upper) + row_shift,
                 )
 
         monkeypatch.setattr(core, "_Highs", FakeHighs)
+        lp._highs.cache_clear()
 
-    return install
+    yield install
+    lp._highs.cache_clear()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
 ``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs),
+``column_bounds_per_column`` (the column bounds, one column at a time),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
 It also holds helpers only the tests use, which call the package's
@@ -346,6 +347,18 @@ def unpruned_stackelberg(game, exact: bool = False):
     response = follower_best_response(game, x)
     payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, payoff, follower)
+
+
+def column_bounds_per_column(game) -> np.ndarray:
+    """``bimatrix._column_bounds`` as it was first written, one column at a time.
+
+    The same sums uL[i, j] + lam (uF[i, j] - uF[i, r]) in one
+    |multipliers| x n x m array per column, so the blocked version must
+    match it bit for bit: max and min are exact.
+    """
+    ul, uf = game.u_leader, game.u_follower
+    lam = bimatrix._MULTIPLIERS[:, None, None]
+    return np.array([(ul[:, [j]] + lam * (uf[:, [j]] - uf)).max(axis=1).min() for j in range(game.m)])
 
 
 def realized_maximin_profile(game, exact: bool = False) -> tuple[MixedStrategy, MixedStrategy, float, float]:

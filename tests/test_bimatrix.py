@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -276,3 +277,21 @@ def test_highs_matches_exact_on_badly_scaled_games(leader_scale, follower_scale)
         validate_stackelberg_solution(game, sol)
         exact = solve_stackelberg(game, exact=True).leader_payoff
         assert sol.leader_payoff == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+# uF[0, 0] - uF[0, 1] is 2e308, beyond the float range
+HUGE_FOLLOWER_GAME = BimatrixGame(np.array([[1.0, 2.0], [3.0, 0.0]]), np.array([[1e308, -1e308], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_follower_payoffs_near_the_float_limit_solve_as_the_halved_game(exact):
+    # halving uF is exact and moves no follower best response
+    game = HUGE_FOLLOWER_GAME
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_stackelberg(game, exact=exact)
+    validate_stackelberg_solution(game, sol)
+    half = solve_stackelberg(BimatrixGame(game.u_leader, game.u_follower / 2), exact=exact)
+    assert (sol.leader, sol.follower_response, sol.leader_payoff) == (
+        half.leader, half.follower_response, half.leader_payoff)
+    assert sol.follower_payoff == 2 * half.follower_payoff

@@ -138,6 +138,16 @@ def test_malformed_pm_strategy_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_follower_payoffs_near_the_float_limit_solve_quietly(tmp_path, fresh_python, exact):
+    # valid input whose follower differences overflow the float range
+    game = {"n": 2, "m": 2, "uL": [[1, 2], [3, 0]], "uF": [[1e308, -1e308], [0, 1]]}
+    path = write(tmp_path, "game.json", game)
+    out = fresh_python("-m", "stacksolve.cli", "solve-bimatrix", "--method", "se", *exact, "-i", path)
+    assert (out.returncode, out.stderr) == (EXIT_OK, "")
+    assert json.loads(out.stdout)["result"]["method"] == "se"
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError])
 def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
     def broken(game, exact=False):

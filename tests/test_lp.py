@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stacksolve import gen, lp, permmatch
+from stacksolve import bimatrix, gen, lp, permmatch
 from stacksolve import incentive as inc
 from stacksolve.bimatrix import FOLLOWER, LEADER, BimatrixGame, solve_maximin, solve_stackelberg
 from stacksolve.errors import InputError, LpNumericalError
@@ -416,7 +416,11 @@ def test_highs_matches_linprog_bit_for_bit(program):
 
 
 def passed_to_highs(solver, program):
-    """The options and the model that ``solver`` hands HiGHS, as plain values."""
+    """The options that ``solver`` hands HiGHS, and the model HiGHS then holds, as plain values.
+
+    ``lp`` keeps one solver object, so it is dropped before and after the
+    recording one is made.
+    """
     core, _ = lp._highs()
     seen = []
 
@@ -429,20 +433,29 @@ def passed_to_highs(solver, program):
             seen.append({n: getattr(options, n) for n in names if not callable(getattr(options, n))})
             return super().passOptions(options)
 
-        def passModel(self, model):
-            matrix = model.a_matrix_
+        def passModel(self, *model):
+            status = super().passModel(*model)
+            held = self.getLp()
+            matrix = held.a_matrix_
+            # the one field that differs: [] after linprog, every variable
+            # kContinuous after lp; neither makes a variable integer
+            assert all(v == core.HighsVarType.kContinuous for v in held.integrality_)
             seen.append((
-                model.num_col_, model.num_row_, model.sense_, model.offset_,
-                list(model.integrality_), matrix.format_, matrix.num_col_, matrix.num_row_,
+                held.num_col_, held.num_row_, held.sense_, held.offset_,
+                matrix.format_, matrix.num_col_, matrix.num_row_,
                 list(matrix.start_), list(matrix.index_), floats(matrix.value_),
-                floats(model.col_cost_), floats(model.col_lower_), floats(model.col_upper_),
-                floats(model.row_lower_), floats(model.row_upper_),
+                floats(held.col_cost_), floats(held.col_lower_), floats(held.col_upper_),
+                floats(held.row_lower_), floats(held.row_upper_),
             ))
-            return super().passModel(model)
+            return status
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_Highs", Recording)
-        outcome(solver, program)
+    lp._highs.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_Highs", Recording)
+            outcome(solver, program)
+    finally:
+        lp._highs.cache_clear()
     return seen
 
 
@@ -460,6 +473,23 @@ def test_highs_gets_linprogs_options_and_model(program):
 
 def test_primal_tolerance_lp_is_infeasible():
     assert lp.solve(PRIMAL_TOLERANCE_LP).status == lp.INFEASIBLE
+
+
+def test_one_reused_solver_matches_a_fresh_one_per_lp():
+    # lp passes every model to one HiGHS object; linprog makes one per call.
+    # Same-shaped LPs back to back, then other statuses, forwards and back.
+    game = gen.random_bimatrix(3, 12, 12)
+    programs = [bimatrix._column_lp(game, j, exact=False) for j in range(game.m)] + [
+        lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)]),  # infeasible
+        lp.LinearProgram(objective=(1.0, 1.0), leq_rows=[(1.0, -1.0, 1.0)]),  # unbounded
+        TIE_RULE_LP,  # free variables
+        PRIMAL_TOLERANCE_LP,
+    ]
+    expected = [outcome(solve_highs_linprog, program) for program in programs]
+    statuses = Counter(o[0] for o in expected)
+    assert statuses[lp.OPTIMAL] and statuses[lp.INFEASIBLE] and statuses[lp.UNBOUNDED]
+    assert [outcome(highs, program) for program in programs] == expected
+    assert [outcome(highs, program) for program in reversed(programs)] == expected[::-1]
 
 
 def test_highs_matches_linprog_on_solver_lps(monkeypatch):

@@ -10,12 +10,15 @@ among equal values, so no column the loop skips could have won. These
 tests compare it bit for bit with the all-columns loop of
 ``oracles.unpruned_stackelberg``, which shares the column LPs, on random,
 0-3 integer, commit and permuted-matching games; check the bound against
-every column's exact LP value; and count the LPs solved.
+every column's exact LP value and, bit for bit, against the per-column
+computation of ``oracles.column_bounds_per_column``; and count the LPs
+solved.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacksolve import bimatrix, lp, permmatch
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg, validate_stackelberg_solution
@@ -23,7 +26,7 @@ from stacksolve.gen import random_permmatch
 from stacksolve.incentive import incentive_bimatrix
 
 from .instances import bimatrix_games, commit_instance
-from .oracles import unpruned_stackelberg
+from .oracles import column_bounds_per_column, unpruned_stackelberg
 
 
 def assert_same_as_unpruned(game, exact):
@@ -83,6 +86,27 @@ def test_column_bounds_cover_every_exact_column_value(game):
         sol = lp.solve(bimatrix._column_lp(game, j, exact=True), exact=True)
         if sol.is_optimal:
             assert bound[j] >= sol.objective_value
+
+
+@st.composite
+def bounds_games(draw):
+    """Games for the bounds: random or 0-3 integer, 1 x m and n x 1 included, by 2^e, |e| <= 500."""
+    n, m = draw(st.sampled_from([(1, 0), (0, 1), (0, 0)]))
+    n, m = n or draw(st.integers(1, 70)), m or draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ul, uf = rng.integers(0, 4, (2, n, m)).astype(float)
+    else:
+        ul, uf = rng.uniform(-1.0, 1.0, (2, n, m))
+    e = draw(st.integers(-500, 500))
+    return BimatrixGame(np.ldexp(ul, e), np.ldexp(uf, e))
+
+
+@settings(max_examples=300)
+@given(bounds_games())
+def test_blocked_column_bounds_match_the_per_column_ones_bit_for_bit(game):
+    # from about 30 x 30 on, the rivals come in several blocks, the last one partial
+    assert bimatrix._column_bounds(game).tobytes() == column_bounds_per_column(game).tobytes()
 
 
 @pytest.fixture
