@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, LP_FEASIBILITY, NEAR_BEST, PROBABILITY, probabilities
+from .tolerances import EQUAL, GUARANTEE, LP_FEASIBILITY, NEAR_BEST, PROBABILITY, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -136,31 +136,31 @@ def follower_best_response(game: BimatrixGame, x: StrategyLike) -> int:
     raise ToolkitError("unreachable: no best response column")  # pragma: no cover
 
 
+def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` times 2^-e, and e, the ``math.frexp`` exponent of max|a|: max|a| ends in [1/2, 1).
+
+    Every bimatrix solver works at this unit: unscaled, HiGHS failed on games
+    whose matrices lie orders of magnitude apart and read entries below 10^-9
+    as zero. Powers of two scale exactly, but entries about 2^1021 below max|a| go subnormal.
+    """
+    e = math.frexp(np.abs(a).max())[1]
+    return np.ldexp(a, -e), e
+
+
 # The Lagrange multipliers of the column bounds; 0 gives max_i u_leader[i, j].
 _MULTIPLIERS = np.array([0.0, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 8.0])
 
 
-def _column_lp(game: BimatrixGame, j: int, exact: bool) -> lp.LinearProgram:
+def _column_lp(game: BimatrixGame, j: int) -> lp.LinearProgram:
     """Column j's LP: maximize u_leader[:, j] . x over the simplex with j a weak best response.
 
     Row jp is the follower's gain of column jp over j, which must stay <= 0.
-    On HiGHS the objective is scaled by 2^-e(max|u_leader|) and the rows by
-    2^-e(max|u_follower|), e being the ``math.frexp`` exponent, so that both
-    peak in [1/2, 1). Unscaled, HiGHS failed on games whose two matrices
-    lie orders of magnitude apart, and read follower rows of entries below
-    its zero threshold as empty. A power of two scales floats exactly
-    (short of underflow), so the feasible and the optimal sets stay the
-    same. The exact backend gets the plain LP: scaled, it pivots the same
-    way to the same x, only some 4% slower on ``exact-lp`` (BENCH_11.json).
+    ``solve_stackelberg`` builds it on the unit game (``_unit``).
     """
     uf = game.u_follower
-    objective = game.u_leader[:, j]
     diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
-    if not exact:
-        objective = np.ldexp(objective, -math.frexp(np.abs(game.u_leader).max())[1])
-        diff = np.ldexp(diff, -math.frexp(np.abs(uf).max())[1])
     return lp.LinearProgram(
-        objective=objective,
+        objective=game.u_leader[:, j],
         leq_rows=np.concatenate((diff, np.zeros((len(diff), 1))), axis=1),
         eq_rows=np.ones((1, game.n + 1)),  # sum(x) = 1
     )
@@ -205,6 +205,9 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     tied response it may realize more than its column value, and more than
     the best column value only as far as the ``EQUAL`` tie margin allows.
 
+    Bounds, margin, column LPs and column values come from the unit game
+    (``_unit`` of uL and of uF); the response and payoffs from the game.
+
     Both backends visit the columns by ``(-B_j, j)`` for the Lagrangian
     bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974).
     By weak duality it holds for every x feasible for column j: for a rival
@@ -214,41 +217,33 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     feasibility tolerance ``LP_FEASIBILITY`` (eps), meets the rows only that
     closely: the entries of x may dip to -eps (clamped into [0, 1] here,
     which moves x by at most 2n eps in sum), its sum may miss 1 by eps, and
-    a scaled follower row may break by eps, under 2 eps max|uF| unscaled.
-    With |B_j| <= max|uL| + 16 max|uF| and lam <= 8, these lift a column
-    value above B_j by at most eps (2n + 1)(max|uL| + 32 max|uF|), the
-    margin; the rounding of B_j is far smaller. The loop stops at the first
-    column whose bound is below the best column value by more than the
-    margin, so no column left out could have reached, or tied, the best
-    value, and the answer is that of a visit of every column
-    (``tests/oracles.unpruned_stackelberg``).
+    a follower row may break by eps. With |B_j| <= max|uL| + 16 max|uF| and
+    lam <= 8, these lift a column value above B_j by at most
+    eps (2n + 1)(max|uL| + 32 max|uF|), under 33 eps (2n + 1) on the unit
+    game: the margin. The rounding of B_j is far smaller, and nothing
+    overflows. The loop stops at the first column whose bound is below the
+    best column value by more than the margin, so no column left out could
+    have reached, or tied, the best value, and the answer is that of a
+    visit of every column (``tests/oracles.unpruned_stackelberg``).
 
     The exact backend runs the same loop with the same margin, which holds
     there with room to spare: its x is exactly feasible, so the only errors
     left are the rounding of x to floats, the float dot product and the
     float B_j, each far below the margin. A skipped column's float value is
     therefore strictly below the best one, and the answer equals the
-    unpruned one bit for bit.
+    unpruned one bit for bit. Bland's rule pivots the unit LP as the given
+    one: positive factors on the rows and the objective change no pivot.
     """
-    # With max|uF| >= 2^1023 a difference uF[i, j] - uF[i, r] can overflow.
-    # Such a game is solved with uF halved, which is exact (but for subnormal
-    # entries) and moves no follower best response, and the follower payoff
-    # is doubled back.
-    halve = np.abs(game.u_follower).max() >= 2.0**1023
-    if halve:
-        game = BimatrixGame(game.u_leader, game.u_follower / 2)
-    ul = game.u_leader
-    # |uL[i, j] + lam d| <= span, so a bound overflows only when span does,
-    # and then the margin is infinite and no column is skipped
-    with np.errstate(over="ignore"):
-        bound = _column_bounds(game)
-        span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(game.u_follower).max()
+    unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
+    ul = unit.u_leader
+    bound = _column_bounds(unit)
+    span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(unit.u_follower).max()
     margin = LP_FEASIBILITY * (2 * game.n + 1) * span
     best: tuple[float, int, MixedStrategy] | None = None
     for j in np.argsort(-bound, kind="stable"):
         if best is not None and bound[j] < best[0] - margin:
             break
-        sol = lp.solve(_column_lp(game, j, exact), exact=exact)
+        sol = lp.solve(_column_lp(unit, j), exact=exact)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
@@ -260,7 +255,7 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     x = best[2]
     response = follower_best_response(game, x)
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
-    return StackelbergSolution(x, response, lpay, 2 * fpay if halve else fpay)
+    return StackelbergSolution(x, response, lpay, fpay)
 
 
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:
@@ -277,13 +272,18 @@ def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) 
 
 
 def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple[MixedStrategy, float]:
-    """Strategy maximizing the player's own worst-case payoff, and that value."""
+    """Strategy maximizing the player's own worst-case payoff, and that value.
+
+    The LP and its ``GUARANTEE`` check against every pure reply of the
+    opponent run on the player's unit payoff (``_unit``).
+    """
     if player == LEADER:
         payoff = game.u_leader
     elif player == FOLLOWER:
         payoff = game.u_follower.T
     else:
         raise InputError(f"unknown player {player!r}")
+    payoff, e = _unit(payoff)
     k, opp = payoff.shape
     # variables: k probabilities plus the guaranteed value v; row j says
     # v - payoff[:, j] . x <= 0, and the probabilities sum to 1
@@ -297,7 +297,9 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
     if not sol.is_optimal:
         raise ToolkitError(f"maximin LP reported {sol.status} on a finite game")
     strat = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:k]))
-    return strat, float(sol.values[k])
+    if (strat.as_array() @ payoff).min() < sol.values[k] - GUARANTEE:
+        raise ToolkitError("maximin strategy falls short of its guarantee")
+    return strat, math.ldexp(sol.values[k], e)
 
 
 NASH_SIZE_LIMIT = 8
@@ -308,12 +310,13 @@ EXPLICIT_LIMIT = 4096
 def solve_nash_support_enumeration(game: BimatrixGame) -> list[tuple[MixedStrategy, MixedStrategy]]:
     """All Nash equilibria found by equal-size support enumeration.
 
-    Complete for nondegenerate games; desk-scale only (n, m <= 8).
+    Complete for nondegenerate games; desk-scale only (n, m <= 8). Runs on
+    the unit payoffs (``_unit``), so ``NEAR_BEST`` is relative to each one.
     """
     n, m = game.n, game.m
     if n > NASH_SIZE_LIMIT or m > NASH_SIZE_LIMIT:
         raise SizeLimitError(f"support enumeration limited to {NASH_SIZE_LIMIT} strategies per side")
-    ul, uf = game.u_leader, game.u_follower
+    ul, uf = _unit(game.u_leader)[0], _unit(game.u_follower)[0]
     found: list[tuple[MixedStrategy, MixedStrategy]] = []
     seen: set[tuple] = set()
     for k in range(1, min(n, m) + 1):

@@ -22,8 +22,8 @@ LP_FEASIBILITY = 1e-9
 # An optimum HiGHS reports must meet its bounds and rows within this:
 # linprog's residual check, 10 * sqrt(tol) at its default tol of 1e-9.
 LP_RESIDUAL = 10 * math.sqrt(1e-9)
-# Re-checks against a guarantee: the cut loop's stop, the incentive
-# solver's best-response and lower-bound checks, maximin guarantees.
+# Re-checks against a guarantee: the cut loop's stop, the incentive solver's
+# best-response and lower-bound checks, and ``bimatrix.solve_maximin`` at its LP's scale.
 GUARANTEE = 1e-7
 # Support enumeration: a support strategy within this of the best payoff.
 NEAR_BEST = 1e-8

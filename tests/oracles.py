@@ -329,18 +329,20 @@ def unpruned_stackelberg(game, exact: bool = False):
     The differential reference for the bound-ordered pruning of
     ``bimatrix.solve_stackelberg``. It shares that solver's column LPs
     (``bimatrix._column_lp``), LP backend and best-response re-evaluation on
-    purpose, so that only the visiting order and the stop rule differ: the
-    strictly largest column value u_leader[:, j] . x wins, so the lowest
-    column index among exactly equal values, and only the winner's x is
-    re-evaluated.
+    purpose, on the same unit game (``bimatrix._unit``), so that only the
+    visiting order and the stop rule differ: the strictly largest column
+    value u_leader[:, j] . x wins, so the lowest column index among exactly
+    equal values, and only the winner's x is re-evaluated on the game as
+    given.
     """
+    unit = bimatrix.BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
     best = None
     for j in range(game.m):
-        sol = lp.solve(bimatrix._column_lp(game, j, exact), exact=exact)
+        sol = lp.solve(bimatrix._column_lp(unit, j), exact=exact)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
-        value = float(game.u_leader[:, j] @ x.as_array())
+        value = float(unit.u_leader[:, j] @ x.as_array())
         if best is None or value > best[0]:
             best = (value, x)
     x = best[1]

@@ -19,6 +19,7 @@ from stacksolve.bimatrix import (
     validate_stackelberg_solution,
 )
 from stacksolve.errors import InputError, SizeLimitError
+from stacksolve.gen import random_bimatrix
 
 from .instances import random_game_payoffs
 from .oracles import grid_search_stackelberg, realized_maximin_profile
@@ -222,6 +223,23 @@ def test_nash_matching_pennies_unique_mixed():
         _, fpay = expected_utilities(game, x, MixedStrategy.point_mass(2, j))
         _, fbest = expected_utilities(game, x, y)
         assert fbest >= fpay - 1e-9
+
+
+def equilibrium_bits(game):
+    return [(x.as_array().tobytes(), y.as_array().tobytes()) for x, y in solve_nash_support_enumeration(game)]
+
+
+@pytest.mark.parametrize("e", [-500, -123, -40, 40, 123, 500])
+def test_nash_equilibria_commute_with_power_of_two_scaling(e):
+    # support enumeration compares payoffs on each player's unit scale, so
+    # 2^e times the game has the same equilibria, bit for bit; with an
+    # absolute margin, 2^-40 listed 776 equilibria of these games, not 64
+    for seed in range(30):
+        base = random_bimatrix(seed, 4, 4)
+        games = [base, BimatrixGame(np.floor(4 * base.u_leader), np.floor(4 * base.u_follower))]
+        for game in games:
+            scaled = BimatrixGame(np.ldexp(game.u_leader, e), np.ldexp(game.u_follower, e))
+            assert equilibrium_bits(scaled) == equilibrium_bits(game), seed
 
 
 def test_nash_size_limit():

@@ -148,6 +148,38 @@ def test_follower_payoffs_near_the_float_limit_solve_quietly(tmp_path, fresh_pyt
     assert json.loads(out.stdout)["result"]["method"] == "se"
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_maximin_of_follower_payoffs_near_the_float_limit_exits_0(tmp_path, fresh_python, exact):
+    # the maximin LP runs at the unit scale: unscaled, HiGHS rejected the
+    # +-1e308 rows, and the exact backend's rounding at that scale failed
+    # the absolute guarantee check
+    game = {"n": 2, "m": 2, "uL": [[1, 2], [3, 0]], "uF": [[1e308, -1e308], [0, 1]]}
+    path = write(tmp_path, "game.json", game)
+    out = fresh_python("-m", "stacksolve.cli", "solve-bimatrix", "--method", "maximin", *exact, "-i", path)
+    assert (out.returncode, out.stderr) == (EXIT_OK, "")
+    result = json.loads(out.stdout)["result"]
+    assert result["leaderGuarantee"] == pytest.approx(1.5)
+    # HiGHS reads the scaled row [0, 2^-1024] as zero: a valid guarantee below the optimum 0.5
+    guarantee = result["followerGuarantee"]
+    assert (guarantee == pytest.approx(0.5)) if exact else (0.0 <= guarantee <= 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e9, 1e12, 2.0**40])
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_maximin_of_scaled_games_exits_0(tmp_path, capsys, scale, exact):
+    # an absolute guarantee check failed on float rounding at these scales
+    for seed in range(30):
+        game = random_bimatrix(seed, 6, 6)
+        obj = {**game.to_json_obj(), "uL": (game.u_leader * scale).tolist(), "uF": (game.u_follower * scale).tolist()}
+        path = write(tmp_path, "game.json", obj)
+        code = main(["solve-bimatrix", "--method", "maximin", *exact, "-i", path])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, ""), seed
+        result = json.loads(out)["result"]
+        assert result["leaderGuarantee"] <= result["realizedLeaderPayoff"] * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("error", [KeyError, TypeError])
 def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
     def broken(game, exact=False):

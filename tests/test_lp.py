@@ -479,7 +479,7 @@ def test_one_reused_solver_matches_a_fresh_one_per_lp():
     # lp passes every model to one HiGHS object; linprog makes one per call.
     # Same-shaped LPs back to back, then other statuses, forwards and back.
     game = gen.random_bimatrix(3, 12, 12)
-    programs = [bimatrix._column_lp(game, j, exact=False) for j in range(game.m)] + [
+    programs = [bimatrix._column_lp(game, j) for j in range(game.m)] + [
         lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)]),  # infeasible
         lp.LinearProgram(objective=(1.0, 1.0), leq_rows=[(1.0, -1.0, 1.0)]),  # unbounded
         TIE_RULE_LP,  # free variables

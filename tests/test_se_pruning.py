@@ -11,8 +11,9 @@ tests compare it bit for bit with the all-columns loop of
 ``oracles.unpruned_stackelberg``, which shares the column LPs, on random,
 0-3 integer, commit and permuted-matching games; check the bound against
 every column's exact LP value and, bit for bit, against the per-column
-computation of ``oracles.column_bounds_per_column``; and count the LPs
-solved.
+computation of ``oracles.column_bounds_per_column``; count the LPs
+solved; and check that scaling uL and uF by powers of two moves neither
+the SE strategy nor, but for its value, a maximin solution.
 """
 
 import numpy as np
@@ -83,22 +84,22 @@ def test_column_bounds_cover_every_exact_column_value(game):
     assert bound.shape == (game.m,)
     assert np.all(bound <= game.u_leader.max(axis=0))  # lam = 0 is one of the multipliers
     for j in range(game.m):
-        sol = lp.solve(bimatrix._column_lp(game, j, exact=True), exact=True)
+        sol = lp.solve(bimatrix._column_lp(game, j), exact=True)
         if sol.is_optimal:
             assert bound[j] >= sol.objective_value
 
 
 @st.composite
-def bounds_games(draw):
-    """Games for the bounds: random or 0-3 integer, 1 x m and n x 1 included, by 2^e, |e| <= 500."""
+def bounds_games(draw, size=70, exponents=st.integers(-500, 500)):
+    """Random or 0-3 integer games up to size x size, 1 x m and n x 1 included, by 2^e for e in ``exponents``."""
     n, m = draw(st.sampled_from([(1, 0), (0, 1), (0, 0)]))
-    n, m = n or draw(st.integers(1, 70)), m or draw(st.integers(1, 70))
+    n, m = n or draw(st.integers(1, size)), m or draw(st.integers(1, size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         ul, uf = rng.integers(0, 4, (2, n, m)).astype(float)
     else:
         ul, uf = rng.uniform(-1.0, 1.0, (2, n, m))
-    e = draw(st.integers(-500, 500))
+    e = draw(exponents)
     return BimatrixGame(np.ldexp(ul, e), np.ldexp(uf, e))
 
 
@@ -107,6 +108,32 @@ def bounds_games(draw):
 def test_blocked_column_bounds_match_the_per_column_ones_bit_for_bit(game):
     # from about 30 x 30 on, the rivals come in several blocks, the last one partial
     assert bimatrix._column_bounds(game).tobytes() == column_bounds_per_column(game).tobytes()
+
+
+def scaled(game, a, b):
+    return BimatrixGame(np.ldexp(game.u_leader, a), np.ldexp(game.u_follower, b))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=100)
+@given(bounds_games(size=6, exponents=st.just(0)), st.integers(-500, 500), st.integers(-500, 500))
+def test_maximin_commutes_with_power_of_two_scaling(exact, game, a, b):
+    # both LPs run on the unit payoff, so only the value is scaled back
+    for player, e in ((bimatrix.LEADER, a), (bimatrix.FOLLOWER, b)):
+        strat, value = bimatrix.solve_maximin(game, player, exact=exact)
+        scaled_strat, scaled_value = bimatrix.solve_maximin(scaled(game, a, b), player, exact=exact)
+        assert scaled_strat.as_array().tobytes() == strat.as_array().tobytes()
+        assert scaled_value == np.ldexp(value, e)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=100)
+@given(bounds_games(size=6, exponents=st.just(0)), st.integers(-500, 500), st.integers(-500, 500))
+def test_stackelberg_strategy_commutes_with_power_of_two_scaling(exact, game, a, b):
+    # the column LPs run on the unit game; the response is re-evaluated on
+    # the game as given, where the absolute EQUAL can still move it
+    x = solve_stackelberg(game, exact=exact).leader.as_array()
+    assert solve_stackelberg(scaled(game, a, b), exact=exact).leader.as_array().tobytes() == x.tobytes()
 
 
 @pytest.fixture

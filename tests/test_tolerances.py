@@ -9,6 +9,7 @@ recurses once per edge or vertex fails with ``RecursionError`` before its
 ``SizeLimitError`` can apply. A third keeps test-only code out of them:
 a public function or class that no package or benchmark code uses, and
 that the package does not export, belongs in ``tests/oracles.py``.
+A fourth keeps the payoff scale in one place, ``bimatrix._unit``.
 """
 
 import ast
@@ -88,6 +89,36 @@ def test_no_solver_module_recurses():
         for hit in self_calls((PACKAGE / f"{name}.py").read_text())
     ]
     assert not found, "run these searches on an explicit stack:\n" + "\n".join(found)
+
+
+def scale_decisions(source: str, module: str) -> list[str]:
+    """Uses of ``frexp`` outside ``bimatrix._unit``, and every use of ``errstate``."""
+    return [
+        f"{node.lineno}: {name}"
+        for stmt in ast.parse(source).body
+        for node in ast.walk(stmt)
+        for name in [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+        if name == "errstate"
+        or name == "frexp" and (module, getattr(stmt, "name", None)) != ("bimatrix", "_unit")
+    ]
+
+
+def test_payoffs_are_scaled_in_one_place():
+    # every bimatrix solver takes its payoff scale from ``bimatrix._unit``
+    found = [
+        f"{name}.py:{hit}"
+        for name in SOLVER_MODULES
+        for hit in scale_decisions((PACKAGE / f"{name}.py").read_text(), name)
+    ]
+    assert not found, "scale payoffs through bimatrix._unit:\n" + "\n".join(found)
+
+
+def test_scale_guard_flags_frexp_outside_unit_and_errstate():
+    unit = "def _unit(a):\n    return math.frexp(a)[1]\n"
+    assert scale_decisions(unit, "bimatrix") == []
+    assert scale_decisions(unit, "lp") == ["2: frexp"]
+    assert scale_decisions("def f(a):\n    e = frexp(a)\n", "bimatrix") == ["2: frexp"]
+    assert scale_decisions("with np.errstate(over='ignore'):\n    pass\n", "bimatrix") == ["1: errstate"]
 
 
 def test_recursion_guard_flags_self_calls_by_bare_name():
