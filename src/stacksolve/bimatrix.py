@@ -155,7 +155,8 @@ def _column_lp(game: BimatrixGame, j: int) -> lp.LinearProgram:
     """Column j's LP: maximize u_leader[:, j] . x over the simplex with j a weak best response.
 
     Row jp is the follower's gain of column jp over j, which must stay <= 0.
-    ``solve_stackelberg`` builds it on the unit game (``_unit``).
+    ``solve_stackelberg`` builds it on the unit game (``_unit``) for the
+    exact backend.
     """
     uf = game.u_follower
     diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
@@ -163,6 +164,24 @@ def _column_lp(game: BimatrixGame, j: int) -> lp.LinearProgram:
         objective=game.u_leader[:, j],
         leq_rows=np.concatenate((diff, np.zeros((len(diff), 1))), axis=1),
         eq_rows=np.ones((1, game.n + 1)),  # sum(x) = 1
+    )
+
+
+def _column_model(game: BimatrixGame) -> lp.LinearProgram:
+    """Every column LP at once, over x and one free variable t = x[n].
+
+    Row r says u_follower[:, r] . x - t <= 0, and x sums to 1. Column j's
+    LP is this one with objective (u_leader[:, j], 0) and row j held at
+    equality, so t = u_follower[:, j] . x and its feasible x are those of
+    ``_column_lp(game, j)``; ``solve_stackelberg`` re-solves it on HiGHS
+    through ``lp.TightRowLps``.
+    """
+    n, m = game.n, game.m
+    return lp.LinearProgram(
+        objective=np.zeros(n + 1),
+        leq_rows=np.concatenate((game.u_follower.T, np.full((m, 1), -1.0), np.zeros((m, 1))), axis=1),
+        eq_rows=[np.append(np.ones(n), (0.0, 1.0))],
+        free={n},
     )
 
 
@@ -213,40 +232,56 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     By weak duality it holds for every x feasible for column j: for a rival
     r and lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
     uL[:, j] . x <= sum_i x_i (uL[i, j] + lam (uF[i, j] - uF[i, r]))
-    <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])). HiGHS, run with the
-    feasibility tolerance ``LP_FEASIBILITY`` (eps), meets the rows only that
-    closely: the entries of x may dip to -eps (clamped into [0, 1] here,
-    which moves x by at most 2n eps in sum), its sum may miss 1 by eps, and
-    a follower row may break by eps. With |B_j| <= max|uL| + 16 max|uF| and
-    lam <= 8, these lift a column value above B_j by at most
-    eps (2n + 1)(max|uL| + 32 max|uF|), under 33 eps (2n + 1) on the unit
-    game: the margin. The rounding of B_j is far smaller, and nothing
-    overflows. The loop stops at the first column whose bound is below the
-    best column value by more than the margin, so no column left out could
-    have reached, or tied, the best value, and the answer is that of a
-    visit of every column (``tests/oracles.unpruned_stackelberg``).
+    <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
 
-    The exact backend runs the same loop with the same margin, which holds
-    there with room to spare: its x is exactly feasible, so the only errors
-    left are the rounding of x to floats, the float dot product and the
-    float B_j, each far below the margin. A skipped column's float value is
-    therefore strictly below the best one, and the answer equals the
-    unpruned one bit for bit. Bland's rule pivots the unit LP as the given
-    one: positive factors on the rows and the objective change no pivot.
+    HiGHS solves the columns as one model (``_column_model``), re-solved
+    warm from column to column through ``lp.TightRowLps``, made anew for
+    each call, so an answer depends only on the game. Run with the
+    feasibility tolerance ``LP_FEASIBILITY`` (eps), it meets the rows only
+    that closely: the entries of x may dip to -eps, its sum may miss 1 by
+    eps, and each row uF[:, r] . x - t may break by eps, so a follower
+    constraint (uF[:, r] - uF[:, j]) . x <= 0, the difference of rows r and
+    j, may break by 2 eps. Clamping x into [0, 1] moves it by at most
+    2n eps in sum, which adds 4n eps max|uF| to that break and leaves the
+    sum of x at most 1 + (2n + 1) eps. So the column value of the clamped x
+    is at most (2n + 1) eps |B_j| + lam (2 eps + 4n eps max|uF|) above B_j.
+    With |B_j| <= max|uL| + 16 max|uF| and lam <= 8, that is at most
+    eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): the margin. The rounding of
+    B_j is far smaller, and nothing overflows on the unit game. The loop
+    stops at the first column whose bound is below the best column value by
+    more than the margin, so no column left out could have reached, or
+    tied, the best value, and the answer is that of a visit of every column
+    in the same order (``tests/oracles.unpruned_stackelberg``).
+
+    The exact backend keeps one cold LP per column (``_column_lp``) and the
+    same loop and margin, which hold there with room to spare: its x is
+    exactly feasible, so the only errors left are the rounding of x to
+    floats, the float dot product and the float B_j, each far below the
+    margin. A skipped column's float value is therefore strictly below the
+    best one, and the answer equals the unpruned one bit for bit. Bland's
+    rule pivots the unit LP as the given one: positive factors on the rows
+    and the objective change no pivot.
     """
     unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
     ul = unit.u_leader
     bound = _column_bounds(unit)
-    span = np.abs(ul).max() + 4 * _MULTIPLIERS[-1] * np.abs(unit.u_follower).max()
-    margin = LP_FEASIBILITY * (2 * game.n + 1) * span
+    margin = _margin(unit)
+    if exact:
+        def column(j):
+            return lp.solve(_column_lp(unit, j), exact=True)
+    else:
+        columns = lp.TightRowLps(_column_model(unit))
+
+        def column(j):
+            return columns.solve(np.append(ul[:, j], 0.0), j)
     best: tuple[float, int, MixedStrategy] | None = None
     for j in np.argsort(-bound, kind="stable"):
         if best is not None and bound[j] < best[0] - margin:
             break
-        sol = lp.solve(_column_lp(unit, j), exact=exact)
+        sol = column(j)
         if not sol.is_optimal:
             continue
-        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
+        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
         value = float(ul[:, j] @ x.as_array())
         if best is None or value > best[0] or (value == best[0] and j < best[1]):
             best = (value, j, x)
@@ -256,6 +291,13 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     response = follower_best_response(game, x)
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, lpay, fpay)
+
+
+def _margin(unit: BimatrixGame) -> float:
+    """eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): how far a column value may pass its bound."""
+    lam = _MULTIPLIERS[-1]
+    span = np.abs(unit.u_leader).max() + 4 * lam * np.abs(unit.u_follower).max()
+    return LP_FEASIBILITY * ((2 * unit.n + 1) * span + 2 * lam)
 
 
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:

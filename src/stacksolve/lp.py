@@ -17,16 +17,21 @@ Two interchangeable backends sit behind ``solve``:
   pivots and rationals are those of a ``fractions.Fraction`` tableau.
 * ``exact=False`` -- HiGHS's dual simplex, for the larger programs of the
   game solvers, called through the bindings scipy ships with the model and
-  options ``linprog(method="highs")`` would pass (feasibility tolerances at
-  ``LP_FEASIBILITY``). linprog's finiteness and residual checks are kept,
-  so the answers are linprog's, bit for bit, without its per-call overhead.
+  options ``linprog(method="highs", options={"presolve": False})`` would
+  pass (feasibility tolerances at ``LP_FEASIBILITY``). Presolve is off: on
+  the small dense LPs of the game solvers it costs more than it saves.
+  linprog's finiteness and residual checks are kept, so the answers are
+  linprog's, bit for bit, without its per-call overhead.
   The bindings' extension file is loaded by itself, without importing
   ``scipy.optimize``, whose import takes longer than a whole CLI solve.
   The model goes to HiGHS as plain arrays, through the array overload of
   ``passModel``, and every LP is solved by one solver object made on first
   use. ``passModel`` clears that object's model, basis and solution, so no
-  LP sees the one before. The object is not re-entrant: the package runs
-  no threads, and nothing may solve an LP from inside another solve.
+  LP sees the one before, except within one warm sequence: ``TightRowLps``
+  passes one model and re-solves it after changing its objective and which
+  <= row is held at equality, each solve starting from the basis the one
+  before left. The object is not re-entrant: the package runs no threads,
+  and nothing may solve an LP from inside another solve.
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
@@ -137,10 +142,14 @@ def solve(lp: LinearProgram, exact: bool = False) -> LpSolution:
     exceeded, solver breakdown, an optimum beyond the float range); that is
     never conflated with infeasibility. Non-finite numbers raise InputError.
     """
-    # count_nonzero runs in C; .all() would add numpy's Python wrapper to every LP
-    if any(np.count_nonzero(np.isfinite(a)) != a.size for a in (lp.objective, lp.leq_rows, lp.eq_rows)):
-        raise InputError("LP numbers must be finite")
+    _check_finite(lp.objective, lp.leq_rows, lp.eq_rows)
     return _solve_exact(lp) if exact else _solve_highs(lp)
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    # count_nonzero runs in C; .all() would add numpy's Python wrapper to every LP
+    if any(np.count_nonzero(np.isfinite(a)) != a.size for a in arrays):
+        raise InputError("LP numbers must be finite")
 
 
 def solve_with_generation(
@@ -208,7 +217,7 @@ def _load_core():
 def _highs():
     _core = _load_core()
     options = _core.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False
     options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -219,25 +228,41 @@ def _highs():
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
+    global _holder
     core, highs = _highs()
-    n, n_leq = lp.num_vars, len(lp.leq_rows)
+    n_leq = len(lp.leq_rows)
     rows = np.concatenate((lp.leq_rows, lp.eq_rows))
-    c, a, rhs = -lp.objective, rows[:, :-1], rows[:, -1]
-    lower = np.zeros(n)
-    lower[list(lp.free)] = -np.inf
-    lhs = np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:]))
+    lower, lhs, rhs = _bounds(lp, rows, n_leq)
+    _holder = None
+    _pass_model(core, highs, -lp.objective, lower, lhs, rhs, rows[:, :-1])
+    return _run(core, highs, lp.objective, lower, lhs, rhs)
 
+
+def _bounds(lp: LinearProgram, rows: np.ndarray, n_leq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column lower bounds, then row lower and upper sides: the first ``n_leq`` rows are <= rows."""
+    lower = np.zeros(lp.num_vars)
+    lower[list(lp.free)] = -np.inf
+    rhs = rows[:, -1]
+    return lower, np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:])), rhs
+
+
+def _pass_model(core, highs, cost, lower, lhs, rhs, a) -> None:
     # the rows column by column, explicit zeros dropped; every variable is
     # continuous (an empty integrality array is an error, not "none")
+    n = len(cost)
     cols, row_index = np.nonzero(a.T)
     status = highs.passModel(
-        n, len(rows), len(cols), core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
-        c, lower, np.full(n, np.inf), lhs, rhs,
+        n, len(a), len(cols), core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+        cost, lower, np.full(n, np.inf), lhs, rhs,
         np.searchsorted(cols, np.arange(n + 1)).astype(np.int32), row_index.astype(np.int32),
         a[row_index, cols], np.zeros(n, np.int32),
     )
     if status == core.HighsStatus.kError:
         raise LpNumericalError("HiGHS rejected the model")
+
+
+def _run(core, highs, objective, lower, lhs, rhs) -> LpSolution:
+    """Solve the model HiGHS holds: map its status, and check an optimum as linprog does."""
     run_status = highs.run()
     status = highs.getModelStatus()
     if status == core.HighsModelStatus.kInfeasible:
@@ -248,17 +273,71 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
         raise LpNumericalError(f"HiGHS failed: {highs.modelStatusToString(status)}")
 
     # linprog's residual check: an optimum outside its bounds or rows is a
-    # solver failure, not an answer
+    # solver failure, not an answer (a row with lhs == rhs is an equality)
     solution = highs.getSolution()
-    x, slack = np.array(solution.col_value), rhs - solution.row_value
+    x, activity = np.array(solution.col_value), np.asarray(solution.row_value)
     if not (
         np.all(x >= lower - LP_RESIDUAL)
-        and np.all(slack[:n_leq] >= -LP_RESIDUAL)
-        and np.all(np.abs(slack[n_leq:]) <= LP_RESIDUAL)
+        and np.all(rhs - activity >= -LP_RESIDUAL)
+        and np.all(activity - lhs >= -LP_RESIDUAL)
     ):
         raise LpNumericalError("HiGHS reported an optimum that breaks its constraints")
     values = [float(v) for v in x]
-    return LpSolution(OPTIMAL, values, float(np.dot(lp.objective, values)))
+    return LpSolution(OPTIMAL, values, float(np.dot(objective, values)))
+
+
+# The ``TightRowLps`` whose model the HiGHS solver holds, if any; a cold
+# ``solve`` passes its own model and clears this.
+_holder: Optional["TightRowLps"] = None
+
+
+class TightRowLps:
+    """The LPs of one program that differ in objective and in one <= row held at equality.
+
+    ``solve(objective, r)`` solves ``program`` with ``objective`` in place of
+    its own, and <= row r at equality, on HiGHS. The model goes to HiGHS
+    once; each later solve changes the costs and two rows' bounds, and the
+    dual simplex starts from the basis the solve before left. If a cold
+    ``solve`` passed another model in between, the model is passed again,
+    so a solve never runs on another LP's model. The answers depend on the
+    order of the solves, so make one object per sequence to repeat.
+    """
+
+    def __init__(self, program: LinearProgram):
+        _check_finite(program.leq_rows, program.eq_rows)
+        self._n_leq = len(program.leq_rows)
+        self._rows = np.concatenate((program.leq_rows, program.eq_rows))
+        self._lower, self._lhs, self._rhs = _bounds(program, self._rows, self._n_leq)
+        self._cols = np.arange(program.num_vars, dtype=np.int32)
+        self._tight: Optional[int] = None
+        self._solver = None  # the solver this model was last passed to
+
+    def solve(self, objective, row: int) -> LpSolution:
+        global _holder
+        objective = _frozen(objective)
+        if objective.shape != self._lower.shape or not 0 <= row < self._n_leq:
+            raise InputError("objective or tight row does not fit the program")
+        _check_finite(objective)
+        core, highs = _highs()
+        lhs, rhs = self._lhs, self._rhs
+        previous, self._tight = self._tight, row
+        if previous is not None:
+            lhs[previous] = -np.inf
+        lhs[row] = rhs[row]
+        if _holder is self and self._solver is highs:
+            statuses = (
+                highs.changeColsCost(len(objective), self._cols, -objective),
+                highs.changeRowBounds(previous, -np.inf, rhs[previous]),
+                highs.changeRowBounds(row, rhs[row], rhs[row]),
+            )
+            if core.HighsStatus.kError in statuses:
+                _holder = None
+                raise LpNumericalError("HiGHS rejected a change to the model")
+        else:
+            _holder = None
+            _pass_model(core, highs, -objective, self._lower, lhs, rhs, self._rows[:, :-1])
+            _holder, self._solver = self, highs
+        return _run(core, highs, objective, self._lower, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -32,37 +32,51 @@ settings.load_profile("stacksolve")
 def fake_highs(monkeypatch):
     """Replace the HiGHS solver object with a stub of a chosen outcome.
 
-    ``install(status, pass_model=True, row_shift=0.0)``: every solve reports
-    the model status ``status`` (a ``HighsModelStatus`` name); ``passModel``
-    fails unless ``pass_model``; an optimum is x = 0 with every row activity
-    at its upper side plus ``row_shift``. ``lp`` keeps one solver object, so
-    it is dropped when a stub goes in and again after the test.
+    ``install(status, pass_model=True, row_shift=0.0, warm=False)``: every
+    solve reports the model status ``status`` (a ``HighsModelStatus``
+    name); ``passModel`` fails unless ``pass_model``; an optimum is x = 0
+    with every row activity at its upper side plus ``row_shift``. With
+    ``warm``, only the re-solves of a model already held (after
+    ``changeColsCost`` and ``changeRowBounds``) do that: the first solve
+    after each ``passModel`` reports ``kInfeasible``. ``lp`` keeps one
+    solver object, so it is dropped when a stub goes in and again after the
+    test.
     """
     core, _ = lp._highs()
 
-    def install(status, pass_model=True, row_shift=0.0):
+    def install(status, pass_model=True, row_shift=0.0, warm=False):
         class FakeHighs:
             def passOptions(self, options):
                 return core.HighsStatus.kOk
 
             def passModel(self, num_col, num_row, num_nz, a_format, sense, offset,
                           cost, col_lower, col_upper, row_lower, row_upper, *matrix):
-                self.num_col, self.row_upper = num_col, row_upper
+                self.num_col, self.row_upper = num_col, np.array(row_upper)
+                self.fresh = True
                 return core.HighsStatus.kOk if pass_model else core.HighsStatus.kError
 
+            def changeColsCost(self, num_set, indices, cost):
+                return core.HighsStatus.kOk
+
+            def changeRowBounds(self, row, lower, upper):
+                self.row_upper[row] = upper
+                return core.HighsStatus.kOk
+
             def run(self):
+                self.status = "kInfeasible" if warm and self.fresh else status
+                self.fresh = False
                 return core.HighsStatus.kOk
 
             def getModelStatus(self):
-                return getattr(core.HighsModelStatus, status)
+                return getattr(core.HighsModelStatus, self.status)
 
             def modelStatusToString(self, model_status):
-                return status
+                return self.status
 
             def getSolution(self):
                 return SimpleNamespace(
                     col_value=[0.0] * self.num_col,
-                    row_value=np.asarray(self.row_upper) + row_shift,
+                    row_value=self.row_upper + row_shift,
                 )
 
         monkeypatch.setattr(core, "_Highs", FakeHighs)

@@ -7,7 +7,7 @@ differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
-``exact=False`` used to run), ``unpruned_stackelberg`` (the pruning, sharing the column LPs),
+``exact=False`` used to run), ``unpruned_stackelberg`` (the stop rule, sharing the column LPs),
 ``column_bounds_per_column`` (the column bounds, one column at a time),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
@@ -253,7 +253,7 @@ def _dense_evict_artificials(rows, basis, width):
 
 
 def solve_highs_linprog(lp: LinearProgram) -> LpSolution:
-    """HiGHS through ``scipy.optimize.linprog``, as the HiGHS backend used to.
+    """HiGHS through ``scipy.optimize.linprog`` with ``lp``'s options, presolve off included.
 
     ``lp.solve`` passes the same model and options to the HiGHS bindings
     that ``linprog`` calls, so it must match this bit for bit.
@@ -278,6 +278,7 @@ def solve_highs_linprog(lp: LinearProgram) -> LpSolution:
         options={
             "primal_feasibility_tolerance": LP_FEASIBILITY,
             "dual_feasibility_tolerance": LP_FEASIBILITY,
+            "presolve": False,
         },
     )
     if res.status == 2:
@@ -324,24 +325,32 @@ def grid_search_stackelberg(u_leader, u_follower, steps: int) -> float:
 
 
 def unpruned_stackelberg(game, exact: bool = False):
-    """Multiple LPs over every follower column, in index order, no pruning.
+    """Multiple LPs over every follower column, no pruning.
 
     The differential reference for the bound-ordered pruning of
-    ``bimatrix.solve_stackelberg``. It shares that solver's column LPs
-    (``bimatrix._column_lp``), LP backend and best-response re-evaluation on
-    purpose, on the same unit game (``bimatrix._unit``), so that only the
-    visiting order and the stop rule differ: the strictly largest column
-    value u_leader[:, j] . x wins, so the lowest column index among exactly
-    equal values, and only the winner's x is re-evaluated on the game as
-    given.
+    ``bimatrix.solve_stackelberg``. It shares that solver's column LPs,
+    LP backend and best-response re-evaluation on purpose, on the same unit
+    game (``bimatrix._unit``), so that only the stop rule differs. On HiGHS
+    it visits every column in the solver's ``(-B_j, j)`` order on one warm
+    sequence (``bimatrix._column_model`` through ``lp.TightRowLps``), whose
+    answers depend on that order; the exact backend's cold
+    ``bimatrix._column_lp`` solves do not, and run in index order. The strictly largest
+    column value u_leader[:, j] . x wins, so the lowest column index among
+    exactly equal values, and only the winner's x is re-evaluated on the
+    game as given.
     """
     unit = bimatrix.BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
+    if exact:
+        solved = ((j, lp.solve(bimatrix._column_lp(unit, j), exact=True)) for j in range(game.m))
+    else:
+        columns = lp.TightRowLps(bimatrix._column_model(unit))
+        order = np.argsort(-bimatrix._column_bounds(unit), kind="stable")
+        solved = sorted((j, columns.solve(np.append(unit.u_leader[:, j], 0.0), j)) for j in order)
     best = None
-    for j in range(game.m):
-        sol = lp.solve(bimatrix._column_lp(unit, j), exact=exact)
+    for j, sol in solved:
         if not sol.is_optimal:
             continue
-        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
+        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
         value = float(unit.u_leader[:, j] @ x.as_array())
         if best is None or value > best[0]:
             best = (value, x)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -192,14 +193,19 @@ def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
 
 
 @pytest.mark.parametrize(
-    "status, row_shift", [("kOptimal", 1.0), ("kUnboundedOrInfeasible", 0.0)]
+    "status, row_shift, warm",
+    [pytest.param(status, row_shift, warm, id=("warm-" if warm else "") + f"{status}-{row_shift}")
+     for warm in (False, True)
+     for status, row_shift in (("kOptimal", 1.0), ("kOptimal", -1.0), ("kUnboundedOrInfeasible", 0.0))],
 )
-def test_highs_failure_exits_1(tmp_path, capsys, fake_highs, status, row_shift):
-    # an "optimum" that breaks its rows, or no answer: a solver fault, not input
-    fake_highs(status, row_shift=row_shift)
+def test_highs_failure_exits_1(tmp_path, capsys, fake_highs, status, row_shift, warm):
+    # an "optimum" that breaks its rows, or no answer: a solver fault, not
+    # input; with ``warm`` the first column is infeasible and the fault comes
+    # on the second column's re-solve
+    fake_highs(status, row_shift=row_shift, warm=warm)
     path = write(tmp_path, "game.json", APPENDIX)
     assert main(["solve-bimatrix", "--method", "se", "-i", path]) == EXIT_INTERNAL
-    assert "internal error" in capsys.readouterr().err
+    assert re.search("internal error: HiGHS (failed|reported an optimum that breaks)", capsys.readouterr().err)
 
 
 def test_maximin_solves_two_lps(tmp_path, capsys, monkeypatch):

@@ -507,7 +507,6 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
         games.append(gen.random_bimatrix(seed, 8, 8))
         base = gen.random_bimatrix(100 + seed, 8, 8, 0.0, 4.0)
         games.append(BimatrixGame(np.floor(base.u_leader), np.floor(base.u_follower)))
-        # thin games leave some columns no best response: infeasible LPs
         games.append(gen.random_bimatrix(200 + seed, 4, 12))
         games.append(gen.random_bimatrix(300 + seed, 12, 4))
     for game in games:
@@ -518,6 +517,10 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
         inc.solve_stackelberg_incentive(commit_instance(k))
     inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3))
     monkeypatch.setattr(lp, "solve", solve)
+    # HiGHS re-solves the column LPs warm, so they are passed here cold:
+    # thin games leave some columns no best response, so infeasible LPs
+    for game in games[2::4] + games[3::4]:
+        programs += [bimatrix._column_lp(game, j) for j in range(game.m)]
 
     outcomes = [outcome(highs, program) for program in programs]
     assert Counter(o[0] for o in outcomes)[lp.INFEASIBLE] > 0
@@ -597,13 +600,25 @@ def test_guard_flags_scipy_imports():
 
 
 @pytest.mark.parametrize(
-    "status, pass_model",
-    [("kUnboundedOrInfeasible", True), ("kIterationLimit", True), ("kModelError", True),
-     ("kOptimal", False)],
+    "status, pass_model, row_shift, warm",
+    [pytest.param(status, pass_model, 0.0, False, id=f"{status}-{pass_model}") for status, pass_model in
+     [("kUnboundedOrInfeasible", True), ("kIterationLimit", True), ("kModelError", True), ("kOptimal", False)]]
+    + [pytest.param("kUnboundedOrInfeasible", True, 0.0, True, id="warm-kUnboundedOrInfeasible"),
+       pytest.param("kIterationLimit", True, 0.0, True, id="warm-kIterationLimit"),
+       # an "optimum" on a re-solve that breaks a <= row, or the tight row from below
+       pytest.param("kOptimal", True, 2 * LP_RESIDUAL, True, id="warm-kOptimal-above"),
+       pytest.param("kOptimal", True, -2 * LP_RESIDUAL, True, id="warm-kOptimal-below")],
 )
-def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model):
-    fake_highs(status, pass_model=pass_model)
+def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model, row_shift, warm):
+    fake_highs(status, pass_model=pass_model, row_shift=row_shift, warm=warm)
     program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
+    if warm:
+        # the first solve passes the model; the fault comes on the re-solve
+        rows = lp.TightRowLps(program)
+        assert rows.solve(program.objective, 0).status == lp.INFEASIBLE
+        with pytest.raises(LpNumericalError):
+            rows.solve(program.objective, 1)
+        return
     with pytest.raises(LpNumericalError):
         lp.solve(program)
     with pytest.raises(LpNumericalError):

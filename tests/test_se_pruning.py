@@ -8,10 +8,12 @@ rounding stands between a column's bound and its value. The winner is the
 column of the largest column value u_leader[:, j] . x, the lowest index
 among equal values, so no column the loop skips could have won. These
 tests compare it bit for bit with the all-columns loop of
-``oracles.unpruned_stackelberg``, which shares the column LPs, on random,
-0-3 integer, commit and permuted-matching games; check the bound against
-every column's exact LP value and, bit for bit, against the per-column
-computation of ``oracles.column_bounds_per_column``; count the LPs
+``oracles.unpruned_stackelberg``, which shares the column LPs (on HiGHS
+the same warm sequence), on random, 0-3 integer, commit and
+permuted-matching games; check the bound against every column's exact LP
+value and, bit for bit, against the per-column computation of
+``oracles.column_bounds_per_column``; check each warm HiGHS re-solve of
+the column model against a cold solve of its column LP; count the LPs
 solved; and check that scaling uL and uF by powers of two moves neither
 the SE strategy nor, but for its value, a maximin solution.
 """
@@ -110,6 +112,53 @@ def test_blocked_column_bounds_match_the_per_column_ones_bit_for_bit(game):
     assert bimatrix._column_bounds(game).tobytes() == column_bounds_per_column(game).tobytes()
 
 
+def unit_game(game):
+    return BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
+
+
+def column_value(unit, j, sol):
+    x = np.clip(sol.values[:unit.n], 0.0, 1.0)
+    return float(unit.u_leader[:, j] @ x)
+
+
+def outcomes(solutions):
+    return [(s.status, [v.hex() for v in s.values]) for s in solutions]
+
+
+@settings(max_examples=200)
+@given(bounds_games(size=10), st.randoms(use_true_random=False), st.data())
+def test_warm_column_lps_match_cold_ones(game, rnd, data):
+    # Each warm re-solve of the column model is column j's LP: the status of
+    # a cold solve of ``_column_lp`` and a column value within the margin.
+    # The columns come shuffled, then the first again; a cold solve between
+    # two re-solves leaves the ones before it as they were and makes the
+    # next pass the model again, as a new sequence would.
+    unit = unit_game(game)
+    order = list(range(game.m))
+    rnd.shuffle(order)
+    order.append(order[0])
+
+    def resolve(columns, j):
+        return columns.solve(np.append(unit.u_leader[:, j], 0.0), j)
+
+    columns = lp.TightRowLps(bimatrix._column_model(unit))
+    warm = [resolve(columns, j) for j in order]
+    for j, sol in zip(order, warm):
+        cold = lp.solve(bimatrix._column_lp(unit, j))
+        assert sol.status == cold.status
+        if cold.is_optimal:
+            assert abs(column_value(unit, j, sol) - column_value(unit, j, cold)) <= bimatrix._margin(unit)
+
+    k = data.draw(st.integers(1, len(order) - 1))
+    columns = lp.TightRowLps(bimatrix._column_model(unit))
+    before = [resolve(columns, j) for j in order[:k]]
+    lp.solve(bimatrix._column_lp(unit, order[0]))
+    after = [resolve(columns, j) for j in order[k:]]
+    restarted = lp.TightRowLps(bimatrix._column_model(unit))
+    assert outcomes(before) == outcomes(warm[:k])
+    assert outcomes(after) == outcomes([resolve(restarted, j) for j in order[k:]])
+
+
 def scaled(game, a, b):
     return BimatrixGame(np.ldexp(game.u_leader, a), np.ldexp(game.u_follower, b))
 
@@ -138,14 +187,20 @@ def test_stackelberg_strategy_commutes_with_power_of_two_scaling(exact, game, a,
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    """The LPs solved: each cold ``lp.solve`` and each warm ``lp.TightRowLps`` re-solve."""
     calls = []
-    real = lp.solve
+    real, real_warm = lp.solve, lp.TightRowLps.solve
 
     def counting(program, exact=False):
         calls.append(program)
         return real(program, exact=exact)
 
+    def counting_warm(columns, objective, row):
+        calls.append((objective, row))
+        return real_warm(columns, objective, row)
+
     monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp.TightRowLps, "solve", counting_warm)
     return calls
 
 
