@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -151,38 +151,17 @@ def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
 _MULTIPLIERS = np.array([0.0, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 8.0])
 
 
-def _column_lp(game: BimatrixGame, j: int) -> lp.LinearProgram:
-    """Column j's LP: maximize u_leader[:, j] . x over the simplex with j a weak best response.
+def _envelope(a: np.ndarray) -> lp.LinearProgram:
+    """The upper envelope of a's columns over the simplex, in x and one free variable t = x[n].
 
-    Row jp is the follower's gain of column jp over j, which must stay <= 0.
-    ``solve_stackelberg`` builds it on the unit game (``_unit``) for the
-    exact backend.
+    Row r says a[:, r] . x - t <= 0, and x sums to 1; the objective is 0.
+    Every bimatrix LP is this one with an objective: under -t, t is the
+    largest a[:, r] . x (``solve_maximin``); with row j held at equality
+    (``lp.TightRowLps``), a[:, j] . x is (``solve_stackelberg``).
     """
-    uf = game.u_follower
-    diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
-    return lp.LinearProgram(
-        objective=game.u_leader[:, j],
-        leq_rows=np.concatenate((diff, np.zeros((len(diff), 1))), axis=1),
-        eq_rows=np.ones((1, game.n + 1)),  # sum(x) = 1
-    )
-
-
-def _column_model(game: BimatrixGame) -> lp.LinearProgram:
-    """Every column LP at once, over x and one free variable t = x[n].
-
-    Row r says u_follower[:, r] . x - t <= 0, and x sums to 1. Column j's
-    LP is this one with objective (u_leader[:, j], 0) and row j held at
-    equality, so t = u_follower[:, j] . x and its feasible x are those of
-    ``_column_lp(game, j)``; ``solve_stackelberg`` re-solves it on HiGHS
-    through ``lp.TightRowLps``.
-    """
-    n, m = game.n, game.m
-    return lp.LinearProgram(
-        objective=np.zeros(n + 1),
-        leq_rows=np.concatenate((game.u_follower.T, np.full((m, 1), -1.0), np.zeros((m, 1))), axis=1),
-        eq_rows=[np.append(np.ones(n), (0.0, 1.0))],
-        free={n},
-    )
+    n, m = a.shape
+    rows = np.concatenate((a.T, np.full((m, 1), -1.0), np.zeros((m, 1))), axis=1)
+    return lp.LinearProgram(np.zeros(n + 1), rows, [np.append(np.ones(n), (0.0, 1.0))], {n})
 
 
 # most floats in one temporary of ``_column_bounds``, unless n * m is more
@@ -234,9 +213,10 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     uL[:, j] . x <= sum_i x_i (uL[i, j] + lam (uF[i, j] - uF[i, r]))
     <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
 
-    HiGHS solves the columns as one model (``_column_model``), re-solved
-    warm from column to column through ``lp.TightRowLps``, made anew for
-    each call, so an answer depends only on the game. Run with the
+    Column j's LP is the envelope of uF (``_envelope``) with objective
+    (uL[:, j], 0) and row j tight, solved on either backend by one
+    ``lp.TightRowLps`` per call, so an answer depends only on the game.
+    On HiGHS the columns are re-solves of one warm model. Run with the
     feasibility tolerance ``LP_FEASIBILITY`` (eps), it meets the rows only
     that closely: the entries of x may dip to -eps, its sum may miss 1 by
     eps, and each row uF[:, r] . x - t may break by eps, so a follower
@@ -253,32 +233,28 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     tied, the best value, and the answer is that of a visit of every column
     in the same order (``tests/oracles.unpruned_stackelberg``).
 
-    The exact backend keeps one cold LP per column (``_column_lp``) and the
-    same loop and margin, which hold there with room to spare: its x is
-    exactly feasible, so the only errors left are the rounding of x to
-    floats, the float dot product and the float B_j, each far below the
-    margin. A skipped column's float value is therefore strictly below the
-    best one, and the answer equals the unpruned one bit for bit. Bland's
-    rule pivots the unit LP as the given one: positive factors on the rows
-    and the objective change no pivot.
+    On the exact backend each column is a cold rational solve with t
+    substituted out, and the same loop and margin hold with room to spare:
+    x is exactly feasible for rows of the float differences
+    uF[:, r] - uF[:, j], which B_j uses negated, bit for bit, so the only
+    errors left are the rounding of x to floats, the float dot product and
+    the float B_j, each far below the margin. A skipped column's float
+    value is therefore strictly below the best one, and the answer equals
+    the unpruned one bit for bit. Bland's rule pivots the unit LP as the
+    given one: positive factors on the rows and the objective change no
+    pivot.
     """
     unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
     ul = unit.u_leader
     bound = _column_bounds(unit)
     margin = _margin(unit)
-    if exact:
-        def column(j):
-            return lp.solve(_column_lp(unit, j), exact=True)
-    else:
-        columns = lp.TightRowLps(_column_model(unit))
-
-        def column(j):
-            return columns.solve(np.append(ul[:, j], 0.0), j)
+    columns = lp.TightRowLps(_envelope(unit.u_follower), exact)
+    objectives = np.concatenate((ul.T, np.zeros((game.m, 1))), axis=1)  # column j's is (uL[:, j], 0)
     best: tuple[float, int, MixedStrategy] | None = None
     for j in np.argsort(-bound, kind="stable"):
         if best is not None and bound[j] < best[0] - margin:
             break
-        sol = column(j)
+        sol = columns.solve(objectives[j], j)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
@@ -316,8 +292,9 @@ def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) 
 def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple[MixedStrategy, float]:
     """Strategy maximizing the player's own worst-case payoff, and that value.
 
-    The LP and its ``GUARANTEE`` check against every pure reply of the
-    opponent run on the player's unit payoff (``_unit``).
+    The LP is the envelope of the player's negated unit payoff (``_unit``)
+    under -t, so v = -t is the least payoff over the opponent's pure
+    replies; v and its ``GUARANTEE`` check run on that unit payoff.
     """
     if player == LEADER:
         payoff = game.u_leader
@@ -326,22 +303,15 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
     else:
         raise InputError(f"unknown player {player!r}")
     payoff, e = _unit(payoff)
-    k, opp = payoff.shape
-    # variables: k probabilities plus the guaranteed value v; row j says
-    # v - payoff[:, j] . x <= 0, and the probabilities sum to 1
-    program = lp.LinearProgram(
-        objective=np.append(np.zeros(k), 1.0),
-        leq_rows=np.column_stack((-payoff.T, np.ones(opp), np.zeros(opp))),
-        eq_rows=[np.append(np.ones(k), (0.0, 1.0))],
-        free={k},
-    )
-    sol = lp.solve(program, exact=exact)
+    k = len(payoff)
+    sol = lp.solve(replace(_envelope(-payoff), objective=np.append(np.zeros(k), -1.0)), exact=exact)
     if not sol.is_optimal:
         raise ToolkitError(f"maximin LP reported {sol.status} on a finite game")
     strat = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:k]))
-    if (strat.as_array() @ payoff).min() < sol.values[k] - GUARANTEE:
+    value = 0.0 - sol.values[k]  # v = -t, and +0.0 for a zero value on either backend
+    if (strat.as_array() @ payoff).min() < value - GUARANTEE:
         raise ToolkitError("maximin strategy falls short of its guarantee")
-    return strat, math.ldexp(sol.values[k], e)
+    return strat, math.ldexp(value, e)
 
 
 NASH_SIZE_LIMIT = 8

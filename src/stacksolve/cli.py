@@ -204,7 +204,7 @@ def _load_pm_strategy(inst: permmatch.PermMatchInstance, path: str) -> permmatch
 
 def _run_pm(args) -> dict:
     blob, inst = _load(args.input, permmatch.permmatch_from_json)
-    eps = float(_parse_eps(args.eps)) if args.eps else 0.01
+    eps = float(_parse_eps(args.eps)) if args.eps is not None else 0.01
     if args.action == "approx":
         strategy, response, value = permmatch.approx_solve(inst, eps)
         (x, _), (xp, _) = strategy.support

@@ -135,9 +135,7 @@ def _slices(prefixes: np.ndarray, rems: np.ndarray, chunk: int) -> list[tuple[np
     return runs
 
 
-def _grid_blocks(
-    n: int, k: int, keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-) -> Iterator[np.ndarray]:
+def _grid_blocks(n: int, k: int, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
     """Every length-n row of nonnegative ints summing to k, in lex order.
 
     Yields int64 arrays of at most ``_CHUNK`` rows. A prefix (the first
@@ -148,7 +146,7 @@ def _grid_blocks(
     expands with one ``np.repeat``; a block longer than ``_CHUNK`` is cut by
     ranges of a.
 
-    ``keep(prefixes, rems)``, if given, is called on each run of prefixes
+    ``keep(prefixes, rems)`` is called on each run of prefixes
     (of any length up to n - 2) when it is taken off the stack, and returns
     a boolean mask over them; a prefix it rejects is dropped with every row
     below it. It runs between yields, so it sees what the caller has done
@@ -161,12 +159,11 @@ def _grid_blocks(
     pending = [(np.zeros((1, 0), dtype=np.int64), np.array([k], dtype=np.int64))]
     while pending:
         prefixes, rems = pending.pop()
-        if keep is not None:
-            mask = keep(prefixes, rems)
-            if not mask.all():
-                prefixes, rems = prefixes[mask], rems[mask]
-                if not len(rems):
-                    continue
+        mask = keep(prefixes, rems)
+        if not mask.all():
+            prefixes, rems = prefixes[mask], rems[mask]
+            if not len(rems):
+                continue
         sizes = rems + 1
         if prefixes.shape[1] < n - 2:
             heads = _ramps(sizes)

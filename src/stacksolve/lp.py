@@ -27,11 +27,18 @@ Two interchangeable backends sit behind ``solve``:
   The model goes to HiGHS as plain arrays, through the array overload of
   ``passModel``, and every LP is solved by one solver object made on first
   use. ``passModel`` clears that object's model, basis and solution, so no
-  LP sees the one before, except within one warm sequence: ``TightRowLps``
-  passes one model and re-solves it after changing its objective and which
-  <= row is held at equality, each solve starting from the basis the one
-  before left. The object is not re-entrant: the package runs no threads,
-  and nothing may solve an LP from inside another solve.
+  LP sees the one before, except within one warm sequence of
+  ``TightRowLps``. The object is not re-entrant: the package runs no
+  threads, and nothing may solve an LP from inside another solve.
+
+``TightRowLps`` solves the LPs of one envelope program (one free t, every
+<= row ``a_r . x - t <= b_r``, t in no equality row) that hold one <= row r
+at equality. On HiGHS they are re-solves of one model. On the exact backend
+t is substituted out through row r, which leaves the rows
+``(a_s - a_r) . x <= b_s - b_r``, s != r in order, and the equality rows:
+the tableau of the same LP written without t, so Bland's rule takes its
+pivots and gives its bits. Keeping t as a variable pivots more and moves
+optima among ties.
 
 ``solve_with_generation`` runs the cutting-plane loop: solve the current
 relaxation, ask a separation oracle for a violated constraint at the
@@ -292,20 +299,33 @@ _holder: Optional["TightRowLps"] = None
 
 
 class TightRowLps:
-    """The LPs of one program that differ in objective and in one <= row held at equality.
+    """The LPs of one envelope program that differ in objective and in the <= row held at equality.
 
-    ``solve(objective, r)`` solves ``program`` with ``objective`` in place of
-    its own, and <= row r at equality, on HiGHS. The model goes to HiGHS
-    once; each later solve changes the costs and two rows' bounds, and the
-    dual simplex starts from the basis the solve before left. If a cold
-    ``solve`` passed another model in between, the model is passed again,
-    so a solve never runs on another LP's model. The answers depend on the
-    order of the solves, so make one object per sequence to repeat.
+    ``solve(objective, r)`` solves the program with <= row r at equality and
+    ``objective``, which must give t no cost, in place of its own.
+
+    On HiGHS the model goes to the solver once; each later solve changes
+    the costs and two rows' bounds, and the dual simplex starts from the
+    basis the solve before left. If a cold ``solve`` passed another model in
+    between, the model is passed again, so a solve never runs on another
+    LP's model. The answers depend on the order of the solves, so make one
+    object per sequence to repeat.
+
+    With ``exact``, each solve is a cold exact ``solve`` of the program with
+    t substituted out; t is rebuilt in floats from the optimum's x.
     """
 
-    def __init__(self, program: LinearProgram):
+    def __init__(self, program: LinearProgram, exact: bool = False):
+        t = min(program.free, default=0)
+        leq_t, eq_t = program.leq_rows[:, t], program.eq_rows[:, t]
+        if len(program.free) != 1 or np.count_nonzero(leq_t != -1.0) or np.count_nonzero(eq_t):
+            raise InputError("an envelope program has one free t, -1 on t in every <= row, t in no equality row")
+        self._t, self._num_vars, self._n_leq, self._exact = t, program.num_vars, len(program.leq_rows), exact
+        if exact:  # ``solve`` checks the numbers of each LP
+            self._x = np.arange(program.num_vars + 1) != t  # the columns of x, then the right-hand side
+            self._leq, self._eq = program.leq_rows[:, self._x], program.eq_rows[:, self._x]
+            return
         _check_finite(program.leq_rows, program.eq_rows)
-        self._n_leq = len(program.leq_rows)
         self._rows = np.concatenate((program.leq_rows, program.eq_rows))
         self._lower, self._lhs, self._rhs = _bounds(program, self._rows, self._n_leq)
         self._cols = np.arange(program.num_vars, dtype=np.int32)
@@ -313,10 +333,21 @@ class TightRowLps:
         self._solver = None  # the solver this model was last passed to
 
     def solve(self, objective, row: int) -> LpSolution:
-        global _holder
         objective = _frozen(objective)
-        if objective.shape != self._lower.shape or not 0 <= row < self._n_leq:
+        if objective.shape != (self._num_vars,) or objective[self._t] != 0 or not 0 <= row < self._n_leq:
             raise InputError("objective or tight row does not fit the program")
+        return self._substituted(objective, row) if self._exact else self._warm(objective, row)
+
+    def _substituted(self, objective: np.ndarray, row: int) -> LpSolution:
+        leq, tight = self._leq, self._leq[row]
+        rows = np.concatenate((leq[:row], leq[row + 1:])) - tight
+        sol = solve(LinearProgram(objective[self._x[:-1]], rows, self._eq), exact=True)
+        if sol.is_optimal:
+            sol.values.insert(self._t, float(np.dot(tight[:-1], sol.values) - tight[-1]))
+        return sol
+
+    def _warm(self, objective: np.ndarray, row: int) -> LpSolution:
+        global _holder
         _check_finite(objective)
         core, highs = _highs()
         lhs, rhs = self._lhs, self._rhs

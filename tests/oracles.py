@@ -7,7 +7,9 @@ differential references, which keep a replaced implementation and share the
 rest of the solver so that they isolate the part that changed:
 ``solve_exact_dense`` (the dense Fraction tableau that ``exact=True`` used
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
-``exact=False`` used to run), ``unpruned_stackelberg`` (the stop rule, sharing the column LPs),
+``exact=False`` used to run), ``column_lp`` (one cold LP per follower
+column, as the solver first wrote them), ``unpruned_stackelberg`` (the
+stop rule, sharing the column LPs on HiGHS),
 ``column_bounds_per_column`` (the column bounds, one column at a time),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
@@ -324,26 +326,44 @@ def grid_search_stackelberg(u_leader, u_follower, steps: int) -> float:
     return float(best)
 
 
+def column_lp(game, j: int) -> LinearProgram:
+    """Column j's LP on its own: maximize u_leader[:, j] . x over the simplex with j a weak best response.
+
+    Row jp is the follower's gain of column jp over j, which must stay <= 0.
+    The cold reference for the column LPs that ``bimatrix.solve_stackelberg``
+    solves through ``lp.TightRowLps`` on ``bimatrix._envelope``: the exact
+    backend's substitution must reproduce this program, and so its bits.
+    """
+    uf = game.u_follower
+    diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
+    return LinearProgram(
+        objective=game.u_leader[:, j],
+        leq_rows=np.concatenate((diff, np.zeros((len(diff), 1))), axis=1),
+        eq_rows=np.ones((1, game.n + 1)),  # sum(x) = 1
+    )
+
+
 def unpruned_stackelberg(game, exact: bool = False):
     """Multiple LPs over every follower column, no pruning.
 
     The differential reference for the bound-ordered pruning of
-    ``bimatrix.solve_stackelberg``. It shares that solver's column LPs,
-    LP backend and best-response re-evaluation on purpose, on the same unit
-    game (``bimatrix._unit``), so that only the stop rule differs. On HiGHS
-    it visits every column in the solver's ``(-B_j, j)`` order on one warm
-    sequence (``bimatrix._column_model`` through ``lp.TightRowLps``), whose
-    answers depend on that order; the exact backend's cold
-    ``bimatrix._column_lp`` solves do not, and run in index order. The strictly largest
+    ``bimatrix.solve_stackelberg``. It shares that solver's LP backend and
+    best-response re-evaluation on purpose, on the same unit game
+    (``bimatrix._unit``), so that only the stop rule differs. On HiGHS it
+    visits every column in the solver's ``(-B_j, j)`` order on one warm
+    sequence (``bimatrix._envelope`` through ``lp.TightRowLps``), whose
+    answers depend on that order. On the exact backend it solves each
+    ``column_lp`` cold, in index order, so a bit-for-bit match also
+    certifies the solver's substitution of t. The strictly largest
     column value u_leader[:, j] . x wins, so the lowest column index among
     exactly equal values, and only the winner's x is re-evaluated on the
     game as given.
     """
     unit = bimatrix.BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
     if exact:
-        solved = ((j, lp.solve(bimatrix._column_lp(unit, j), exact=True)) for j in range(game.m))
+        solved = ((j, lp.solve(column_lp(unit, j), exact=True)) for j in range(game.m))
     else:
-        columns = lp.TightRowLps(bimatrix._column_model(unit))
+        columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
         order = np.argsort(-bimatrix._column_bounds(unit), kind="stable")
         solved = sorted((j, columns.solve(np.append(unit.u_leader[:, j], 0.0), j)) for j in order)
     best = None
@@ -394,12 +414,17 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def keep_all(prefixes, rems) -> np.ndarray:
+    """The ``keep`` of ``discretize._grid_blocks`` that drops no prefix."""
+    return np.ones(len(rems), dtype=bool)
+
+
 def grid_strategies(n: int, params, cap: int = dz.DEFAULT_GRID_CAP) -> list[MixedStrategy]:
     """Every mixed strategy with probabilities in {0, eps, 2 eps, ..., 1}, in grid order."""
     dz._check_cap(n, params, cap)
     return [
         MixedStrategy(tuple(c / params.k for c in row))
-        for block in dz._grid_blocks(n, params.k)
+        for block in dz._grid_blocks(n, params.k, keep_all)
         for row in block.tolist()
     ]
 

@@ -98,10 +98,14 @@ def test_discretize_accepts_a_response_on_the_slack_boundary(tmp_path, capsys, n
     assert report["result"]["followerResponse"] == 3
 
 
-@pytest.mark.parametrize("eps", ["abc", "1/0", "2/3", "0"])
+@pytest.mark.parametrize("eps", ["abc", "1/0", "2/3", "0", ""])
 def test_discretize_bad_eps_exit_2(tmp_path, capsys, eps):
+    # the pm commands take the same eps, below 1/3; an empty one is no default
     path = write(tmp_path, "game.json", APPENDIX)
     assert main(["solve-bimatrix", "-i", path, "--method", "discretize", "--eps", eps]) == EXIT_INPUT
+    pm = write(tmp_path, "pm.json", SWAP_PM)
+    for action in ("approx", "bestresponse"):
+        assert main(["pm", action, "-i", pm, "--eps", eps]) == EXIT_INPUT
     capsys.readouterr()
 
 

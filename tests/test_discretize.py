@@ -13,7 +13,7 @@ from stacksolve.bimatrix import BimatrixGame, MixedStrategy, solve_stackelberg
 from stacksolve.errors import InputError, SizeLimitError
 
 from .instances import BOUNDARY_GAMES, bimatrix_games, random_game_payoffs, sevenths_game
-from .oracles import _compositions, discretized_se_reference, grid_strategies
+from .oracles import _compositions, discretized_se_reference, grid_strategies, keep_all
 
 APPENDIX_GAME = BimatrixGame(np.array([[1.0, 10.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
@@ -225,14 +225,14 @@ def test_grid_blocks_follow_composition_order(monkeypatch, chunk):
     monkeypatch.setattr(dz, "_CHUNK", chunk)
     for n in range(1, 7):
         for k in range(0, 13):
-            blocks = list(dz._grid_blocks(n, k))
+            blocks = list(dz._grid_blocks(n, k, keep_all))
             assert all(b.dtype == np.int64 and b.shape[1] == n and 1 <= len(b) <= chunk for b in blocks)
             assert [tuple(row) for b in blocks for row in b.tolist()] == list(_compositions(n, k))
 
 
 def test_grid_blocks_split_one_long_block():
     k = 2 * dz._CHUNK + 5
-    blocks = list(dz._grid_blocks(2, k))
+    blocks = list(dz._grid_blocks(2, k, keep_all))
     assert [len(b) for b in blocks] == [dz._CHUNK, dz._CHUNK, 6]
     assert [tuple(row) for b in blocks for row in b.tolist()] == list(_compositions(2, k))
 
@@ -345,7 +345,7 @@ def test_pruned_scan_keeps_chunks_bounded_on_one_long_block(monkeypatch):
     calls = []
     blocks = dz._grid_blocks
 
-    def recorded(n, k, keep=None):
+    def recorded(n, k, keep):
         calls.append(keep is not None)
         for rows in blocks(n, k, keep):
             calls.append(len(rows))

@@ -2,6 +2,7 @@ import ast
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from stacksolve.errors import InputError, LpNumericalError
 from stacksolve.tolerances import LP_RESIDUAL
 
 from .instances import commit_instance, grid_instance
-from .oracles import lp_vertex_oracle, solve_exact_dense, solve_highs_linprog, unpruned_stackelberg
+from .oracles import column_lp, lp_vertex_oracle, solve_exact_dense, solve_highs_linprog, unpruned_stackelberg
 
 
 def two_var_lp(objective, rows):
@@ -185,6 +186,28 @@ def test_rejects_bad_shapes():
     for fields in bad:
         with pytest.raises(InputError):
             lp.LinearProgram(**fields)
+
+
+# the rows (1, 2) . x - t <= 4 and (3, 1) . x - t <= 6, with t = x[2] free
+ENVELOPE = lp.LinearProgram((1.0, 1.0, 0.0), leq_rows=[(1.0, 2.0, -1.0, 4.0), (3.0, 1.0, -1.0, 6.0)], free={2})
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_tight_row_lps_take_only_envelope_programs(exact):
+    not_envelopes = [
+        replace(ENVELOPE, free=frozenset()),
+        replace(ENVELOPE, free={0, 2}),
+        replace(ENVELOPE, leq_rows=[(1.0, 2.0, -1.0, 4.0), (3.0, 1.0, -2.0, 6.0)]),  # a row without -1 on t
+        replace(ENVELOPE, eq_rows=[(1.0, 1.0, 1.0, 1.0)]),  # t in an equality row
+    ]
+    for program in not_envelopes:
+        with pytest.raises(InputError, match="envelope"):
+            lp.TightRowLps(program, exact)
+    # a solve takes an objective that leaves t without cost, and a <= row
+    rows = lp.TightRowLps(ENVELOPE, exact)
+    for objective, row in (((1.0, 1.0, 1.0), 0), ((1.0, 1.0), 0), (ENVELOPE.objective, 2)):
+        with pytest.raises(InputError, match="does not fit"):
+            rows.solve(objective, row)
 
 
 def test_with_leq_row_leaves_the_base_lp_unchanged_and_arrays_are_read_only():
@@ -479,7 +502,7 @@ def test_one_reused_solver_matches_a_fresh_one_per_lp():
     # lp passes every model to one HiGHS object; linprog makes one per call.
     # Same-shaped LPs back to back, then other statuses, forwards and back.
     game = gen.random_bimatrix(3, 12, 12)
-    programs = [bimatrix._column_lp(game, j) for j in range(game.m)] + [
+    programs = [column_lp(game, j) for j in range(game.m)] + [
         lp.LinearProgram(objective=(1.0,), leq_rows=[(1.0, 1.0), (-1.0, -2.0)]),  # infeasible
         lp.LinearProgram(objective=(1.0, 1.0), leq_rows=[(1.0, -1.0, 1.0)]),  # unbounded
         TIE_RULE_LP,  # free variables
@@ -520,7 +543,7 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
     # HiGHS re-solves the column LPs warm, so they are passed here cold:
     # thin games leave some columns no best response, so infeasible LPs
     for game in games[2::4] + games[3::4]:
-        programs += [bimatrix._column_lp(game, j) for j in range(game.m)]
+        programs += [column_lp(game, j) for j in range(game.m)]
 
     outcomes = [outcome(highs, program) for program in programs]
     assert Counter(o[0] for o in outcomes)[lp.INFEASIBLE] > 0
@@ -614,10 +637,10 @@ def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model, ro
     program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
     if warm:
         # the first solve passes the model; the fault comes on the re-solve
-        rows = lp.TightRowLps(program)
-        assert rows.solve(program.objective, 0).status == lp.INFEASIBLE
+        rows = lp.TightRowLps(ENVELOPE)
+        assert rows.solve(ENVELOPE.objective, 0).status == lp.INFEASIBLE
         with pytest.raises(LpNumericalError):
-            rows.solve(program.objective, 1)
+            rows.solve(ENVELOPE.objective, 1)
         return
     with pytest.raises(LpNumericalError):
         lp.solve(program)

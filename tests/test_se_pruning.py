@@ -8,14 +8,15 @@ rounding stands between a column's bound and its value. The winner is the
 column of the largest column value u_leader[:, j] . x, the lowest index
 among equal values, so no column the loop skips could have won. These
 tests compare it bit for bit with the all-columns loop of
-``oracles.unpruned_stackelberg``, which shares the column LPs (on HiGHS
-the same warm sequence), on random, 0-3 integer, commit and
-permuted-matching games; check the bound against every column's exact LP
-value and, bit for bit, against the per-column computation of
-``oracles.column_bounds_per_column``; check each warm HiGHS re-solve of
-the column model against a cold solve of its column LP; count the LPs
-solved; and check that scaling uL and uF by powers of two moves neither
-the SE strategy nor, but for its value, a maximin solution.
+``oracles.unpruned_stackelberg`` (on HiGHS the same warm sequence, on the
+exact backend cold ``oracles.column_lp`` solves), on random, 0-3 integer,
+commit and permuted-matching games; check the bound against every
+column's exact LP value and, bit for bit, against the per-column
+computation of ``oracles.column_bounds_per_column``; check each column
+solve of the envelope against a cold solve of ``oracles.column_lp``,
+within the margin on HiGHS and bit for bit on the exact backend; count the
+LPs solved; and check that scaling uL and uF by powers of two moves
+neither the SE strategy nor, but for its value, a maximin solution.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from stacksolve.gen import random_permmatch
 from stacksolve.incentive import incentive_bimatrix
 
 from .instances import bimatrix_games, commit_instance
-from .oracles import column_bounds_per_column, unpruned_stackelberg
+from .oracles import column_bounds_per_column, column_lp, unpruned_stackelberg
 
 
 def assert_same_as_unpruned(game, exact):
@@ -86,7 +87,7 @@ def test_column_bounds_cover_every_exact_column_value(game):
     assert bound.shape == (game.m,)
     assert np.all(bound <= game.u_leader.max(axis=0))  # lam = 0 is one of the multipliers
     for j in range(game.m):
-        sol = lp.solve(bimatrix._column_lp(game, j), exact=True)
+        sol = lp.solve(column_lp(game, j), exact=True)
         if sol.is_optimal:
             assert bound[j] >= sol.objective_value
 
@@ -128,11 +129,13 @@ def outcomes(solutions):
 @settings(max_examples=200)
 @given(bounds_games(size=10), st.randoms(use_true_random=False), st.data())
 def test_warm_column_lps_match_cold_ones(game, rnd, data):
-    # Each warm re-solve of the column model is column j's LP: the status of
-    # a cold solve of ``_column_lp`` and a column value within the margin.
+    # Each HiGHS re-solve of the envelope is column j's LP: the status of a
+    # cold solve of ``column_lp`` and a column value within the margin.
     # The columns come shuffled, then the first again; a cold solve between
     # two re-solves leaves the ones before it as they were and makes the
-    # next pass the model again, as a new sequence would.
+    # next pass the model again, as a new sequence would. On the exact
+    # backend each solve is the cold ``column_lp`` solve, bit for bit, and
+    # t the follower's payoff at x.
     unit = unit_game(game)
     order = list(range(game.m))
     rnd.shuffle(order)
@@ -141,20 +144,28 @@ def test_warm_column_lps_match_cold_ones(game, rnd, data):
     def resolve(columns, j):
         return columns.solve(np.append(unit.u_leader[:, j], 0.0), j)
 
-    columns = lp.TightRowLps(bimatrix._column_model(unit))
+    exact = lp.TightRowLps(bimatrix._envelope(unit.u_follower), exact=True)
+    for j in order:
+        sol, cold = resolve(exact, j), lp.solve(column_lp(unit, j), exact=True)
+        assert (sol.status, sol.objective_value.hex()) == (cold.status, cold.objective_value.hex())
+        assert [v.hex() for v in sol.values[:unit.n]] == [v.hex() for v in cold.values]
+        if sol.is_optimal:
+            assert sol.values[unit.n] == pytest.approx(float(unit.u_follower[:, j] @ cold.values), abs=1e-15)
+
+    columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
     warm = [resolve(columns, j) for j in order]
     for j, sol in zip(order, warm):
-        cold = lp.solve(bimatrix._column_lp(unit, j))
+        cold = lp.solve(column_lp(unit, j))
         assert sol.status == cold.status
         if cold.is_optimal:
             assert abs(column_value(unit, j, sol) - column_value(unit, j, cold)) <= bimatrix._margin(unit)
 
     k = data.draw(st.integers(1, len(order) - 1))
-    columns = lp.TightRowLps(bimatrix._column_model(unit))
+    columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
     before = [resolve(columns, j) for j in order[:k]]
-    lp.solve(bimatrix._column_lp(unit, order[0]))
+    lp.solve(column_lp(unit, order[0]))
     after = [resolve(columns, j) for j in order[k:]]
-    restarted = lp.TightRowLps(bimatrix._column_model(unit))
+    restarted = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
     assert outcomes(before) == outcomes(warm[:k])
     assert outcomes(after) == outcomes([resolve(restarted, j) for j in order[k:]])
 
@@ -187,20 +198,20 @@ def test_stackelberg_strategy_commutes_with_power_of_two_scaling(exact, game, a,
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The LPs solved: each cold ``lp.solve`` and each warm ``lp.TightRowLps`` re-solve."""
+    """The LPs solved, counted once each at the backend, whatever the entry point."""
     calls = []
-    real, real_warm = lp.solve, lp.TightRowLps.solve
+    real_exact, real_run = lp._solve_exact, lp._run
 
-    def counting(program, exact=False):
+    def counting_exact(program):
         calls.append(program)
-        return real(program, exact=exact)
+        return real_exact(program)
 
-    def counting_warm(columns, objective, row):
-        calls.append((objective, row))
-        return real_warm(columns, objective, row)
+    def counting_run(*args):
+        calls.append(args)
+        return real_run(*args)
 
-    monkeypatch.setattr(lp, "solve", counting)
-    monkeypatch.setattr(lp.TightRowLps, "solve", counting_warm)
+    monkeypatch.setattr(lp, "_solve_exact", counting_exact)
+    monkeypatch.setattr(lp, "_run", counting_run)
     return calls
 
 

@@ -140,7 +140,7 @@ def _referenced(stmt: ast.stmt) -> set[str]:
 
 
 def unused_entry_points(modules: list[str], users: list[str], init: str) -> list[str]:
-    """Top-level public functions and classes of ``modules`` that nothing uses.
+    """Top-level functions and classes of ``modules``, private ones too, that nothing uses.
 
     A name is used when code in ``modules`` or ``users``, outside the name's
     own ``def`` or ``class``, refers to it, or when ``init`` imports it.
@@ -149,13 +149,13 @@ def unused_entry_points(modules: list[str], users: list[str], init: str) -> list
     used = {name for tree in trees for stmt in tree.body for name in _referenced(stmt)}
     imports = (node for node in ast.walk(ast.parse(init)) if isinstance(node, ast.ImportFrom))
     used |= {alias.name for node in imports for alias in node.names}
-    public = {
+    defined = {
         stmt.name
         for tree in trees[: len(modules)]
         for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
-    return sorted(public - used)
+    return sorted(defined - used)
 
 
 def test_no_test_only_entry_points_in_the_solver_modules():
@@ -167,10 +167,14 @@ def test_no_test_only_entry_points_in_the_solver_modules():
 
 
 def test_entry_point_guard_flags_only_unused_names():
-    module = "def used(): pass\ndef exported(): pass\ndef lonely():\n    return lonely\nclass Helper: pass\n"
+    module = (
+        "def used(): pass\ndef exported(): pass\ndef lonely():\n    return lonely\nclass Helper: pass\n"
+        "def _private(): pass\ndef _called(): pass\ndef caller():\n    return _called()\n"
+    )
     init = "from .m import exported\n"
-    assert unused_entry_points([module], ["x = m.used()\n"], init) == ["Helper", "lonely"]
-    assert unused_entry_points([module + "_HELPER = Helper\n"], ["used()\n"], init) == ["lonely"]
+    users = ["x = m.used()\nm.caller()\n"]
+    assert unused_entry_points([module], users, init) == ["Helper", "_private", "lonely"]
+    assert unused_entry_points([module + "_HELPER = Helper\n"], users, init) == ["_private", "lonely"]
 
 
 def _widest_accepted_sum(side: float) -> float:
