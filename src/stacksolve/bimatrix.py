@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, GUARANTEE, LP_FEASIBILITY, NEAR_BEST, PROBABILITY, probabilities
+from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -195,85 +195,73 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     """Optimal commitment via one LP per follower column (Multiple LPs).
 
     For each column j, maximizes the leader payoff over the simplex subject
-    to j being a weak best response (Conitzer & Sandholm, EC 2006). The
-    winner is the column with the largest column value u_leader[:, j] . x
-    at its LP optimum x, the lowest column index among equal values. Only
-    the winner's x is re-evaluated through ``follower_best_response``, so
-    the reported response honors the leader-favoring tie-break; through a
-    tied response it may realize more than its column value, and more than
-    the best column value only as far as the ``EQUAL`` tie margin allows.
+    to j being a weak best response (Conitzer & Sandholm, EC 2006). Column
+    j's rank is (min(c_j, B_j), -j): its column value c_j = u_leader[:, j] . x
+    at its LP optimum x, clipped at its bound B_j (see below), then the lower
+    index. The winner is the largest rank: the largest clipped column value,
+    the lowest column index among equal values. Only the winner's x is
+    re-evaluated through ``follower_best_response``, so the reported
+    response honors the leader-favoring tie-break; through a tied response
+    it may realize more than its column value, and more than the best
+    column value only as far as the ``EQUAL`` tie margin allows.
 
-    Bounds, margin, column LPs and column values come from the unit game
-    (``_unit`` of uL and of uF); the response and payoffs from the game.
+    Bounds, column LPs and column values come from the unit game (``_unit``
+    of uL and of uF); the response and payoffs from the game.
 
     Both backends visit the columns by ``(-B_j, j)`` for the Lagrangian
-    bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974).
-    By weak duality it holds for every x feasible for column j: for a rival
-    r and lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
+    bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974),
+    and stop at the first column with (B_j, -j) below the best rank. By weak
+    duality B_j holds for every x feasible for column j: for a rival r and
+    lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
     uL[:, j] . x <= sum_i x_i (uL[i, j] + lam (uF[i, j] - uF[i, r]))
-    <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
+    <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])). So column j's LP value
+    is at most B_j, and the clip moves a column value only where the LP
+    backend's tolerance or float rounding put it above anything column j
+    can reach. A skipped column's rank is at most (B_j, -j), below the best
+    rank, so it could not have won, and the answer is that of a visit of
+    every column in the same order with the same ranks
+    (``tests/oracles.unpruned_stackelberg``). No tolerance enters the stop.
 
     Column j's LP is the envelope of uF (``_envelope``) with objective
     (uL[:, j], 0) and row j tight, solved on either backend by one
     ``lp.TightRowLps`` per call, so an answer depends only on the game.
-    On HiGHS the columns are re-solves of one warm model. Run with the
-    feasibility tolerance ``LP_FEASIBILITY`` (eps), it meets the rows only
-    that closely: the entries of x may dip to -eps, its sum may miss 1 by
-    eps, and each row uF[:, r] . x - t may break by eps, so a follower
-    constraint (uF[:, r] - uF[:, j]) . x <= 0, the difference of rows r and
-    j, may break by 2 eps. Clamping x into [0, 1] moves it by at most
-    2n eps in sum, which adds 4n eps max|uF| to that break and leaves the
-    sum of x at most 1 + (2n + 1) eps. So the column value of the clamped x
-    is at most (2n + 1) eps |B_j| + lam (2 eps + 4n eps max|uF|) above B_j.
-    With |B_j| <= max|uL| + 16 max|uF| and lam <= 8, that is at most
-    eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): the margin. The rounding of
-    B_j is far smaller, and nothing overflows on the unit game. The loop
-    stops at the first column whose bound is below the best column value by
-    more than the margin, so no column left out could have reached, or
-    tied, the best value, and the answer is that of a visit of every column
-    in the same order (``tests/oracles.unpruned_stackelberg``).
+    On HiGHS the columns are re-solves of one warm model, whose optima meet
+    the rows only within the feasibility tolerance ``LP_FEASIBILITY``, so a
+    column value may pass B_j by a multiple of it that grows with n (the
+    tests derive the bound in ``tests/oracles.py``); the clip takes that back.
 
     On the exact backend each column is a cold rational solve with t
-    substituted out, and the same loop and margin hold with room to spare:
-    x is exactly feasible for rows of the float differences
-    uF[:, r] - uF[:, j], which B_j uses negated, bit for bit, so the only
-    errors left are the rounding of x to floats, the float dot product and
-    the float B_j, each far below the margin. A skipped column's float
-    value is therefore strictly below the best one, and the answer equals
-    the unpruned one bit for bit. Bland's rule pivots the unit LP as the
+    substituted out, so x is exactly feasible for rows of the float
+    differences uF[:, r] - uF[:, j], which B_j uses negated, bit for bit.
+    B_j is a float, though: its sums round, so it may lie a few units in
+    the last place below the real bound, and the rounding of x to floats
+    and the float dot product can put c_j above it. The clip binds there
+    only, through that rounding. Bland's rule pivots the unit LP as the
     given one: positive factors on the rows and the objective change no
     pivot.
     """
     unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
     ul = unit.u_leader
     bound = _column_bounds(unit)
-    margin = _margin(unit)
     columns = lp.TightRowLps(_envelope(unit.u_follower), exact)
     objectives = np.concatenate((ul.T, np.zeros((game.m, 1))), axis=1)  # column j's is (uL[:, j], 0)
-    best: tuple[float, int, MixedStrategy] | None = None
-    for j in np.argsort(-bound, kind="stable"):
-        if best is not None and bound[j] < best[0] - margin:
+    best: tuple[tuple[float, int], MixedStrategy] | None = None
+    for j in np.argsort(-bound, kind="stable").tolist():
+        if best is not None and (bound[j], -j) < best[0]:
             break
         sol = columns.solve(objectives[j], j)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
-        value = float(ul[:, j] @ x.as_array())
-        if best is None or value > best[0] or (value == best[0] and j < best[1]):
-            best = (value, j, x)
+        rank = (min(float(ul[:, j] @ x.as_array()), float(bound[j])), -j)
+        if best is None or rank > best[0]:
+            best = (rank, x)
     if best is None:
         raise ToolkitError("every per-column LP was infeasible on a valid game")
-    x = best[2]
+    x = best[1]
     response = follower_best_response(game, x)
     lpay, fpay = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, lpay, fpay)
-
-
-def _margin(unit: BimatrixGame) -> float:
-    """eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): how far a column value may pass its bound."""
-    lam = _MULTIPLIERS[-1]
-    span = np.abs(unit.u_leader).max() + 4 * lam * np.abs(unit.u_follower).max()
-    return LP_FEASIBILITY * ((2 * unit.n + 1) * span + 2 * lam)
 
 
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:

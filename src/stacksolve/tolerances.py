@@ -16,8 +16,8 @@ from .errors import InputError
 EQUAL = 1e-9
 # Probability vectors: entries down to -PROBABILITY, sums this close to 1.
 PROBABILITY = 1e-9
-# HiGHS primal and dual feasibility; Multiple LPs derives from it the margin
-# by which a column value at a HiGHS optimum may exceed the column's bound.
+# HiGHS primal and dual feasibility. Multiple LPs derives no margin from it:
+# it clips each column value at the column's bound.
 LP_FEASIBILITY = 1e-9
 # An optimum HiGHS reports must meet its bounds and rows within this:
 # linprog's residual check, 10 * sqrt(tol) at its default tol of 1e-9.

@@ -9,12 +9,13 @@ rest of the solver so that they isolate the part that changed:
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
 ``exact=False`` used to run), ``column_lp`` (one cold LP per follower
 column, as the solver first wrote them), ``unpruned_stackelberg`` (the
-stop rule, sharing the column LPs on HiGHS),
+stop rule, sharing the column bounds, and the column LPs on HiGHS),
 ``column_bounds_per_column`` (the column bounds, one column at a time),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
-It also holds helpers only the tests use, which call the package's
-solvers: ``realized_maximin_profile``, ``extract_pitim_from_se``,
+It also holds helpers only the tests use: ``highs_column_value_margin``
+(how far a HiGHS column value may pass its bound), and ones that call the
+package's solvers: ``realized_maximin_profile``, ``extract_pitim_from_se``,
 ``leader_best_response_pm`` (the matcher under the leader's weights),
 ``opt_pure_pair`` (a 12-edge brute force) and ``materialized`` (a path
 family written out as explicit sets).
@@ -347,37 +348,70 @@ def unpruned_stackelberg(game, exact: bool = False):
     """Multiple LPs over every follower column, no pruning.
 
     The differential reference for the bound-ordered pruning of
-    ``bimatrix.solve_stackelberg``. It shares that solver's LP backend and
-    best-response re-evaluation on purpose, on the same unit game
-    (``bimatrix._unit``), so that only the stop rule differs. On HiGHS it
-    visits every column in the solver's ``(-B_j, j)`` order on one warm
-    sequence (``bimatrix._envelope`` through ``lp.TightRowLps``), whose
-    answers depend on that order. On the exact backend it solves each
-    ``column_lp`` cold, in index order, so a bit-for-bit match also
-    certifies the solver's substitution of t. The strictly largest
-    column value u_leader[:, j] . x wins, so the lowest column index among
-    exactly equal values, and only the winner's x is re-evaluated on the
-    game as given.
+    ``bimatrix.solve_stackelberg``. It shares that solver's LP backend,
+    column bounds B_j (``bimatrix._column_bounds``) and best-response
+    re-evaluation on purpose, on the same unit game (``bimatrix._unit``),
+    so that only the stop rule differs. On HiGHS it visits every column in
+    the solver's ``(-B_j, j)`` order on one warm sequence
+    (``bimatrix._envelope`` through ``lp.TightRowLps``), whose answers
+    depend on that order. On the exact backend it solves each ``column_lp``
+    cold, in index order, so a bit-for-bit match also certifies the
+    solver's substitution of t. The largest rank (min(c_j, B_j), -j) wins:
+    the largest column value c_j = u_leader[:, j] . x clipped at B_j, the
+    lowest column index among exactly equal values. Only the winner's x is
+    re-evaluated on the game as given.
+
+    The clip is part of the contract, not a detail of the pruning: the
+    pruned loop skips a column whose bound cannot beat the best rank, and
+    that is exact only if no rank can pass its column's bound. Unclipped,
+    a skipped column whose value passed its bound would win here and not
+    in the solver. On HiGHS the clip binds where the feasibility tolerance
+    lets a column value pass its bound, as on tied integer games; on the
+    exact backend only through the float rounding of B_j, of x and of the
+    dot product.
     """
     unit = bimatrix.BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
+    bound = bimatrix._column_bounds(unit)
     if exact:
         solved = ((j, lp.solve(column_lp(unit, j), exact=True)) for j in range(game.m))
     else:
         columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
-        order = np.argsort(-bimatrix._column_bounds(unit), kind="stable")
-        solved = sorted((j, columns.solve(np.append(unit.u_leader[:, j], 0.0), j)) for j in order)
+        order = np.argsort(-bound, kind="stable")
+        solved = ((int(j), columns.solve(np.append(unit.u_leader[:, j], 0.0), j)) for j in order)
     best = None
     for j, sol in solved:
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
-        value = float(unit.u_leader[:, j] @ x.as_array())
-        if best is None or value > best[0]:
-            best = (value, x)
+        rank = (min(float(unit.u_leader[:, j] @ x.as_array()), float(bound[j])), -j)
+        if best is None or rank > best[0]:
+            best = (rank, x)
     x = best[1]
     response = follower_best_response(game, x)
     payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, payoff, follower)
+
+
+def highs_column_value_margin(unit) -> float:
+    """eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): how far a HiGHS column value may pass its bound.
+
+    ``unit`` is a unit game (``bimatrix._unit`` of uL and of uF). Run with
+    the feasibility tolerance ``LP_FEASIBILITY`` (eps), HiGHS meets the
+    rows of column j's LP only that closely: the entries of x may dip to
+    -eps, its sum may miss 1 by eps, and each row uF[:, r] . x - t may
+    break by eps, so a follower constraint (uF[:, r] - uF[:, j]) . x <= 0,
+    the difference of rows r and j, may break by 2 eps. Clamping x into
+    [0, 1] moves it by at most 2n eps in sum, which adds 4n eps max|uF| to
+    that break and leaves the sum of x at most 1 + (2n + 1) eps. So the
+    column value of the clamped x is at most
+    (2n + 1) eps |B_j| + lam (2 eps + 4n eps max|uF|) above B_j. With
+    |B_j| <= max|uL| + 16 max|uF| and lam <= 8, that is at most this
+    margin. Two HiGHS optima of column j's LP, warm and cold, are each
+    within it of the LP value, which B_j bounds.
+    """
+    lam = bimatrix._MULTIPLIERS[-1]
+    span = np.abs(unit.u_leader).max() + 4 * lam * np.abs(unit.u_follower).max()
+    return LP_FEASIBILITY * ((2 * unit.n + 1) * span + 2 * lam)
 
 
 def column_bounds_per_column(game) -> np.ndarray:

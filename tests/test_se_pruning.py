@@ -1,22 +1,22 @@
 """Bound-ordered pruning of the Multiple-LPs solver, on both LP backends.
 
-``solve_stackelberg`` visits the follower columns by descending Lagrangian
-bound B_j (``bimatrix._column_bounds``) and stops once a bound falls below
-the best column value by more than the margin that HiGHS's feasibility
-tolerance allows; the exact backend runs the same loop, where only float
-rounding stands between a column's bound and its value. The winner is the
-column of the largest column value u_leader[:, j] . x, the lowest index
-among equal values, so no column the loop skips could have won. These
-tests compare it bit for bit with the all-columns loop of
-``oracles.unpruned_stackelberg`` (on HiGHS the same warm sequence, on the
-exact backend cold ``oracles.column_lp`` solves), on random, 0-3 integer,
-commit and permuted-matching games; check the bound against every
-column's exact LP value and, bit for bit, against the per-column
-computation of ``oracles.column_bounds_per_column``; check each column
-solve of the envelope against a cold solve of ``oracles.column_lp``,
-within the margin on HiGHS and bit for bit on the exact backend; count the
-LPs solved; and check that scaling uL and uF by powers of two moves
-neither the SE strategy nor, but for its value, a maximin solution.
+``solve_stackelberg`` ranks each solved column j by (min(c_j, B_j), -j):
+its column value u_leader[:, j] . x clipped at its Lagrangian bound B_j
+(``bimatrix._column_bounds``), then the lower index. It visits the columns
+by descending bound and stops at the first column with (B_j, -j) below the
+best rank, which no column left could pass, on HiGHS and on the exact
+backend alike. These tests compare it bit for bit with the all-columns
+loop of ``oracles.unpruned_stackelberg`` under the same ranks (on HiGHS the
+same warm sequence, on the exact backend cold ``oracles.column_lp``
+solves), on random, 0-3 integer, commit and permuted-matching games; check
+the bound against every column's exact LP value and, bit for bit, against
+the per-column computation of ``oracles.column_bounds_per_column``; check
+each column solve of the envelope against a cold solve of
+``oracles.column_lp``, within ``oracles.highs_column_value_margin`` on
+HiGHS and bit for bit on the exact backend; count the LPs solved, tied
+bounds and the integer games of the HiGHS benchmark included; and check
+that scaling uL and uF by powers of two moves neither the SE strategy nor,
+but for its value, a maximin solution.
 """
 
 import numpy as np
@@ -24,13 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacksolve import bimatrix, lp, permmatch
+from stacksolve import bimatrix, gen, lp, permmatch
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg, validate_stackelberg_solution
 from stacksolve.gen import random_permmatch
 from stacksolve.incentive import incentive_bimatrix
 
 from .instances import bimatrix_games, commit_instance
-from .oracles import column_bounds_per_column, column_lp, unpruned_stackelberg
+from .oracles import column_bounds_per_column, column_lp, highs_column_value_margin, unpruned_stackelberg
 
 
 def assert_same_as_unpruned(game, exact):
@@ -130,7 +130,8 @@ def outcomes(solutions):
 @given(bounds_games(size=10), st.randoms(use_true_random=False), st.data())
 def test_warm_column_lps_match_cold_ones(game, rnd, data):
     # Each HiGHS re-solve of the envelope is column j's LP: the status of a
-    # cold solve of ``column_lp`` and a column value within the margin.
+    # cold solve of ``column_lp`` and a column value within the margin
+    # ``highs_column_value_margin``.
     # The columns come shuffled, then the first again; a cold solve between
     # two re-solves leaves the ones before it as they were and makes the
     # next pass the model again, as a new sequence would. On the exact
@@ -158,7 +159,7 @@ def test_warm_column_lps_match_cold_ones(game, rnd, data):
         cold = lp.solve(column_lp(unit, j))
         assert sol.status == cold.status
         if cold.is_optimal:
-            assert abs(column_value(unit, j, sol) - column_value(unit, j, cold)) <= bimatrix._margin(unit)
+            assert abs(column_value(unit, j, sol) - column_value(unit, j, cold)) <= highs_column_value_margin(unit)
 
     k = data.draw(st.integers(1, len(order) - 1))
     columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
@@ -257,24 +258,54 @@ def test_exact_backend_solves_one_lp_on_the_dominant_bound(lp_calls):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_equal_bounds_solve_every_column(lp_calls, exact):
-    # every bound is 1 and every column value 1, so no bound is below the best
+def test_equal_bounds_stop_at_the_first_column(lp_calls, exact):
+    # every bound is 1/2 and column 0, visited first, reaches 1/2 at
+    # (1/2, 1/2, 0, 0): no later column can pass its bound, and none has a
+    # lower index
     game = BimatrixGame(np.eye(4), np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]] * 2))
-    solve_stackelberg(game, exact=exact)
-    assert len(lp_calls) == 4
+    sol = solve_stackelberg(game, exact=exact)
+    assert len(lp_calls) == 1
+    assert sol.follower_response == 0
+    assert sol.leader.probs == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-9)
+    assert sol.leader_payoff == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_equal_payoffs_keep_the_lowest_column(lp_calls, exact):
-    # column 1 (bound 2) is visited first and has column value 1 at (1/2, 1/2);
-    # column 0 (bound 1, equal to that value) has column value 1 at (0, 1)
-    game = BimatrixGame(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+@pytest.mark.parametrize(
+    "game, lps, x",
+    [
+        # On the unit game both bounds are 0.25 and column 0, visited first,
+        # reaches 0.25 at (0, 1): column 1 ties at most, at a higher index.
+        (BimatrixGame(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])), 1, (0.0, 1.0)),
+        # Unit bounds (0.25, 0.3125): column 1 is visited first and reaches
+        # 0.25 at (1/2, 1/2); column 0's bound ties that value, so its lower
+        # index keeps it in, and it reaches 0.25 at (1, 0).
+        (BimatrixGame(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0, 0.0], [0.0, 3.0]])), 2, (1.0, 0.0)),
+    ],
+    ids=["solved-first", "bound-ties-the-best"],
+)
+def test_equal_payoffs_keep_the_lowest_column(lp_calls, game, lps, x, exact):
     sol = solve_stackelberg(game, exact=exact)
-    assert len(lp_calls) == 2
+    assert len(lp_calls) == lps
     assert sol == unpruned_stackelberg(game, exact=exact)
     assert sol.follower_response == 0
-    assert sol.leader.probs == pytest.approx((0.0, 1.0), abs=1e-9)
+    assert sol.leader.probs == pytest.approx(x, abs=1e-9)
     assert sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [12, 20, 28])
+def test_tied_integer_games_solve_one_lp(lp_calls, n, exact):
+    # The integer-payoff shapes of the HiGHS benchmark: many bounds there
+    # equal the best column value, and a column whose bound only ties the
+    # best rank at a higher index cannot win. On HiGHS, at 20 x 20 and
+    # 28 x 28, a skipped column's value passes its bound, so the unpruned
+    # loop agrees only because it clips too.
+    base = gen.random_bimatrix(0, n, n, 0.0, 4.0)
+    game = BimatrixGame(np.floor(base.u_leader), np.floor(base.u_follower))
+    solve_stackelberg(game, exact=exact)
+    assert len(lp_calls) == 1
+    assert_same_as_unpruned(game, exact=exact)
 
 
 def test_the_column_value_ranks_the_columns_not_the_realized_payoff(lp_calls):
