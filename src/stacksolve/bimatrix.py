@@ -151,19 +151,6 @@ def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
 _MULTIPLIERS = np.array([0.0, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 8.0])
 
 
-def _envelope(a: np.ndarray) -> lp.LinearProgram:
-    """The upper envelope of a's columns over the simplex, in x and one free variable t = x[n].
-
-    Row r says a[:, r] . x - t <= 0, and x sums to 1; the objective is 0.
-    Every bimatrix LP is this one with an objective: under -t, t is the
-    largest a[:, r] . x (``solve_maximin``); with row j held at equality
-    (``lp.TightRowLps``), a[:, j] . x is (``solve_stackelberg``).
-    """
-    n, m = a.shape
-    rows = np.concatenate((a.T, np.full((m, 1), -1.0), np.zeros((m, 1))), axis=1)
-    return lp.LinearProgram(np.zeros(n + 1), rows, [np.append(np.ones(n), (0.0, 1.0))], {n})
-
-
 # most floats in one temporary of ``_column_bounds``, unless n * m is more
 _BOUNDS_BLOCK = 1 << 15
 
@@ -222,17 +209,18 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     every column in the same order with the same ranks
     (``tests/oracles.unpruned_stackelberg``). No tolerance enters the stop.
 
-    Column j's LP is the envelope of uF (``_envelope``) with objective
-    (uL[:, j], 0) and row j tight, solved on either backend by one
-    ``lp.TightRowLps`` per call, so an answer depends only on the game.
-    On HiGHS the columns are re-solves of one warm model, whose optima meet
-    the rows only within the feasibility tolerance ``LP_FEASIBILITY``, so a
-    column value may pass B_j by a multiple of it that grows with n (the
-    tests derive the bound in ``tests/oracles.py``); the clip takes that back.
+    Column j's LP is ``columns.solve(uL[:, j], j)`` on one
+    ``lp.TightRowLps(uF)`` per call: max uL[:, j] . x over the simplex with
+    column j on the upper envelope of uF's columns, so an answer depends
+    only on the game. On HiGHS the columns are re-solves of one warm model,
+    whose optima meet the rows only within the feasibility tolerance
+    ``LP_FEASIBILITY``, so a column value may pass B_j by a multiple of it
+    that grows with n (the tests derive the bound in ``tests/oracles.py``);
+    the clip takes that back.
 
-    On the exact backend each column is a cold rational solve with t
-    substituted out, so x is exactly feasible for rows of the float
-    differences uF[:, r] - uF[:, j], which B_j uses negated, bit for bit.
+    On the exact backend each column is a cold rational solve of the rows
+    (uF[:, r] - uF[:, j]) . x <= 0, so x is exactly feasible for these float
+    differences, which B_j uses negated, bit for bit.
     B_j is a float, though: its sums round, so it may lie a few units in
     the last place below the real bound, and the rounding of x to floats
     and the float dot product can put c_j above it. The clip binds there
@@ -243,16 +231,15 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
     ul = unit.u_leader
     bound = _column_bounds(unit)
-    columns = lp.TightRowLps(_envelope(unit.u_follower), exact)
-    objectives = np.concatenate((ul.T, np.zeros((game.m, 1))), axis=1)  # column j's is (uL[:, j], 0)
+    columns = lp.TightRowLps(unit.u_follower, exact)
     best: tuple[tuple[float, int], MixedStrategy] | None = None
     for j in np.argsort(-bound, kind="stable").tolist():
         if best is not None and (bound[j], -j) < best[0]:
             break
-        sol = columns.solve(objectives[j], j)
+        sol = columns.solve(ul[:, j], j)
         if not sol.is_optimal:
             continue
-        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
+        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
         rank = (min(float(ul[:, j] @ x.as_array()), float(bound[j])), -j)
         if best is None or rank > best[0]:
             best = (rank, x)
@@ -292,7 +279,7 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
         raise InputError(f"unknown player {player!r}")
     payoff, e = _unit(payoff)
     k = len(payoff)
-    sol = lp.solve(replace(_envelope(-payoff), objective=np.append(np.zeros(k), -1.0)), exact=exact)
+    sol = lp.solve(replace(lp.envelope(-payoff), objective=np.append(np.zeros(k), -1.0)), exact=exact)
     if not sol.is_optimal:
         raise ToolkitError(f"maximin LP reported {sol.status} on a finite game")
     strat = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:k]))

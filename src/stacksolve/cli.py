@@ -421,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps everything
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
     _emit(
         _report(args, payload["digest"], payload["result"], started),

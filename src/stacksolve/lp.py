@@ -31,12 +31,15 @@ Two interchangeable backends sit behind ``solve``:
   ``TightRowLps``. The object is not re-entrant: the package runs no
   threads, and nothing may solve an LP from inside another solve.
 
-``TightRowLps`` solves the LPs of one envelope program (one free t, every
-<= row ``a_r . x - t <= b_r``, t in no equality row) that hold one <= row r
-at equality. On HiGHS they are re-solves of one model. On the exact backend
-t is substituted out through row r, which leaves the rows
-``(a_s - a_r) . x <= b_s - b_r``, s != r in order, and the equality rows:
-the tableau of the same LP written without t, so Bland's rule takes its
+``envelope(a)`` is the upper envelope of the columns of an n x m matrix a
+over the simplex: x and one free t, with ``a[:, r] . x - t <= 0`` for every
+column r and x summing to 1. ``TightRowLps(a)`` solves the LPs
+max c . x over that simplex with column j on the envelope, for an n-vector
+c and a column j, and returns x. On HiGHS they are re-solves of one
+envelope model with row j held at equality, t at no cost. On the exact
+backend t is substituted out through row j, which leaves the rows
+``(a[:, s] - a[:, j]) . x <= 0``, s != j in order, and the sum of x: the
+tableau of the same LP written without t, so Bland's rule takes its
 pivots and gives its bits. Keeping t as a variable pivots more and moves
 optima among ties.
 
@@ -293,73 +296,82 @@ def _run(core, highs, objective, lower, lhs, rhs) -> LpSolution:
     return LpSolution(OPTIMAL, values, float(np.dot(objective, values)))
 
 
+def envelope(a: np.ndarray) -> LinearProgram:
+    """The upper envelope of a's columns over the simplex, in x and one free variable t = x[n].
+
+    Row r says a[:, r] . x - t <= 0, and x sums to 1; the objective is 0.
+    Under the objective -t, t is the largest a[:, r] . x (the maximin LP);
+    with row j held at equality (``TightRowLps``), a[:, j] . x is.
+    """
+    n, m = a.shape
+    rows = np.concatenate((a.T, np.full((m, 1), -1.0), np.zeros((m, 1))), axis=1)
+    return LinearProgram(np.zeros(n + 1), rows, [np.append(np.ones(n), (0.0, 1.0))], {n})
+
+
 # The ``TightRowLps`` whose model the HiGHS solver holds, if any; a cold
 # ``solve`` passes its own model and clears this.
 _holder: Optional["TightRowLps"] = None
 
 
 class TightRowLps:
-    """The LPs of one envelope program that differ in objective and in the <= row held at equality.
+    """The LPs max c . x over the simplex with column j on the upper envelope of a's columns.
 
-    ``solve(objective, r)`` solves the program with <= row r at equality and
-    ``objective``, which must give t no cost, in place of its own.
+    ``a`` is an n x m matrix; ``solve(c, j)`` takes an n-vector c and a
+    column j and returns x only.
 
-    On HiGHS the model goes to the solver once; each later solve changes
-    the costs and two rows' bounds, and the dual simplex starts from the
-    basis the solve before left. If a cold ``solve`` passed another model in
-    between, the model is passed again, so a solve never runs on another
-    LP's model. The answers depend on the order of the solves, so make one
-    object per sequence to repeat.
+    On HiGHS the ``envelope`` model goes to the solver once; each later
+    solve changes the costs and two rows' bounds, and the dual simplex
+    starts from the basis the solve before left. If a cold ``solve`` passed
+    another model in between, the model is passed again, so a solve never
+    runs on another LP's model. The answers depend on the order of the
+    solves, so make one object per sequence to repeat.
 
-    With ``exact``, each solve is a cold exact ``solve`` of the program with
-    t substituted out; t is rebuilt in floats from the optimum's x.
+    With ``exact``, each solve is a cold exact ``solve`` of the LP with t
+    substituted out.
     """
 
-    def __init__(self, program: LinearProgram, exact: bool = False):
-        t = min(program.free, default=0)
-        leq_t, eq_t = program.leq_rows[:, t], program.eq_rows[:, t]
-        if len(program.free) != 1 or np.count_nonzero(leq_t != -1.0) or np.count_nonzero(eq_t):
-            raise InputError("an envelope program has one free t, -1 on t in every <= row, t in no equality row")
-        self._t, self._num_vars, self._n_leq, self._exact = t, program.num_vars, len(program.leq_rows), exact
-        if exact:  # ``solve`` checks the numbers of each LP
-            self._x = np.arange(program.num_vars + 1) != t  # the columns of x, then the right-hand side
-            self._leq, self._eq = program.leq_rows[:, self._x], program.eq_rows[:, self._x]
+    def __init__(self, a, exact: bool = False):
+        a = _frozen(a)
+        if a.ndim != 2:
+            raise InputError("the envelope needs an n x m matrix")
+        _check_finite(a)
+        self._a, self._exact = a, exact
+        if exact:
             return
-        _check_finite(program.leq_rows, program.eq_rows)
+        program = envelope(a)
         self._rows = np.concatenate((program.leq_rows, program.eq_rows))
-        self._lower, self._lhs, self._rhs = _bounds(program, self._rows, self._n_leq)
+        self._lower, self._lhs, self._rhs = _bounds(program, self._rows, a.shape[1])
         self._cols = np.arange(program.num_vars, dtype=np.int32)
         self._tight: Optional[int] = None
-        self._solver = None  # the solver this model was last passed to
 
-    def solve(self, objective, row: int) -> LpSolution:
-        objective = _frozen(objective)
-        if objective.shape != (self._num_vars,) or objective[self._t] != 0 or not 0 <= row < self._n_leq:
-            raise InputError("objective or tight row does not fit the program")
-        return self._substituted(objective, row) if self._exact else self._warm(objective, row)
+    def solve(self, c, j: int) -> LpSolution:
+        c = _frozen(c)
+        n, m = self._a.shape
+        if c.shape != (n,) or not 0 <= j < m:
+            raise InputError("objective or column does not fit the matrix")
+        return self._substituted(c, j) if self._exact else self._warm(c, j)
 
-    def _substituted(self, objective: np.ndarray, row: int) -> LpSolution:
-        leq, tight = self._leq, self._leq[row]
-        rows = np.concatenate((leq[:row], leq[row + 1:])) - tight
-        sol = solve(LinearProgram(objective[self._x[:-1]], rows, self._eq), exact=True)
-        if sol.is_optimal:
-            sol.values.insert(self._t, float(np.dot(tight[:-1], sol.values) - tight[-1]))
-        return sol
+    def _substituted(self, c: np.ndarray, j: int) -> LpSolution:
+        a = self._a
+        diff = (np.delete(a, j, axis=1) - a[:, [j]]).T
+        rows = np.concatenate((diff, np.zeros((len(diff), 1))), axis=1)
+        return solve(LinearProgram(c, rows, np.ones((1, len(a) + 1))), exact=True)
 
-    def _warm(self, objective: np.ndarray, row: int) -> LpSolution:
+    def _warm(self, c: np.ndarray, j: int) -> LpSolution:
         global _holder
-        _check_finite(objective)
+        _check_finite(c)
         core, highs = _highs()
+        objective = np.append(c, 0.0)  # t has no cost
         lhs, rhs = self._lhs, self._rhs
-        previous, self._tight = self._tight, row
+        previous, self._tight = self._tight, j
         if previous is not None:
             lhs[previous] = -np.inf
-        lhs[row] = rhs[row]
-        if _holder is self and self._solver is highs:
+        lhs[j] = rhs[j]
+        if _holder is self:
             statuses = (
                 highs.changeColsCost(len(objective), self._cols, -objective),
                 highs.changeRowBounds(previous, -np.inf, rhs[previous]),
-                highs.changeRowBounds(row, rhs[row], rhs[row]),
+                highs.changeRowBounds(j, rhs[j], rhs[j]),
             )
             if core.HighsStatus.kError in statuses:
                 _holder = None
@@ -367,8 +379,10 @@ class TightRowLps:
         else:
             _holder = None
             _pass_model(core, highs, -objective, self._lower, lhs, rhs, self._rows[:, :-1])
-            _holder, self._solver = self, highs
-        return _run(core, highs, objective, self._lower, lhs, rhs)
+            _holder = self
+        sol = _run(core, highs, objective, self._lower, lhs, rhs)
+        del sol.values[len(c):]
+        return sol
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def enumerate_matchings(graph: Multigraph, limit: Optional[int] = None) -> list[
     on an explicit stack of (next edge, chosen ids, used vertex bits), so
     the edge count is not limited by Python's recursion depth.
     """
-    ends = [(1 << u) | (1 << v) for u, v in graph.edges]
+    ends = _end_bits(graph.edges)
     out: list[Matching] = []
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
@@ -135,6 +135,15 @@ def enumerate_matchings(graph: Multigraph, limit: Optional[int] = None) -> list[
             stack.append((idx + 1, chosen + (idx,), used | ends[idx]))
         stack.append((idx + 1, chosen, used))
     return out
+
+
+def _end_bits(edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Each edge's two ends as the bits of an int, the vertices relabelled 0..V'-1 in order of appearance.
+
+    Raw vertex ids would make ints as wide as the largest id.
+    """
+    label: dict[int, int] = {}
+    return [(1 << label.setdefault(u, len(label))) | (1 << label.setdefault(v, len(label))) for u, v in edges]
 
 
 def max_weight_matching(
@@ -180,14 +189,7 @@ def max_weight_matching(
     w = [float(weights[e]) for e in cand]
     t = [float(ties[e]) for e in cand]
     half = [0.5 * x for x in w]
-    # endpoints relabelled 0..V'-1 in candidate order; a candidate's two
-    # ends are the bits of an int
-    label: dict[int, int] = {}
-    ends = []
-    for e in cand:
-        u, v = graph.edges[e]
-        lu = label.setdefault(u, len(label))
-        ends.append((1 << lu) | (1 << label.setdefault(v, len(label))))
+    ends = _end_bits(graph.edges[e] for e in cand)  # relabelled in candidate order
     suffix_w = [0.0] * (n + 1)
     suffix_t = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):

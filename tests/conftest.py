@@ -39,8 +39,8 @@ def fake_highs(monkeypatch):
     ``warm``, only the re-solves of a model already held (after
     ``changeColsCost`` and ``changeRowBounds``) do that: the first solve
     after each ``passModel`` reports ``kInfeasible``. ``lp`` keeps one
-    solver object, so it is dropped when a stub goes in and again after the
-    test.
+    solver object and the ``TightRowLps`` whose model it holds, so both are
+    dropped when a stub goes in and again after the test.
     """
     core, _ = lp._highs()
 
@@ -81,9 +81,11 @@ def fake_highs(monkeypatch):
 
         monkeypatch.setattr(core, "_Highs", FakeHighs)
         lp._highs.cache_clear()
+        lp._holder = None
 
     yield install
     lp._highs.cache_clear()
+    lp._holder = None
 
 
 @pytest.fixture

@@ -332,8 +332,9 @@ def column_lp(game, j: int) -> LinearProgram:
 
     Row jp is the follower's gain of column jp over j, which must stay <= 0.
     The cold reference for the column LPs that ``bimatrix.solve_stackelberg``
-    solves through ``lp.TightRowLps`` on ``bimatrix._envelope``: the exact
-    backend's substitution must reproduce this program, and so its bits.
+    solves through ``lp.TightRowLps`` on the ``lp.envelope`` of u_follower:
+    the exact backend's substitution must reproduce this program, and so
+    its bits.
     """
     uf = game.u_follower
     diff = (np.delete(uf, j, axis=1) - uf[:, [j]]).T
@@ -353,7 +354,7 @@ def unpruned_stackelberg(game, exact: bool = False):
     re-evaluation on purpose, on the same unit game (``bimatrix._unit``),
     so that only the stop rule differs. On HiGHS it visits every column in
     the solver's ``(-B_j, j)`` order on one warm sequence
-    (``bimatrix._envelope`` through ``lp.TightRowLps``), whose answers
+    (``lp.envelope`` through ``lp.TightRowLps``), whose answers
     depend on that order. On the exact backend it solves each ``column_lp``
     cold, in index order, so a bit-for-bit match also certifies the
     solver's substitution of t. The largest rank (min(c_j, B_j), -j) wins:
@@ -375,14 +376,14 @@ def unpruned_stackelberg(game, exact: bool = False):
     if exact:
         solved = ((j, lp.solve(column_lp(unit, j), exact=True)) for j in range(game.m))
     else:
-        columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
+        columns = lp.TightRowLps(unit.u_follower)
         order = np.argsort(-bound, kind="stable")
-        solved = ((int(j), columns.solve(np.append(unit.u_leader[:, j], 0.0), j)) for j in order)
+        solved = ((int(j), columns.solve(unit.u_leader[:, j], j)) for j in order)
     best = None
     for j, sol in solved:
         if not sol.is_optimal:
             continue
-        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values[:game.n]))
+        x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
         rank = (min(float(unit.u_leader[:, j] @ x.as_array()), float(bound[j])), -j)
         if best is None or rank > best[0]:
             best = (rank, x)

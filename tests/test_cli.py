@@ -196,6 +196,16 @@ def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_internal_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
+    def broken(game, exact=False):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "solve_stackelberg", broken)
+    path = write(tmp_path, "game.json", APPENDIX)
+    assert main(["solve-bimatrix", "-i", path, "--method", "se"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 @pytest.mark.parametrize(
     "status, row_shift, warm",
     [pytest.param(status, row_shift, warm, id=("warm-" if warm else "") + f"{status}-{row_shift}")
@@ -434,6 +444,19 @@ def test_pm_bruteforce(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["result"]["stackelberg"]["leaderPayoff"] == pytest.approx(2.0)
     assert report["result"]["pitim"]["value"] == 2
+
+
+def test_pm_bruteforce_takes_vertex_ids_near_2_62(tmp_path, capsys):
+    # SWAP_PM with its vertices 0-3 renamed 2^62..2^62 + 3: the matchings
+    # and the answer depend only on which edges share an end
+    big = 2**62
+    edges = [{"id": 0, "u": big, "v": big + 1}, {"id": 1, "u": big + 2, "v": big + 3}]
+    results = []
+    for obj in ({"vertices": big + 4, "edges": edges, "pi": [1, 0]}, SWAP_PM):
+        code, report = run_cli(capsys, "pm", "bruteforce", "-i", write(tmp_path, "pm.json", obj))
+        assert code == EXIT_OK
+        results.append(report["result"])
+    assert results[0] == results[1]
 
 
 def test_pm_bruteforce_single_edge_identity(tmp_path, capsys):

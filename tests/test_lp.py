@@ -2,7 +2,6 @@ import ast
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,26 +187,26 @@ def test_rejects_bad_shapes():
             lp.LinearProgram(**fields)
 
 
-# the rows (1, 2) . x - t <= 4 and (3, 1) . x - t <= 6, with t = x[2] free
-ENVELOPE = lp.LinearProgram((1.0, 1.0, 0.0), leq_rows=[(1.0, 2.0, -1.0, 4.0), (3.0, 1.0, -1.0, 6.0)], free={2})
+# the columns (1, 2) and (3, 1): column 0 is on their envelope where
+# x1 >= 2 x0, column 1 where x1 <= 2 x0
+MATRIX = np.array([[1.0, 3.0], [2.0, 1.0]])
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_tight_row_lps_take_only_envelope_programs(exact):
-    not_envelopes = [
-        replace(ENVELOPE, free=frozenset()),
-        replace(ENVELOPE, free={0, 2}),
-        replace(ENVELOPE, leq_rows=[(1.0, 2.0, -1.0, 4.0), (3.0, 1.0, -2.0, 6.0)]),  # a row without -1 on t
-        replace(ENVELOPE, eq_rows=[(1.0, 1.0, 1.0, 1.0)]),  # t in an equality row
-    ]
-    for program in not_envelopes:
-        with pytest.raises(InputError, match="envelope"):
-            lp.TightRowLps(program, exact)
-    # a solve takes an objective that leaves t without cost, and a <= row
-    rows = lp.TightRowLps(ENVELOPE, exact)
-    for objective, row in (((1.0, 1.0, 1.0), 0), ((1.0, 1.0), 0), (ENVELOPE.objective, 2)):
+def test_tight_row_lps_take_a_matrix_and_return_x(exact):
+    columns = lp.TightRowLps(MATRIX, exact)
+    for j, x in ((0, [1 / 3, 2 / 3]), (1, [1.0, 0.0])):
+        sol = columns.solve((1.0, 0.0), j)
+        assert sol.is_optimal and sol.values == pytest.approx(x)
+    # an objective of the wrong length, or a column out of range
+    for c, j in (((1.0, 1.0, 0.0), 0), ((1.0,), 0), ((1.0, 1.0), 2), ((1.0, 1.0), -1)):
         with pytest.raises(InputError, match="does not fit"):
-            rows.solve(objective, row)
+            columns.solve(c, j)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            lp.TightRowLps(np.where(MATRIX == 3.0, bad, MATRIX), exact)
+    with pytest.raises(InputError, match="n x m"):
+        lp.TightRowLps(MATRIX[0], exact)
 
 
 def test_with_leq_row_leaves_the_base_lp_unchanged_and_arrays_are_read_only():
@@ -441,8 +440,8 @@ def test_highs_matches_linprog_bit_for_bit(program):
 def passed_to_highs(solver, program):
     """The options that ``solver`` hands HiGHS, and the model HiGHS then holds, as plain values.
 
-    ``lp`` keeps one solver object, so it is dropped before and after the
-    recording one is made.
+    ``lp`` keeps one solver object and the ``TightRowLps`` whose model it
+    holds, so both are dropped before and after the recording one is made.
     """
     core, _ = lp._highs()
     seen = []
@@ -473,12 +472,14 @@ def passed_to_highs(solver, program):
             return status
 
     lp._highs.cache_clear()
+    lp._holder = None
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_Highs", Recording)
             outcome(solver, program)
     finally:
         lp._highs.cache_clear()
+        lp._holder = None
     return seen
 
 
@@ -637,10 +638,10 @@ def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model, ro
     program = two_var_lp((1, 1), [((1, 2), 4), ((3, 1), 6)])
     if warm:
         # the first solve passes the model; the fault comes on the re-solve
-        rows = lp.TightRowLps(ENVELOPE)
-        assert rows.solve(ENVELOPE.objective, 0).status == lp.INFEASIBLE
+        columns = lp.TightRowLps(MATRIX)
+        assert columns.solve((1.0, 1.0), 0).status == lp.INFEASIBLE
         with pytest.raises(LpNumericalError):
-            rows.solve(ENVELOPE.objective, 1)
+            columns.solve((1.0, 1.0), 1)
         return
     with pytest.raises(LpNumericalError):
         lp.solve(program)

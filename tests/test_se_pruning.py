@@ -118,7 +118,7 @@ def unit_game(game):
 
 
 def column_value(unit, j, sol):
-    x = np.clip(sol.values[:unit.n], 0.0, 1.0)
+    x = np.clip(sol.values, 0.0, 1.0)
     return float(unit.u_leader[:, j] @ x)
 
 
@@ -135,25 +135,22 @@ def test_warm_column_lps_match_cold_ones(game, rnd, data):
     # The columns come shuffled, then the first again; a cold solve between
     # two re-solves leaves the ones before it as they were and makes the
     # next pass the model again, as a new sequence would. On the exact
-    # backend each solve is the cold ``column_lp`` solve, bit for bit, and
-    # t the follower's payoff at x.
+    # backend each solve is the cold ``column_lp`` solve, bit for bit.
     unit = unit_game(game)
     order = list(range(game.m))
     rnd.shuffle(order)
     order.append(order[0])
 
     def resolve(columns, j):
-        return columns.solve(np.append(unit.u_leader[:, j], 0.0), j)
+        return columns.solve(unit.u_leader[:, j], j)
 
-    exact = lp.TightRowLps(bimatrix._envelope(unit.u_follower), exact=True)
+    exact = lp.TightRowLps(unit.u_follower, exact=True)
     for j in order:
         sol, cold = resolve(exact, j), lp.solve(column_lp(unit, j), exact=True)
         assert (sol.status, sol.objective_value.hex()) == (cold.status, cold.objective_value.hex())
-        assert [v.hex() for v in sol.values[:unit.n]] == [v.hex() for v in cold.values]
-        if sol.is_optimal:
-            assert sol.values[unit.n] == pytest.approx(float(unit.u_follower[:, j] @ cold.values), abs=1e-15)
+        assert [v.hex() for v in sol.values] == [v.hex() for v in cold.values]
 
-    columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
+    columns = lp.TightRowLps(unit.u_follower)
     warm = [resolve(columns, j) for j in order]
     for j, sol in zip(order, warm):
         cold = lp.solve(column_lp(unit, j))
@@ -162,11 +159,11 @@ def test_warm_column_lps_match_cold_ones(game, rnd, data):
             assert abs(column_value(unit, j, sol) - column_value(unit, j, cold)) <= highs_column_value_margin(unit)
 
     k = data.draw(st.integers(1, len(order) - 1))
-    columns = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
+    columns = lp.TightRowLps(unit.u_follower)
     before = [resolve(columns, j) for j in order[:k]]
     lp.solve(column_lp(unit, order[0]))
     after = [resolve(columns, j) for j in order[k:]]
-    restarted = lp.TightRowLps(bimatrix._envelope(unit.u_follower))
+    restarted = lp.TightRowLps(unit.u_follower)
     assert outcomes(before) == outcomes(warm[:k])
     assert outcomes(after) == outcomes([resolve(restarted, j) for j in order[k:]])
 

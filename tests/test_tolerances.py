@@ -121,6 +121,34 @@ def test_scale_guard_flags_frexp_outside_unit_and_errstate():
     assert scale_decisions("with np.errstate(over='ignore'):\n    pass\n", "bimatrix") == ["1: errstate"]
 
 
+def lp_assemblies(source: str) -> list[str]:
+    """Every place ``source`` names ``LinearProgram``: a name, an attribute or an import."""
+    return [
+        f"{node.lineno}: LinearProgram"
+        for node in ast.walk(ast.parse(source))
+        if "LinearProgram" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+
+
+def test_lps_are_assembled_in_lp_and_incentive_only():
+    # one LP assembly path: the bimatrix LPs come from ``lp.envelope`` and
+    # ``lp.TightRowLps``, the cut loops from ``incentive``
+    found = [
+        f"{name}.py:{hit}"
+        for name in SOLVER_MODULES
+        if name not in ("lp", "incentive")
+        for hit in lp_assemblies((PACKAGE / f"{name}.py").read_text())
+    ]
+    assert not found, "build LPs in lp.py or incentive.py:\n" + "\n".join(found)
+
+
+def test_assembly_guard_flags_every_way_to_name_linear_program():
+    assert lp_assemblies("p = lp.LinearProgram(c)\n") == ["1: LinearProgram"]
+    assert lp_assemblies("from .lp import LinearProgram as LP\n") == ["1: LinearProgram"]
+    assert lp_assemblies("x = 1\ndef f() -> LinearProgram:\n    pass\n") == ["2: LinearProgram"]
+    assert lp_assemblies("s = lp.solve(lp.envelope(a))\n# a LinearProgram\nt = 'LinearProgram'\n") == []
+
+
 def test_recursion_guard_flags_self_calls_by_bare_name():
     assert self_calls("def f(n):\n    return f(n - 1) if n else 0\n") == ["1: f"]
     assert self_calls("def outer():\n    def walk(v):\n        walk(v)\n    walk(0)\n") == ["2: walk"]
