@@ -9,6 +9,7 @@ as exact oracles for the approximation modules.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -151,31 +152,38 @@ def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
 _MULTIPLIERS = np.array([0.0, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 8.0])
 
 
-# most floats in one temporary of ``_column_bounds``, unless n * m is more
+# most floats in one temporary of ``_refine``, unless n is more
 _BOUNDS_BLOCK = 1 << 15
 
 
-def _column_bounds(game: BimatrixGame) -> np.ndarray:
-    """B_j = min over rivals r and multipliers lam of max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
+def _rival_order(ul: np.ndarray, uf: np.ndarray) -> list[int]:
+    """Every column once: the follower's best responses to the pure rows, then the rest in index order.
 
-    Every column j at once, over a block of rivals r at a time: with
-    d[i, j, r] = uF[i, j] - uF[i, r], each lam takes the max over i, then the
-    min over the block, of uL[i, j] + lam d[i, j, r]. A block holds
-    max(1, _BOUNDS_BLOCK // (n m)) rivals, so the temporaries hold at most
-    max(_BOUNDS_BLOCK, n m) floats each. The rival r = j adds max_i uL[i, j],
-    as lam = 0 does.
+    The rows go by their best leader payoff, highest first, and each
+    response comes in at its first row. These rivals tend to cut a column's
+    key most, since they outbid the column where the leader would gain.
     """
-    ul, uf = game.u_leader[:, :, None], game.u_follower
-    n, m = game.n, game.m
-    step = max(1, _BOUNDS_BLOCK // (n * m))
-    bound = np.full(m, np.inf)
-    for start in range(0, m, step):
-        d = uf[:, :, None] - uf[:, None, start:start + step]
-        term = np.empty_like(d)
-        for lam in _MULTIPLIERS:
-            np.add(np.multiply(lam, d, out=term), ul, out=term)
-            np.minimum(bound, term.max(axis=0).min(axis=1), out=bound)
-    return bound
+    rows = np.argsort(-ul.max(axis=1), kind="stable")
+    first = dict.fromkeys(uf.argmax(axis=1)[rows].tolist())
+    return [*first, *(r for r in range(uf.shape[1]) if r not in first)]
+
+
+def _refine(ul_j: np.ndarray, uf_j: np.ndarray, rivals: np.ndarray) -> float:
+    """min over the rows r of ``rivals`` and lam > 0 of max_i (ul_j[i] + lam (uf_j[i] - rivals[r, i])).
+
+    ``ul_j`` and ``uf_j`` are column j of uL and of uF, ``rivals`` a k x n
+    block of uF's columns as rows, so i runs along a contiguous axis.
+    Each temporary holds a group of multipliers times the block, at most
+    max(_BOUNDS_BLOCK, n) floats.
+    """
+    d = uf_j - rivals
+    group = max(1, _BOUNDS_BLOCK // d.size)
+    key = np.inf
+    for start in range(1, len(_MULTIPLIERS), group):
+        term = _MULTIPLIERS[start:start + group, None, None] * d
+        term += ul_j
+        key = min(key, term.max(axis=2).min())
+    return float(key)
 
 
 def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSolution:
@@ -192,22 +200,46 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     it may realize more than its column value, and more than the best
     column value only as far as the ``EQUAL`` tie margin allows.
 
-    Bounds, column LPs and column values come from the unit game (``_unit``
+    Keys, column LPs and column values come from the unit game (``_unit``
     of uL and of uF); the response and payoffs from the game.
 
-    Both backends visit the columns by ``(-B_j, j)`` for the Lagrangian
-    bound B_j of ``_column_bounds`` (Geoffrion, Math. Prog. Study 2, 1974),
-    and stop at the first column with (B_j, -j) below the best rank. By weak
-    duality B_j holds for every x feasible for column j: for a rival r and
-    lam >= 0, (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
+    B_j is the Lagrangian bound (Geoffrion, Math. Prog. Study 2, 1974)
+    min over rivals r and lam in ``_MULTIPLIERS`` of
+    max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])). By weak duality it holds
+    for every x feasible for column j: for a rival r and lam >= 0,
+    (uF[:, j] - uF[:, r]) . x >= 0 and x sums to 1, so
     uL[:, j] . x <= sum_i x_i (uL[i, j] + lam (uF[i, j] - uF[i, r]))
     <= max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])). So column j's LP value
     is at most B_j, and the clip moves a column value only where the LP
     backend's tolerance or float rounding put it above anything column j
-    can reach. A skipped column's rank is at most (B_j, -j), below the best
-    rank, so it could not have won, and the answer is that of a visit of
-    every column in the same order with the same ranks
-    (``tests/oracles.unpruned_stackelberg``). No tolerance enters the stop.
+    can reach.
+
+    Both backends visit the columns by ``(-B_j, j)`` and stop at the first
+    column with (B_j, -j) below the best rank, but B_j is computed only as
+    far as that order needs. Each column starts at the key max_i uL[i, j],
+    the lam = 0 term, which is also the term of the rival r = j, so it is
+    at least B_j. One heap holds the columns by (-key, j). At the top: if
+    (key, -j) is below the best rank, stop, since every key left, and so
+    every bound, is at or below the top one. If the column has rivals left,
+    ``_refine`` lowers its key by the next block of them and it goes back.
+    Otherwise its key is B_j and it is solved. The sums are those of the
+    bound written out for every rival at once, lam (uF[i, j] - uF[i, r])
+    first, then + uL[i, j], and max and min are exact, so a finished key is
+    B_j bit for bit, in any rival order (but for the sign of a zero where
+    uL holds -0.0, which no comparison sees). A partial key is at least
+    B_j, so a finished column at the top is the next column in ``(-B_j, j)``
+    order, and a column that never finishes has a bound below a rank at
+    which the full order stops first. So the columns solved, their order and their
+    ranks are those of a visit of every column in that order
+    (``tests/oracles.unpruned_stackelberg``): a skipped column's rank is at
+    most (B_j, -j), below the best rank, so it could not have won. No
+    tolerance enters the stop.
+
+    The rivals come in ``_rival_order``, which sets only the work: the
+    follower's best responses to the pure rows cut most keys in the first
+    block. uF's columns are permuted into that order once, so each block is
+    a contiguous slice. A column's first block holds 8 rivals and each next
+    one twice as many as the one before, at most max(1, _BOUNDS_BLOCK // n).
 
     Column j's LP is ``columns.solve(uL[:, j], j)`` on one
     ``lp.TightRowLps(uF)`` per call: max uL[:, j] . x over the simplex with
@@ -229,18 +261,29 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     pivot.
     """
     unit = BimatrixGame(_unit(game.u_leader)[0], _unit(game.u_follower)[0])
-    ul = unit.u_leader
-    bound = _column_bounds(unit)
-    columns = lp.TightRowLps(unit.u_follower, exact)
+    ul, uf = unit.u_leader, unit.u_follower
+    rivals = np.ascontiguousarray(uf.T[_rival_order(ul, uf)])
+    most = max(1, _BOUNDS_BLOCK // unit.n)
+    heap = [(-key, j, 0) for j, key in enumerate(ul.max(axis=0).tolist())]
+    heapq.heapify(heap)
+    columns = lp.TightRowLps(uf, exact)
     best: tuple[tuple[float, int], MixedStrategy] | None = None
-    for j in np.argsort(-bound, kind="stable").tolist():
-        if best is not None and (bound[j], -j) < best[0]:
+    while heap:
+        key, j, seen = heap[0]
+        key = -key
+        if best is not None and (key, -j) < best[0]:
             break
+        if seen < unit.m:
+            block = rivals[seen:seen + min(most, seen + 8)]
+            key = min(key, _refine(ul[:, j], uf[:, j], block))
+            heapq.heapreplace(heap, (-key, j, seen + len(block)))
+            continue
+        heapq.heappop(heap)
         sol = columns.solve(ul[:, j], j)
         if not sol.is_optimal:
             continue
         x = MixedStrategy(tuple(min(1.0, max(0.0, v)) for v in sol.values))
-        rank = (min(float(ul[:, j] @ x.as_array()), float(bound[j])), -j)
+        rank = (min(float(ul[:, j] @ x.as_array()), key), -j)
         if best is None or rank > best[0]:
             best = (rank, x)
     if best is None:

@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -98,11 +98,24 @@ class PathFamily:
         if not (0 <= self.source < self.num_vertices and 0 <= self.sink < self.num_vertices):
             raise InputError("source/sink out of range")
 
+    @cached_property
+    def _label(self) -> dict[int, int]:
+        """The ends of the edges, s and t, relabelled 0..V'-1 in increasing id order.
+
+        Lists indexed by the declared vertex ids would grow with the largest
+        id, not with the graph. The relabelling keeps the order of the ids, and
+        every tie rule is by edge id, so no answer moves.
+        """
+        used = {self.source, self.sink}.union(*((u, v) for _, u, v in self.edges))
+        return {v: i for i, v in enumerate(sorted(used))}
+
     def adjacency(self) -> list[list[tuple[str, int]]]:
-        adj: list[list[tuple[str, int]]] = [[] for _ in range(self.num_vertices)]
+        """Each relabelled vertex's ``(edge id, other end)`` pairs, sorted; see ``_label``."""
+        label = self._label
+        adj: list[list[tuple[str, int]]] = [[] for _ in label]
         for eid, u, v in self.edges:
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
+            adj[label[u]].append((eid, label[v]))
+            adj[label[v]].append((eid, label[u]))
         for lst in adj:
             lst.sort()
         return adj
@@ -113,7 +126,7 @@ class PathFamily:
         if any(inst.follower_reward[e] > ZERO for e in inst.elements):
             raise InputError("path families require c_e <= 0 (nonnegative costs)")
         zero = dict.fromkeys(inst.elements, 0.0)
-        if _dijkstra(self.num_vertices, self.adjacency(), self.sink, zero)[self.source] is None:
+        if _dijkstra(self.adjacency(), self._label[self.sink], zero)[self._label[self.source]] is None:
             raise InputError("no s-t path exists")
 
     def contains(self, members: frozenset) -> bool:
@@ -149,12 +162,12 @@ class PathFamily:
         The walk runs on an explicit stack of (vertex, trail, visited bits),
         so a path's length is not limited by Python's recursion depth.
         """
-        adj = self.adjacency()
+        adj, sink = self.adjacency(), self._label[self.sink]
         paths: list[frozenset] = []
-        stack: list[tuple[int, tuple[str, ...], int]] = [(self.source, (), 0)]
+        stack: list[tuple[int, tuple[str, ...], int]] = [(self._label[self.source], (), 0)]
         while stack:
             v, trail, visited = stack.pop()
-            if v == self.sink:
+            if v == sink:
                 paths.append(frozenset(trail))
                 if len(paths) > limit:
                     raise SizeLimitError(f"more than {limit} simple paths")
@@ -439,9 +452,9 @@ def incentive_bimatrix(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> 
 # shortest paths (nonnegative weights, lexicographic tie-break)
 
 
-def _dijkstra(num_vertices: int, into: list, sink: int, weights: Mapping) -> list[Optional[float]]:
+def _dijkstra(into: list, sink: int, weights: Mapping) -> list[Optional[float]]:
     """Distance to ``sink`` (None when unreachable); ``into[v]`` lists the edges ``(eid, u)`` u -> v."""
-    dist: list[Optional[float]] = [None] * num_vertices
+    dist: list[Optional[float]] = [None] * len(into)
     heap: list[tuple[float, int]] = [(0.0, sink)]
     while heap:
         d, v = heapq.heappop(heap)
@@ -475,20 +488,20 @@ def _lex_min_tight_path(fam: PathFamily, weights: Mapping, costs: Mapping) -> Op
     vertices are removed, so it never enters a dead end. One reverse search
     per step makes this O(V * E).
     """
-    n, adj = fam.num_vertices, fam.adjacency()
-    dist = _dijkstra(n, adj, fam.sink, weights)
-    if dist[fam.source] is None:
+    adj = fam.adjacency()
+    n, sink, v = len(adj), fam._label[fam.sink], fam._label[fam.source]
+    dist = _dijkstra(adj, sink, weights)
+    if dist[v] is None:
         return None
     into = _tight(adj, dist, weights)
-    into = _tight(into, _dijkstra(n, into, fam.sink, costs), costs)
+    into = _tight(into, _dijkstra(into, sink, costs), costs)
     on_trail = [False] * n
     path: list[str] = []
-    v = fam.source
-    while v != fam.sink:
+    while v != sink:
         on_trail[v] = True
         reaches = [False] * n
-        reaches[fam.sink] = True
-        stack = [fam.sink]
+        reaches[sink] = True
+        stack = [sink]
         while stack:
             for _, u in into[stack.pop()]:
                 if not reaches[u] and not on_trail[u]:

@@ -9,8 +9,10 @@ rest of the solver so that they isolate the part that changed:
 to run), ``solve_highs_linprog`` (HiGHS through ``linprog``, as
 ``exact=False`` used to run), ``column_lp`` (one cold LP per follower
 column, as the solver first wrote them), ``unpruned_stackelberg`` (the
-stop rule, sharing the column bounds, and the column LPs on HiGHS),
-``column_bounds_per_column`` (the column bounds, one column at a time),
+stop rule and the lazy bounds, sharing the column LPs on HiGHS),
+``column_bounds`` (every column's bound at once, as the solver computed
+them before it refined them lazily), ``column_bounds_per_column`` (the
+same, one column at a time),
 ``discretized_se_reference`` (the grid enumeration and chunk scan) and
 ``suffix_bound_matching`` (the matcher's vertex bound and explicit stack).
 It also holds helpers only the tests use: ``highs_column_value_margin``
@@ -350,7 +352,7 @@ def unpruned_stackelberg(game, exact: bool = False):
 
     The differential reference for the bound-ordered pruning of
     ``bimatrix.solve_stackelberg``. It shares that solver's LP backend,
-    column bounds B_j (``bimatrix._column_bounds``) and best-response
+    column bounds B_j (``column_bounds``) and best-response
     re-evaluation on purpose, on the same unit game (``bimatrix._unit``),
     so that only the stop rule differs. On HiGHS it visits every column in
     the solver's ``(-B_j, j)`` order on one warm sequence
@@ -372,13 +374,13 @@ def unpruned_stackelberg(game, exact: bool = False):
     dot product.
     """
     unit = bimatrix.BimatrixGame(bimatrix._unit(game.u_leader)[0], bimatrix._unit(game.u_follower)[0])
-    bound = bimatrix._column_bounds(unit)
+    bound = column_bounds(unit)
     if exact:
         solved = ((j, lp.solve(column_lp(unit, j), exact=True)) for j in range(game.m))
     else:
         columns = lp.TightRowLps(unit.u_follower)
-        order = np.argsort(-bound, kind="stable")
-        solved = ((int(j), columns.solve(unit.u_leader[:, j], j)) for j in order)
+        order = np.argsort(-bound, kind="stable").tolist()
+        solved = ((j, _warm_or_cold(columns, unit, j)) for j in order)
     best = None
     for j, sol in solved:
         if not sol.is_optimal:
@@ -391,6 +393,22 @@ def unpruned_stackelberg(game, exact: bool = False):
     response = follower_best_response(game, x)
     payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, payoff, follower)
+
+
+def _warm_or_cold(columns, unit, j: int) -> LpSolution:
+    """Column j's warm re-solve, or its cold ``column_lp`` solve where HiGHS fails the re-solve.
+
+    On the 31 x 976 path game of ``incentive_bimatrix``, HiGHS ends about
+    25 warm re-solves of infeasible columns, all far down the order, with
+    model status Unknown; a cold solve finds each infeasible. The solver
+    visits a prefix of this order on the same warm sequence, so it cannot
+    pass such a column without failing the same way, and every column past
+    its stop has a rank below its answer's.
+    """
+    try:
+        return columns.solve(unit.u_leader[:, j], j)
+    except LpNumericalError:
+        return lp.solve(column_lp(unit, j))
 
 
 def highs_column_value_margin(unit) -> float:
@@ -415,12 +433,34 @@ def highs_column_value_margin(unit) -> float:
     return LP_FEASIBILITY * ((2 * unit.n + 1) * span + 2 * lam)
 
 
+def column_bounds(game) -> np.ndarray:
+    """Every column's bound B_j = min over rivals r and lam of max_i (uL[i, j] + lam (uF[i, j] - uF[i, r])).
+
+    The B_j that ``bimatrix.solve_stackelberg`` refines lazily, all at once,
+    as the solver computed them before: over a block of rivals r at a time,
+    with d[i, j, r] = uF[i, j] - uF[i, r], each lam takes the max over i,
+    then the min over the block, of uL[i, j] + lam d[i, j, r]. A block holds
+    max(1, _BOUNDS_BLOCK // (n m)) rivals.
+    """
+    ul, uf = game.u_leader[:, :, None], game.u_follower
+    n, m = game.n, game.m
+    step = max(1, bimatrix._BOUNDS_BLOCK // (n * m))
+    bound = np.full(m, np.inf)
+    for start in range(0, m, step):
+        d = uf[:, :, None] - uf[:, None, start:start + step]
+        term = np.empty_like(d)
+        for lam in bimatrix._MULTIPLIERS:
+            np.add(np.multiply(lam, d, out=term), ul, out=term)
+            np.minimum(bound, term.max(axis=0).min(axis=1), out=bound)
+    return bound
+
+
 def column_bounds_per_column(game) -> np.ndarray:
-    """``bimatrix._column_bounds`` as it was first written, one column at a time.
+    """``column_bounds`` as it was first written, one column at a time.
 
     The same sums uL[i, j] + lam (uF[i, j] - uF[i, r]) in one
-    |multipliers| x n x m array per column, so the blocked version must
-    match it bit for bit: max and min are exact.
+    |multipliers| x n x m array per column, so every blocked or lazy
+    version must match it bit for bit: max and min are exact.
     """
     ul, uf = game.u_leader, game.u_follower
     lam = bimatrix._MULTIPLIERS[:, None, None]
@@ -741,21 +781,24 @@ def lex_min_tight_path_dfs(fam, weights: Mapping, costs: Mapping, tol: float = 1
     of the least weight, then those within ``tol`` of the least cost among
     them, and returns the first. Exponential in the graph.
     """
-    adj = fam.adjacency()
-    visited = [False] * fam.num_vertices
+    adj: dict[int, list[tuple[str, int]]] = {}
+    for eid, u, v in fam.edges:
+        adj.setdefault(u, []).append((eid, v))
+        adj.setdefault(v, []).append((eid, u))
+    visited: set[int] = set()
     paths: list[list[str]] = []
 
     def walk(v: int, trail: list[str]) -> None:
         if v == fam.sink:
             paths.append(list(trail))
             return
-        visited[v] = True
-        for eid, to in adj[v]:
-            if not visited[to]:
+        visited.add(v)
+        for eid, to in sorted(adj.get(v, [])):
+            if to not in visited:
                 trail.append(eid)
                 walk(to, trail)
                 trail.pop()
-        visited[v] = False
+        visited.remove(v)
 
     walk(fam.source, [])
     if not paths:

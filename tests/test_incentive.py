@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,32 @@ def test_path_family_explicit_order():
     edges = (("a", 0, 1), ("b", 1, 3), ("c", 0, 2), ("d", 2, 3), ("e", 1, 2))
     paths = inc.PathFamily(4, edges, 0, 3).explicit(10).sets
     assert paths == tuple(map(frozenset, ("ab", "ade", "cd", "bce")))
+
+
+def renamed(inst, rename, vertices):
+    fam = inst.family
+    edges = tuple((eid, rename(u), rename(v)) for eid, u, v in fam.edges)
+    return replace(inst, family=inc.PathFamily(vertices, edges, rename(fam.source), rename(fam.sink)))
+
+
+def test_path_family_sizes_itself_by_the_vertices_it_uses():
+    # two parallel s-t edges declared on 10^6 vertices: the lists were sized
+    # by the declared count, 7 s and 255 MB for a solve
+    fam = inc.PathFamily(2, (("a", 0, 1), ("b", 1, 0)), 0, 1)
+    narrow = inc.IncentiveInstance(("a", "b"), {"a": -1.0, "b": -0.5}, {"a": 0.0, "b": 0.0}, fam)
+    wide = renamed(narrow, lambda v: 999_999 * v, 10**6)
+    assert len(wide.family.adjacency()) == 2
+    assert inc.solve_stackelberg_incentive(wide) == inc.solve_stackelberg_incentive(narrow)
+
+
+def test_spread_vertex_ids_keep_every_answer():
+    # the relabelling keeps the order of the ids, and every tie rule is by edge id
+    inst = grid_instance(random.Random(3), 3, 4)
+    spread = renamed(inst, lambda v: 1000 * v + 7, 12_000)
+    assert len(spread.family.adjacency()) == 12
+    assert spread.family.explicit(EXPLICIT_LIMIT) == inst.family.explicit(EXPLICIT_LIMIT)
+    for exact in (False, True):
+        assert inc.solve_stackelberg_incentive(spread, exact) == inc.solve_stackelberg_incentive(inst, exact)
 
 
 def test_path_vs_materialized_same_solution():

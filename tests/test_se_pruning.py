@@ -2,15 +2,18 @@
 
 ``solve_stackelberg`` ranks each solved column j by (min(c_j, B_j), -j):
 its column value u_leader[:, j] . x clipped at its Lagrangian bound B_j
-(``bimatrix._column_bounds``), then the lower index. It visits the columns
+(``oracles.column_bounds``), then the lower index. It visits the columns
 by descending bound and stops at the first column with (B_j, -j) below the
 best rank, which no column left could pass, on HiGHS and on the exact
-backend alike. These tests compare it bit for bit with the all-columns
+backend alike, refining each B_j from a cheap key only as far as that
+order needs. These tests compare it bit for bit with the all-columns
 loop of ``oracles.unpruned_stackelberg`` under the same ranks (on HiGHS the
 same warm sequence, on the exact backend cold ``oracles.column_lp``
-solves), on random, 0-3 integer, commit and permuted-matching games; check
-the bound against every column's exact LP value and, bit for bit, against
-the per-column computation of ``oracles.column_bounds_per_column``; check
+solves), on random, 0-3 integer, commit, permuted-matching and path games;
+pin the columns it solves to the ``(-B_j, j)`` order up to the stop; check
+the bound against every column's exact LP value and, bit for bit, the
+blocked bounds and the lazy refinement ``bimatrix._refine`` against the
+per-column computation of ``oracles.column_bounds_per_column``; check
 each column solve of the envelope against a cold solve of
 ``oracles.column_lp``, within ``oracles.highs_column_value_margin`` on
 HiGHS and bit for bit on the exact backend; count the LPs solved, tied
@@ -18,6 +21,9 @@ bounds and the integer games of the HiGHS benchmark included; and check
 that scaling uL and uF by powers of two moves neither the SE strategy nor,
 but for its value, a maximin solution.
 """
+
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +34,16 @@ from stacksolve import bimatrix, gen, lp, permmatch
 from stacksolve.bimatrix import BimatrixGame, solve_stackelberg, validate_stackelberg_solution
 from stacksolve.gen import random_permmatch
 from stacksolve.incentive import incentive_bimatrix
+from stacksolve.tolerances import GUARANTEE
 
-from .instances import bimatrix_games, commit_instance
-from .oracles import column_bounds_per_column, column_lp, highs_column_value_margin, unpruned_stackelberg
+from .instances import bimatrix_games, commit_instance, grid_instance
+from .oracles import (
+    column_bounds,
+    column_bounds_per_column,
+    column_lp,
+    highs_column_value_margin,
+    unpruned_stackelberg,
+)
 
 
 def assert_same_as_unpruned(game, exact):
@@ -83,7 +96,7 @@ def test_pruned_highs_matches_the_exact_backend(game):
 @settings(max_examples=150)
 @given(bimatrix_games(max_n=5, max_m=6))
 def test_column_bounds_cover_every_exact_column_value(game):
-    bound = bimatrix._column_bounds(game)
+    bound = column_bounds(game)
     assert bound.shape == (game.m,)
     assert np.all(bound <= game.u_leader.max(axis=0))  # lam = 0 is one of the multipliers
     for j in range(game.m):
@@ -107,10 +120,63 @@ def bounds_games(draw, size=70, exponents=st.integers(-500, 500)):
 
 
 @settings(max_examples=300)
-@given(bounds_games())
-def test_blocked_column_bounds_match_the_per_column_ones_bit_for_bit(game):
-    # from about 30 x 30 on, the rivals come in several blocks, the last one partial
-    assert bimatrix._column_bounds(game).tobytes() == column_bounds_per_column(game).tobytes()
+@given(bounds_games(), st.data())
+def test_blocked_column_bounds_match_the_per_column_ones_bit_for_bit(game, data):
+    # The oracle's blocks: from about 30 x 30 on, several, the last one
+    # partial. The solver's: each column's key max_i uL[i, j], lowered by
+    # ``_refine`` over every rival, in any order and in blocks of any sizes,
+    # 1 and a partial last block included. A small _BOUNDS_BLOCK puts a
+    # block past _BOUNDS_BLOCK // n, so that the multipliers come in groups.
+    want = column_bounds_per_column(game)
+    assert column_bounds(game).tobytes() == want.tobytes()
+    rivals = game.u_follower.T[data.draw(st.permutations(range(game.m)))]
+    sizes = []
+    while sum(sizes) < game.m:
+        sizes.append(data.draw(st.integers(1, game.m)))
+    keys = game.u_leader.max(axis=0)
+    with mock.patch.object(bimatrix, "_BOUNDS_BLOCK", data.draw(st.integers(1, 8 * game.n * game.m))):
+        for j in range(game.m):
+            seen = 0
+            for size in sizes:
+                block = rivals[seen:seen + size]
+                keys[j] = min(keys[j], bimatrix._refine(game.u_leader[:, j], game.u_follower[:, j], block))
+                seen += size
+    assert keys.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact, size", [(False, 70), (True, 10)])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_columns_are_solved_in_bound_order_up_to_the_stop(exact, size, data):
+    # The columns solved are the prefix of the (-B_j, j) order that ends
+    # where a visit of every column in that order would stop, given the
+    # answers the solver got; tied 0-3 games and scales 2^e, |e| <= 500, included.
+    game = data.draw(bounds_games(size=size))
+    unit = unit_game(game)
+    bound = column_bounds(unit)
+    solved = []
+    real = lp.TightRowLps.solve
+
+    def recording(columns, c, j):
+        solved.append((j, real(columns, c, j)))
+        return solved[-1][1]
+
+    with mock.patch.object(lp.TightRowLps, "solve", recording):
+        solve_stackelberg(game, exact=exact)
+    order = np.argsort(-bound, kind="stable").tolist()
+    assert [j for j, _ in solved] == order[:len(solved)]
+    best = None
+    for k, j in enumerate(order):
+        if best is not None and (bound[j], -j) < best:
+            break
+        assert k < len(solved), "stopped before the order did"
+        sol = solved[k][1]
+        if sol.is_optimal:
+            rank = (min(column_value(unit, j, sol), bound[j]), -j)
+            best = rank if best is None else max(best, rank)
+    else:
+        k = len(order)
+    assert len(solved) == k
 
 
 def unit_game(game):
@@ -312,9 +378,25 @@ def test_the_column_value_ranks_the_columns_not_the_realized_payoff(lp_calls):
     # only when it is solved, and its bound 1/2 lets either backend skip it.
     # Ranked by column value, column 1 wins on both backends.
     game = BimatrixGame(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert bimatrix._column_bounds(game).tolist() == [0.5, 1.0]
+    assert column_bounds(game).tolist() == [0.5, 1.0]
     highs = solve_stackelberg(game)
     exact = solve_stackelberg(game, exact=True)
     assert len(lp_calls) == 2
     for sol in (highs, exact):
         assert sol.follower_response == 1 and sol.leader_payoff == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ten_disjoint_edges_solve_in_explicit_form():
+    # 1,024 x 1,024: the bounds of every column took 22 s; the lazy keys
+    # refine a few columns
+    edges = tuple((2 * i, 2 * i + 1) for i in range(10))
+    game, _ = permmatch.explicit_bimatrix(permmatch.PermMatchInstance(permmatch.Multigraph(20, edges), tuple(range(10))))
+    sol = solve_stackelberg(game)
+    validate_stackelberg_solution(game, sol)
+    assert abs(sol.leader_payoff - 10) <= GUARANTEE
+
+
+def test_path_game_matches_unpruned():
+    # 31 x 976, 0/1 leader payoffs: every cheap key ties at the top
+    game, _ = incentive_bimatrix(grid_instance(random.Random(0), 4, 5))
+    assert_same_as_unpruned(game, exact=False)
