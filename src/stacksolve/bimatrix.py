@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, probabilities
+from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, SAME_DIGITS, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -124,10 +124,13 @@ def follower_best_response(game: BimatrixGame, x: StrategyLike) -> int:
 
     Among follower payoffs within ``EQUAL`` of the maximum, picks the column
     maximizing the leader's payoff; remaining ties go to the lowest index.
+    Both payoffs are compared on their unit scale (``_unit``), so the margin
+    is relative to each matrix's power-of-two scale, and the response is the
+    same when either matrix is multiplied by a power of two.
     """
     xv = _coerce(x, game.n, "leader").as_array()
-    follower_vals = xv @ game.u_follower
-    leader_vals = xv @ game.u_leader
+    follower_vals = xv @ _unit(game.u_follower)[0]
+    leader_vals = xv @ _unit(game.u_leader)[0]
     best_f = follower_vals.max()
     tied = follower_vals >= best_f - EQUAL
     best_l = leader_vals[tied].max()
@@ -173,17 +176,12 @@ def _refine(ul_j: np.ndarray, uf_j: np.ndarray, rivals: np.ndarray) -> float:
 
     ``ul_j`` and ``uf_j`` are column j of uL and of uF, ``rivals`` a k x n
     block of uF's columns as rows, so i runs along a contiguous axis.
-    Each temporary holds a group of multipliers times the block, at most
-    max(_BOUNDS_BLOCK, n) floats.
+    One temporary holds the seven nonzero multipliers times the block, at
+    most 7 max(_BOUNDS_BLOCK, n) floats (1.8 MB at the cap).
     """
-    d = uf_j - rivals
-    group = max(1, _BOUNDS_BLOCK // d.size)
-    key = np.inf
-    for start in range(1, len(_MULTIPLIERS), group):
-        term = _MULTIPLIERS[start:start + group, None, None] * d
-        term += ul_j
-        key = min(key, term.max(axis=2).min())
-    return float(key)
+    term = _MULTIPLIERS[1:, None, None] * (uf_j - rivals)
+    term += ul_j
+    return float(term.max(axis=2).min())
 
 
 def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSolution:
@@ -200,8 +198,8 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     it may realize more than its column value, and more than the best
     column value only as far as the ``EQUAL`` tie margin allows.
 
-    Keys, column LPs and column values come from the unit game (``_unit``
-    of uL and of uF); the response and payoffs from the game.
+    Keys, column LPs, column values and the response come from the unit
+    game (``_unit`` of uL and of uF); the payoffs from the game as given.
 
     B_j is the Lagrangian bound (Geoffrion, Math. Prog. Study 2, 1974)
     min over rivals r and lam in ``_MULTIPLIERS`` of
@@ -295,9 +293,14 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
 
 
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:
-    """Re-evaluate the solution's invariants; raises ToolkitError on failure."""
+    """Re-evaluate the solution's invariants; raises ToolkitError on failure.
+
+    The response must be a follower best response within ``EQUAL`` on the
+    unit follower payoffs (``_unit``), as ``follower_best_response`` picks
+    it; the payoffs must match their re-evaluation on the game within ``EQUAL``.
+    """
     xv = sol.leader.as_array()
-    follower_vals = xv @ game.u_follower
+    follower_vals = xv @ _unit(game.u_follower)[0]
     if follower_vals[sol.follower_response] < follower_vals.max() - EQUAL:
         raise ToolkitError("recorded response is not a follower best response")
     lpay, fpay = expected_utilities(
@@ -364,7 +367,7 @@ def solve_nash_support_enumeration(game: BimatrixGame) -> list[tuple[MixedStrate
                     continue
                 xs, ys = np.zeros(n), np.zeros(m)
                 xs[rows], ys[cols] = x, y
-                key = (tuple(round(v, 9) for v in xs.tolist()), tuple(round(v, 9) for v in ys.tolist()))
+                key = tuple(round(v, SAME_DIGITS) for v in (*xs.tolist(), *ys.tolist()))
                 if key not in seen:
                     seen.add(key)
                     found.append((MixedStrategy(tuple(xs)), MixedStrategy(tuple(ys))))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -55,7 +55,7 @@ _CHUNK = 8192
 
 @dataclass(frozen=True)
 class GridParams:
-    """The grid resolution eps = 1/k, stored as the integer k."""
+    """The grid resolution eps = 1/k, stored as the integer k; ``from_eps`` reads a float eps exactly."""
 
     k: int
 
@@ -69,17 +69,9 @@ class GridParams:
 
     @classmethod
     def from_eps(cls, eps: Union[float, str, Fraction]) -> "GridParams":
-        if isinstance(eps, float):
-            # eps > 0 also rejects NaN, and a subnormal eps overflows 1/eps
-            if not (eps > 0 and isfinite(1.0 / eps)):
-                raise InputError("1/eps must be a positive integer")
-            k = round(1.0 / eps)
-            if k < 1 or abs(k * eps - 1.0) > EQUAL:
-                raise InputError("1/eps must be a positive integer")
-            return cls(k)
         try:
             value = Fraction(eps)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             msg = f"eps must be a float, a Fraction or a string such as '1/10', got {eps!r}"
             raise InputError(msg) from exc
         if value <= 0 or value.numerator != 1:

@@ -245,14 +245,8 @@ def _check_pair(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> None
     if len(strat.incentives) > len(inst.elements) ** 2:
         raise InputError("incentive support exceeds the |E|^2 sparsity cap")
     for sid in strat.incentives:
-        _members_of(inst, sid)
-
-
-def _members_of(inst: IncentiveInstance, sid: SetId) -> frozenset:
-    members = frozenset(sid)
-    if not inst.family.contains(members):
-        raise InputError(f"set id {sid} is not in the family")
-    return members
+        if not inst.family.contains(frozenset(sid)):
+            raise InputError(f"set id {sid} is not in the family")
 
 
 def _payoffs(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, members: frozenset) -> tuple[float, float]:
@@ -260,18 +254,6 @@ def _payoffs(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, members: f
     bonus = strat.incentives.get(set_id(members), 0.0)
     drift = sum(strat.x.get(e, 0.0) * inst.leader_reward[e] for e in inst.elements)
     return _base_value(inst, strat.x, members) + bonus, _mass(strat.x, members) - bonus + drift
-
-
-def leader_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid: SetId) -> float:
-    """sum_{e in S} x_e - V_S + sum_e x_e C_e."""
-    _check_pair(inst, strat)
-    return _payoffs(inst, strat, _members_of(inst, set_id(sid)))[1]
-
-
-def follower_payoff(inst: IncentiveInstance, strat: IncentiveLeaderStrategy, sid: SetId) -> float:
-    """sum_{e in S} (-x_e + c_e) + V_S."""
-    _check_pair(inst, strat)
-    return _payoffs(inst, strat, _members_of(inst, set_id(sid)))[0]
 
 
 def _mass(x: Mapping, members) -> float:
@@ -335,10 +317,7 @@ def _incentive_lp(inst: IncentiveInstance) -> lp.LinearProgram:
     )
 
 
-def solve_stackelberg_incentive(
-    inst: IncentiveInstance,
-    exact: bool = True,
-) -> IncentiveSolution:
+def solve_stackelberg_incentive(inst: IncentiveInstance) -> IncentiveSolution:
     """Optimal commitment: LP via constraint generation, then one incentive.
 
     Solves max W + sum x_e C_e over the simplex against the family oracle,
@@ -350,7 +329,7 @@ def solve_stackelberg_incentive(
         _incentive_lp(inst),
         separation_oracle_for(inst),
         max_rounds=10 * (n + 1 + inst.family.cut_bound()),
-        exact=exact,
+        exact=True,
     )
     if not sol.is_optimal:
         # a validated instance makes this LP feasible (sum x = 1, W free

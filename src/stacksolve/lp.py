@@ -28,8 +28,9 @@ Two interchangeable backends sit behind ``solve``:
   ``passModel``, and every LP is solved by one solver object made on first
   use. ``passModel`` clears that object's model, basis and solution, so no
   LP sees the one before, except within one warm sequence of
-  ``TightRowLps``. The object is not re-entrant: the package runs no
-  threads, and nothing may solve an LP from inside another solve.
+  ``TightRowLps``, whose re-solves that end with model status Unknown are
+  run once more from no basis. The object is not re-entrant: the package
+  runs no threads, and nothing may solve an LP from inside another solve.
 
 ``envelope(a)`` is the upper envelope of the columns of an n x m matrix a
 over the simplex: x and one free t, with ``a[:, r] . x - t <= 0`` for every
@@ -323,7 +324,10 @@ class TightRowLps:
     solve changes the costs and two rows' bounds, and the dual simplex
     starts from the basis the solve before left. If a cold ``solve`` passed
     another model in between, the model is passed again, so a solve never
-    runs on another LP's model. The answers depend on the order of the
+    runs on another LP's model. A re-solve that ends with model status
+    Unknown, as some warm re-solves of infeasible columns do where a cold
+    solve finds them infeasible, is run once more on the model passed
+    afresh; a second failure raises. The answers depend on the order of the
     solves, so make one object per sequence to repeat.
 
     With ``exact``, each solve is a cold exact ``solve`` of the LP with t
@@ -376,13 +380,24 @@ class TightRowLps:
             if core.HighsStatus.kError in statuses:
                 _holder = None
                 raise LpNumericalError("HiGHS rejected a change to the model")
+            try:
+                sol = _run(core, highs, objective, self._lower, lhs, rhs)
+            except LpNumericalError:
+                if highs.getModelStatus() != core.HighsModelStatus.kUnknown:
+                    raise
+                sol = self._cold(core, highs, objective)
         else:
-            _holder = None
-            _pass_model(core, highs, -objective, self._lower, lhs, rhs, self._rows[:, :-1])
-            _holder = self
-        sol = _run(core, highs, objective, self._lower, lhs, rhs)
+            sol = self._cold(core, highs, objective)
         del sol.values[len(c):]
         return sol
+
+    def _cold(self, core, highs, objective: np.ndarray) -> LpSolution:
+        """Pass the envelope model, with the current tight row, and solve it from no basis."""
+        global _holder
+        _holder = None
+        _pass_model(core, highs, -objective, self._lower, self._lhs, self._rhs, self._rows[:, :-1])
+        _holder = self
+        return _run(core, highs, objective, self._lower, self._lhs, self._rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -272,23 +272,18 @@ def follower_best_response_pm(inst: PermMatchInstance, x: StrategyLike) -> Match
     return max_weight_matching(inst.graph, marginals, _edge_mass(support, inst._pi_inv))
 
 
-def greedy_pair(
-    inst: PermMatchInstance, edge_order: Optional[Sequence[int]] = None
-) -> tuple[Matching, Matching]:
-    """One pass of the pairing greedy: scan e', pair it with e = pi(e').
+def greedy_pair(inst: PermMatchInstance) -> tuple[Matching, Matching]:
+    """One pass of the pairing greedy: scan e' in id order, pair it with e = pi(e').
 
     Adds e to x and e' to x' whenever e is vertex-disjoint from x and e'
     vertex-disjoint from x'; afterwards no admissible pair remains and
     pi(x') = x, so |x| = |x'| = |x ∩ pi(x')|.
     """
-    order = list(range(inst.graph.num_edges)) if edge_order is None else list(edge_order)
-    if sorted(order) != list(range(inst.graph.num_edges)):
-        raise InputError("edge_order must cover every edge exactly once")
     x_used: set[int] = set()
     xp_used: set[int] = set()
     x: set[int] = set()
     xp: set[int] = set()
-    for ep in order:
+    for ep in range(inst.graph.num_edges):
         e = inst.pi[ep]
         eu, ev = inst.graph.edges[e]
         pu, pv = inst.graph.edges[ep]

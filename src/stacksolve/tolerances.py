@@ -27,6 +27,9 @@ LP_RESIDUAL = 10 * math.sqrt(1e-9)
 GUARANTEE = 1e-7
 # Support enumeration: a support strategy within this of the best payoff.
 NEAR_BEST = 1e-8
+# Support enumeration: equilibria whose probabilities round alike to this
+# many decimals are found once.
+SAME_DIGITS = 9
 # Zero and the float margin: values above it are nonzero (printed supports,
 # granted incentives, positive path rewards). The eps-grid scan admits
 # responses down to best - slack - ZERO, and its checkers ``rounding`` more.

@@ -19,8 +19,10 @@ It also holds helpers only the tests use: ``highs_column_value_margin``
 (how far a HiGHS column value may pass its bound), and ones that call the
 package's solvers: ``realized_maximin_profile``, ``extract_pitim_from_se``,
 ``leader_best_response_pm`` (the matcher under the leader's weights),
-``opt_pure_pair`` (a 12-edge brute force) and ``materialized`` (a path
-family written out as explicit sets).
+``opt_pure_pair`` (a 12-edge brute force), ``greedy_pair_in_order`` (the
+pairing greedy under any scan order), ``leader_payoff`` and
+``follower_payoff`` (one incentive-game set's payoffs) and ``materialized``
+(a path family written out as explicit sets).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from stacksolve import discretize as dz
 from stacksolve import incentive as inc
 from stacksolve import lp
 from stacksolve import permmatch as pm
-from stacksolve.errors import LpNumericalError, SizeLimitError
+from stacksolve.errors import InputError, LpNumericalError, SizeLimitError
 from stacksolve.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution
 from stacksolve.tolerances import EQUAL, LP_FEASIBILITY
 from stacksolve.bimatrix import (
@@ -362,7 +364,7 @@ def unpruned_stackelberg(game, exact: bool = False):
     solver's substitution of t. The largest rank (min(c_j, B_j), -j) wins:
     the largest column value c_j = u_leader[:, j] . x clipped at B_j, the
     lowest column index among exactly equal values. Only the winner's x is
-    re-evaluated on the game as given.
+    re-evaluated, through ``bimatrix.follower_best_response``.
 
     The clip is part of the contract, not a detail of the pruning: the
     pruned loop skips a column whose bound cannot beat the best rank, and
@@ -380,7 +382,7 @@ def unpruned_stackelberg(game, exact: bool = False):
     else:
         columns = lp.TightRowLps(unit.u_follower)
         order = np.argsort(-bound, kind="stable").tolist()
-        solved = ((j, _warm_or_cold(columns, unit, j)) for j in order)
+        solved = ((j, columns.solve(unit.u_leader[:, j], j)) for j in order)
     best = None
     for j, sol in solved:
         if not sol.is_optimal:
@@ -393,22 +395,6 @@ def unpruned_stackelberg(game, exact: bool = False):
     response = follower_best_response(game, x)
     payoff, follower = expected_utilities(game, x, MixedStrategy.point_mass(game.m, response))
     return StackelbergSolution(x, response, payoff, follower)
-
-
-def _warm_or_cold(columns, unit, j: int) -> LpSolution:
-    """Column j's warm re-solve, or its cold ``column_lp`` solve where HiGHS fails the re-solve.
-
-    On the 31 x 976 path game of ``incentive_bimatrix``, HiGHS ends about
-    25 warm re-solves of infeasible columns, all far down the order, with
-    model status Unknown; a cold solve finds each infeasible. The solver
-    visits a prefix of this order on the same warm sequence, so it cannot
-    pass such a column without failing the same way, and every column past
-    its stop has a rank below its answer's.
-    """
-    try:
-        return columns.solve(unit.u_leader[:, j], j)
-    except LpNumericalError:
-        return lp.solve(column_lp(unit, j))
 
 
 def highs_column_value_margin(unit) -> float:
@@ -700,6 +686,20 @@ def leader_best_response_pm(inst, y) -> pm.Matching:
     return pm.max_weight_matching(inst.graph, pm._edge_mass(pm._support(inst, y), inst.pi))
 
 
+def greedy_pair_in_order(inst, order: Sequence[int]) -> tuple[pm.Matching, pm.Matching]:
+    """``pm.greedy_pair`` scanning the edges e' in ``order``, a permutation of the edge ids.
+
+    Runs the package's greedy on the instance with its edges relabelled so
+    that edge k is ``order[k]``, then maps the pair back to the old ids.
+    """
+    new_id = {old: new for new, old in enumerate(order)}
+    assert sorted(new_id) == list(range(inst.graph.num_edges))
+    graph = pm.Multigraph(inst.graph.num_vertices, tuple(inst.graph.edges[e] for e in order))
+    relabelled = pm.PermMatchInstance(graph, tuple(new_id[inst.pi[e]] for e in order))
+    x, xp = pm.greedy_pair(relabelled)
+    return frozenset(order[e] for e in x), frozenset(order[e] for e in xp)
+
+
 def opt_pure_pair(inst) -> tuple[pm.Matching, pm.Matching, int]:
     """Exact max over pure pairs of |y ∩ pi(y')| (12-edge brute force).
 
@@ -807,6 +807,23 @@ def lex_min_tight_path_dfs(fam, weights: Mapping, costs: Mapping, tol: float = 1
         totals = [sum(table[e] for e in path) for path in paths]
         paths = [path for path, total in zip(paths, totals) if total <= min(totals) + tol]
     return paths[0]
+
+
+def leader_payoff(inst: inc.IncentiveInstance, strat: inc.IncentiveLeaderStrategy, sid) -> float:
+    """sum_{e in S} x_e - V_S + sum_e x_e C_e, after the package's checks of the pair and of S."""
+    return _checked_payoffs(inst, strat, sid)[1]
+
+
+def follower_payoff(inst: inc.IncentiveInstance, strat: inc.IncentiveLeaderStrategy, sid) -> float:
+    """sum_{e in S} (-x_e + c_e) + V_S, after the package's checks of the pair and of S."""
+    return _checked_payoffs(inst, strat, sid)[0]
+
+
+def _checked_payoffs(inst, strat, sid) -> tuple[float, float]:
+    inc._check_pair(inst, strat)
+    if not inst.family.contains(frozenset(sid)):
+        raise InputError(f"set id {sid} is not in the family")
+    return inc._payoffs(inst, strat, frozenset(sid))
 
 
 def materialized(inst: inc.IncentiveInstance) -> inc.IncentiveInstance:

@@ -40,6 +40,7 @@ from .instances import (
 )
 from .oracles import (
     bruteforce_3dm_value,
+    greedy_pair_in_order,
     incentive_grid_oracle,
     is_3d_matching,
     lp_vertex_oracle,
@@ -200,7 +201,7 @@ def test_criterion_4_greedy_quarter_bound():
         rng.shuffle(shuffled)
         orders.append(shuffled)
         for order in orders:
-            x, xp = pm.greedy_pair(inst, order)
+            x, xp = greedy_pair_in_order(inst, order)
             if 4 * len(x & inst.pi_image(xp)) < opt:
                 violations += 1
     elapsed = time.monotonic() - start

@@ -11,6 +11,7 @@ from stacksolve.bimatrix import (
     LEADER,
     BimatrixGame,
     MixedStrategy,
+    StackelbergSolution,
     expected_utilities,
     follower_best_response,
     solve_maximin,
@@ -18,7 +19,7 @@ from stacksolve.bimatrix import (
     solve_stackelberg,
     validate_stackelberg_solution,
 )
-from stacksolve.errors import InputError, SizeLimitError
+from stacksolve.errors import InputError, SizeLimitError, ToolkitError
 from stacksolve.gen import random_bimatrix
 
 from .instances import random_game_payoffs
@@ -74,6 +75,19 @@ def test_follower_best_response_dominates_all_columns():
         j = follower_best_response(game, x)
         vals = np.asarray(x) @ game.u_follower
         assert vals[j] >= vals.max() - 1e-9
+
+
+def test_validation_rejects_a_response_tied_only_by_an_absolute_margin():
+    # every follower payoff is below EQUAL, but at x = (1, 0) column 1 pays
+    # the follower 1e-10 more: its tie is read on the unit follower payoffs
+    game = BimatrixGame(np.array([[1.0, 0.0], [0.0, 0.5]]), 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    x = MixedStrategy((1.0, 0.0))
+    assert follower_best_response(game, x) == 1
+    with pytest.raises(ToolkitError, match="best response"):
+        validate_stackelberg_solution(game, StackelbergSolution(x, 0, 1.0, 0.0))
+    sol = solve_stackelberg(game)
+    validate_stackelberg_solution(game, sol)
+    assert sol.leader_payoff == pytest.approx(0.5, abs=1e-9)
 
 
 def test_stackelberg_appendix_game():

@@ -22,13 +22,13 @@ def test_grid_params_parsing():
     assert dz.GridParams.from_eps("1/2").k == 2
     assert dz.GridParams.from_eps(0.5).k == 2
     assert dz.GridParams.from_eps(Fraction(1, 100)).k == 100
-    assert dz.GridParams.from_eps(0.01).k == 100
-    with pytest.raises(InputError):
-        dz.GridParams.from_eps("2/3")
-    with pytest.raises(InputError):
-        dz.GridParams.from_eps(0.3)
+    # a float is read at its binary value, which is 1/k only for powers of two
+    assert dz.GridParams.from_eps(2.0**-20).k == 1 << 20
+    for inexact in ("2/3", 0.3, 0.01):
+        with pytest.raises(InputError):
+            dz.GridParams.from_eps(inexact)
     # each of these used to escape as a ValueError, ZeroDivisionError or OverflowError
-    for bad in (float("nan"), 0.0, "abc", "1/0", 1e-310):
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -0.5, "abc", "1/0", 1e-310):
         with pytest.raises(InputError):
             dz.GridParams.from_eps(bad)
     with pytest.raises(InputError):

@@ -317,8 +317,8 @@ def test_exact_backend_matches_dense_tableau_on_solver_lps(monkeypatch):
         solve_maximin(game, LEADER, exact=True)
         solve_maximin(game, FOLLOWER, exact=True)
     for k in range(1, 5):
-        inc.solve_stackelberg_incentive(commit_instance(k), exact=True)
-    inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3), exact=True)
+        inc.solve_stackelberg_incentive(commit_instance(k))
+    inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3))
     monkeypatch.setattr(lp, "solve", solve)
 
     assert len(programs) > 30
@@ -537,9 +537,9 @@ def test_highs_matches_linprog_on_solver_lps(monkeypatch):
         solve_stackelberg(game)
         solve_maximin(game, LEADER)
         solve_maximin(game, FOLLOWER)
-    for k in range(1, 5):
-        inc.solve_stackelberg_incentive(commit_instance(k))
-    inc.solve_stackelberg_incentive(grid_instance(random.Random(0), 3, 3))
+    # the incentive solver's cut loops, run here on HiGHS
+    for inst in [commit_instance(k) for k in range(1, 5)] + [grid_instance(random.Random(0), 3, 3)]:
+        lp.solve_with_generation(inc._incentive_lp(inst), inc.separation_oracle_for(inst), max_rounds=100)
     monkeypatch.setattr(lp, "solve", solve)
     # HiGHS re-solves the column LPs warm, so they are passed here cold:
     # thin games leave some columns no best response, so infeasible LPs
@@ -647,6 +647,30 @@ def test_highs_failures_raise_numerical_error(fake_highs, status, pass_model, ro
         lp.solve(program)
     with pytest.raises(LpNumericalError):
         lp.solve_with_generation(program, lambda values: None, max_rounds=10)
+
+
+def test_a_warm_resolve_that_ends_unknown_runs_once_more_from_no_basis(fake_highs, monkeypatch):
+    runs = []
+    real_run = lp._run
+
+    def counting_run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(lp, "_run", counting_run)
+    # the stub reports kInfeasible on the first solve after each passModel
+    fake_highs("kUnknown", warm=True)
+    columns = lp.TightRowLps(MATRIX)
+    assert columns.solve((1.0, 1.0), 0).status == lp.INFEASIBLE
+    assert columns.solve((1.0, 1.0), 1).status == lp.INFEASIBLE
+    assert len(runs) == 3
+    # a first solve is not run again, and a re-solve that fails twice raises
+    fake_highs("kUnknown")
+    columns = lp.TightRowLps(MATRIX)
+    for j, total in ((0, 4), (1, 6)):
+        with pytest.raises(LpNumericalError, match="Unknown"):
+            columns.solve((1.0, 1.0), j)
+        assert len(runs) == total
 
 
 @pytest.mark.parametrize("status, answer", [("kInfeasible", lp.INFEASIBLE), ("kUnbounded", lp.UNBOUNDED)])

@@ -16,6 +16,7 @@ from .oracles import (
     common_dist,
     extract_pitim_from_se,
     follower_best_response_bruteforce,
+    greedy_pair_in_order,
     is_3d_matching,
     leader_best_response_pm,
     lexmax_matching_bruteforce,
@@ -338,7 +339,7 @@ def test_greedy_pair_invariants_all_orders():
         rng.shuffle(shuffled)
         orders.append(shuffled)
         for order in orders:
-            x, xp = pm.greedy_pair(inst, order)
+            x, xp = greedy_pair_in_order(inst, order)
             assert inst.pi_image(xp) == x
             assert len(x) == len(xp) == len(x & inst.pi_image(xp))
             pm.as_matching(inst.graph, x)
@@ -396,8 +397,9 @@ def test_quarter_bound_mini_corpus():
     for trial in range(60):
         inst = random_permmatch(rng.randrange(1 << 40), rng.randrange(3, 8), rng.randrange(1, 9))
         _, _, opt = opt_pure_pair(inst)
-        for order in (None, list(range(inst.graph.num_edges))[::-1]):
-            x, xp = pm.greedy_pair(inst, order)
+        ids = list(range(inst.graph.num_edges))
+        for order in (ids, ids[::-1]):
+            x, xp = greedy_pair_in_order(inst, order)
             assert 4 * len(x & inst.pi_image(xp)) >= opt, f"trial {trial}"
 
 

@@ -16,10 +16,12 @@ blocked bounds and the lazy refinement ``bimatrix._refine`` against the
 per-column computation of ``oracles.column_bounds_per_column``; check
 each column solve of the envelope against a cold solve of
 ``oracles.column_lp``, within ``oracles.highs_column_value_margin`` on
-HiGHS and bit for bit on the exact backend; count the LPs solved, tied
-bounds and the integer games of the HiGHS benchmark included; and check
-that scaling uL and uF by powers of two moves neither the SE strategy nor,
-but for its value, a maximin solution.
+HiGHS and bit for bit on the exact backend, and the status of every
+warm re-solve of a 31 x 976 path game against its cold solve; count the
+LPs solved, tied bounds and the integer games of the HiGHS benchmark
+included; and check that scaling uL and uF by 2^a and 2^b moves neither
+the SE strategy nor its response, and scales its payoffs by exactly those
+powers, and that it moves a maximin solution only in its value.
 """
 
 import random
@@ -27,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stacksolve import bimatrix, gen, lp, permmatch
@@ -88,6 +90,9 @@ def test_pruned_matches_unpruned_on_commit_games(k, exact):
 
 
 @settings(max_examples=300)
+# every column value is 0 and HiGHS reports x = (0, 1): column 0 must win
+# the follower's tie by its 1.3e-213 on the unit follower payoffs
+@example(BimatrixGame(np.array([[0.0, 0, 0, 0], [0, 0, 0, 1]]), np.array([[0.0, 0, 0, 0], [1.3e-213, 0, 0, 0]])))
 @given(bimatrix_games(max_n=6, max_m=6))
 def test_pruned_highs_matches_the_exact_backend(game):
     assert abs(solve_stackelberg(game).leader_payoff - solve_stackelberg(game, exact=True).leader_payoff) <= 1e-9
@@ -254,28 +259,29 @@ def test_maximin_commutes_with_power_of_two_scaling(exact, game, a, b):
 @settings(max_examples=100)
 @given(bounds_games(size=6, exponents=st.just(0)), st.integers(-500, 500), st.integers(-500, 500))
 def test_stackelberg_strategy_commutes_with_power_of_two_scaling(exact, game, a, b):
-    # the column LPs run on the unit game; the response is re-evaluated on
-    # the game as given, where the absolute EQUAL can still move it
-    x = solve_stackelberg(game, exact=exact).leader.as_array()
-    assert solve_stackelberg(scaled(game, a, b), exact=exact).leader.as_array().tobytes() == x.tobytes()
+    # the column LPs and the response run on the unit game; only the
+    # payoffs, re-evaluated on the game as given, scale
+    sol = solve_stackelberg(game, exact=exact)
+    big = solve_stackelberg(scaled(game, a, b), exact=exact)
+    assert big.leader.as_array().tobytes() == sol.leader.as_array().tobytes()
+    assert big.follower_response == sol.follower_response
+    assert big.leader_payoff == np.ldexp(sol.leader_payoff, a)
+    assert big.follower_payoff == np.ldexp(sol.follower_payoff, b)
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The LPs solved, counted once each at the backend, whatever the entry point."""
+    """The LPs solved, counted once each at the backend, whatever the entry point.
+
+    A HiGHS re-solve counts once, even when it runs again from no basis.
+    """
     calls = []
-    real_exact, real_run = lp._solve_exact, lp._run
+    for owner, name in ((lp, "_solve_exact"), (lp, "_solve_highs"), (lp.TightRowLps, "_warm")):
+        def counting(*args, real=getattr(owner, name)):
+            calls.append(args)
+            return real(*args)
 
-    def counting_exact(program):
-        calls.append(program)
-        return real_exact(program)
-
-    def counting_run(*args):
-        calls.append(args)
-        return real_run(*args)
-
-    monkeypatch.setattr(lp, "_solve_exact", counting_exact)
-    monkeypatch.setattr(lp, "_run", counting_run)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -400,3 +406,15 @@ def test_path_game_matches_unpruned():
     # 31 x 976, 0/1 leader payoffs: every cheap key ties at the top
     game, _ = incentive_bimatrix(grid_instance(random.Random(0), 4, 5))
     assert_same_as_unpruned(game, exact=False)
+
+
+def test_warm_resolves_of_the_path_game_keep_the_cold_statuses():
+    # Visited in (-B_j, j) order on one warm sequence, some re-solves of
+    # infeasible columns end with model status Unknown; each runs once more
+    # from no basis and must then give the status of a cold solve.
+    game, _ = incentive_bimatrix(grid_instance(random.Random(0), 4, 5))
+    unit = unit_game(game)
+    columns = lp.TightRowLps(unit.u_follower)
+    order = np.argsort(-column_bounds(unit), kind="stable").tolist()
+    warm = [columns.solve(unit.u_leader[:, j], j).status for j in order]
+    assert warm == [lp.solve(column_lp(unit, j)).status for j in order]

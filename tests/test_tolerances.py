@@ -31,16 +31,18 @@ from .oracles import leader_best_response_pm
 PACKAGE = Path(tolerances.__file__).parent
 # 1e-9 style literals, and negative powers of two such as 2.0**-53
 FLOAT_LITERAL = re.compile(r"\d(\.\d*)?e-\d+|\b2(\.0*)?\s*\*\*\s*-")
+# rounding to a literal count of decimals, such as round(v, 9)
+ROUND_DIGITS = re.compile(r"\bround\([^()]*(\([^()]*\)[^()]*)*,\s*\d+\s*\)")
 TOLERANCE_CONSTANT = re.compile(r"^\w+_(TOL|MARGIN)\s*(:[^=]*)?=(?!=)")
 TOL = tolerances.PROBABILITY
 
 
 def policy_violations(source: str) -> list[str]:
-    """Lines holding a float-tolerance literal or defining a ``*_TOL``/``*_MARGIN`` constant."""
+    """Lines holding a float-tolerance literal, a ``round`` to literal digits, or a ``*_TOL``/``*_MARGIN`` constant."""
     return [
         f"{number}: {line.strip()}"
         for number, line in enumerate(source.splitlines(), 1)
-        if FLOAT_LITERAL.search(line) or TOLERANCE_CONSTANT.match(line)
+        if FLOAT_LITERAL.search(line) or ROUND_DIGITS.search(line) or TOLERANCE_CONSTANT.match(line)
     ]
 
 
@@ -61,7 +63,9 @@ def test_guard_flags_literals_and_constants():
     assert policy_violations("    verifies V >= -W - 1.5e-7.\n") != []
     assert policy_violations("    margin = 4 * (n + 2) * (2.0**-53 * big_m + 2.0**-1074)\n") != []
     assert policy_violations("    tiny = 2 ** -1074\n") != []
-    assert policy_violations("if a.TIE_TOL == b:\nkey = round(v, 9)\n") == []
+    assert policy_violations("key = round(v, 9)\n") == ["1: key = round(v, 9)"]
+    assert policy_violations("key = tuple(round(float(v), 12) for v in xs)\n") != []
+    assert policy_violations("if a.TIE_TOL == b:\nkey = round(v, SAME_DIGITS)\nk = round(1.0 / eps)\n") == []
     assert policy_violations("return (self.next_u64() >> 11) / 2.0**53\nx = 12**-1\n") == []
 
 
