@@ -243,10 +243,11 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
     ``lp.TightRowLps(uF)`` per call: max uL[:, j] . x over the simplex with
     column j on the upper envelope of uF's columns, so an answer depends
     only on the game. On HiGHS the columns are re-solves of one warm model,
-    whose optima meet the rows only within the feasibility tolerance
-    ``LP_FEASIBILITY``, so a column value may pass B_j by a multiple of it
-    that grows with n (the tests derive the bound in ``tests/oracles.py``);
-    the clip takes that back.
+    run with HiGHS's scaling off, so its optima meet the unit game's rows,
+    as written, within the feasibility tolerance ``LP_FEASIBILITY``. A
+    column value may pass B_j by a multiple of it that grows with n (the
+    tests derive the bound in ``tests/oracles.py``); the clip takes that
+    back.
 
     On the exact backend each column is a cold rational solve of the rows
     (uF[:, r] - uF[:, j]) . x <= 0, so x is exactly feasible for these float
@@ -336,7 +337,7 @@ def solve_maximin(game: BimatrixGame, player: str, exact: bool = False) -> tuple
 
 
 NASH_SIZE_LIMIT = 8
-# most pure strategies a brute force writes out in explicit form
+# most paths ``incentive`` writes out in explicit form
 EXPLICIT_LIMIT = 4096
 
 

@@ -226,7 +226,7 @@ def _run_pm(args) -> dict:
         }
     elif args.action == "bruteforce":
         best_m, best_v = permmatch.bruteforce_pitim(inst)  # raises above 12 edges
-        game, matchings = permmatch.explicit_bimatrix(inst)
+        game, matchings = permmatch.explicit_bimatrix(inst)  # and above 1,280 matchings
         sol = solve_stackelberg(game, exact=True)
         validate_stackelberg_solution(game, sol)
         support = [
@@ -325,9 +325,10 @@ def _run_gen(args) -> dict:
     elif args.kind == "random-pm":
         if args.verifiable and args.edges > permmatch.BRUTE_FORCE_EDGE_LIMIT:
             raise InputError("--verifiable caps random-pm at 12 edges")
-        instance_obj = permmatch.permmatch_to_json_obj(
-            gen.random_permmatch(seed, args.vertices, args.edges)
-        )
+        inst = gen.random_permmatch(seed, args.vertices, args.edges)
+        if args.verifiable:  # and at the matchings pm bruteforce writes out
+            permmatch.enumerate_matchings(inst.graph, limit=permmatch.EXPLICIT_MATCHING_LIMIT)
+        instance_obj = permmatch.permmatch_to_json_obj(inst)
     else:  # random-3dm
         tdm = gen.random_3dm(seed, args.na, args.nb, args.nc, args.density)
         if args.verifiable and len(tdm.triples) > 5:

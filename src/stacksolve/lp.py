@@ -16,21 +16,31 @@ Two interchangeable backends sit behind ``solve``:
   desk-scale programs terminate, and the optima are bit-reproducible: the
   pivots and rationals are those of a ``fractions.Fraction`` tableau.
 * ``exact=False`` -- HiGHS's dual simplex, for the larger programs of the
-  game solvers, called through the bindings scipy ships with the model and
-  options ``linprog(method="highs", options={"presolve": False})`` would
-  pass (feasibility tolerances at ``LP_FEASIBILITY``). Presolve is off: on
-  the small dense LPs of the game solvers it costs more than it saves.
-  linprog's finiteness and residual checks are kept, so the answers are
-  linprog's, bit for bit, without its per-call overhead.
+  game solvers, called through the bindings scipy ships. ``solve`` passes
+  the model and options ``linprog(method="highs", options={"presolve":
+  False})`` would pass (feasibility tolerances at ``LP_FEASIBILITY``).
+  Presolve is off: on the small dense LPs of the game solvers it costs
+  more than it saves. linprog's finiteness and residual checks are kept,
+  so the answers of ``solve`` are linprog's, bit for bit, without its
+  per-call overhead. The column models of ``TightRowLps`` take the same
+  options but for one: HiGHS's scaling is off (``simplex_scale_strategy``
+  0). Their callers pass a matrix already scaled (``bimatrix._unit`` puts
+  max|a| in [1/2, 1)), and the envelope's other coefficients are -1, 0
+  and 1, so HiGHS's equilibration has little to even out: on the
+  benchmark's games it doubled the dual simplex iterations of those LPs
+  and changed no column's status. Unscaled, HiGHS also holds
+  ``LP_FEASIBILITY`` to the rows as written, not to rescaled ones. The
+  LPs of ``solve`` come at any scale, so it keeps linprog's scaling.
   The bindings' extension file is loaded by itself, without importing
   ``scipy.optimize``, whose import takes longer than a whole CLI solve.
-  The model goes to HiGHS as plain arrays, through the array overload of
-  ``passModel``, and every LP is solved by one solver object made on first
-  use. ``passModel`` clears that object's model, basis and solution, so no
-  LP sees the one before, except within one warm sequence of
-  ``TightRowLps``, whose re-solves that end with model status Unknown are
-  run once more from no basis. The object is not re-entrant: the package
-  runs no threads, and nothing may solve an LP from inside another solve.
+  The options go to HiGHS before each model, which goes as plain arrays,
+  through the array overload of ``passModel``; every LP is solved by one
+  solver object made on first use. ``passModel`` clears that object's
+  model, basis and solution, so no LP sees the one before, except within
+  one warm sequence of ``TightRowLps``, whose re-solves that end with
+  model status Unknown are run once more from no basis. The object is not
+  re-entrant: the package runs no threads, and nothing may solve an LP
+  from inside another solve.
 
 ``envelope(a)`` is the upper envelope of the columns of an n x m matrix a
 over the simplex: x and one free t, with ``a[:, r] . x - t <= 0`` for every
@@ -222,30 +232,31 @@ def _load_core():
 
 
 # The bindings (private to scipy, loaded by ``_load_core`` without
-# ``scipy.optimize``) and the one solver, given linprog's options, on first
-# use, so that commands which solve no HiGHS LP skip even that.
+# ``scipy.optimize``), the one solver, and its two option sets, made on
+# first use, so that commands which solve no HiGHS LP skip even that:
+# linprog's, and the column models' copy of them with scaling off.
 @functools.cache
 def _highs():
     _core = _load_core()
-    options = _core.HighsOptions()
-    options.presolve = "off"
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = options.output_flag = False
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_FEASIBILITY
-    highs = _core._Highs()
-    highs.passOptions(options)
-    return _core, highs
+    linprog, columns = _core.HighsOptions(), _core.HighsOptions()
+    for options in (linprog, columns):
+        options.presolve = "off"
+        options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = options.output_flag = False
+        options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_FEASIBILITY
+    columns.simplex_scale_strategy = 0  # off
+    return _core, _core._Highs(), linprog, columns
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
     global _holder
-    core, highs = _highs()
+    core, highs, options, _ = _highs()
     n_leq = len(lp.leq_rows)
     rows = np.concatenate((lp.leq_rows, lp.eq_rows))
     lower, lhs, rhs = _bounds(lp, rows, n_leq)
     _holder = None
-    _pass_model(core, highs, -lp.objective, lower, lhs, rhs, rows[:, :-1])
+    _pass_model(core, highs, options, -lp.objective, lower, lhs, rhs, rows[:, :-1])
     return _run(core, highs, lp.objective, lower, lhs, rhs)
 
 
@@ -257,9 +268,12 @@ def _bounds(lp: LinearProgram, rows: np.ndarray, n_leq: int) -> tuple[np.ndarray
     return lower, np.concatenate((np.full(n_leq, -np.inf), rhs[n_leq:])), rhs
 
 
-def _pass_model(core, highs, cost, lower, lhs, rhs, a) -> None:
-    # the rows column by column, explicit zeros dropped; every variable is
-    # continuous (an empty integrality array is an error, not "none")
+def _pass_model(core, highs, options, cost, lower, lhs, rhs, a) -> None:
+    # the options, then the rows column by column, explicit zeros dropped;
+    # every variable is continuous (an empty integrality array is an error,
+    # not "none")
+    if highs.passOptions(options) == core.HighsStatus.kError:
+        raise LpNumericalError("HiGHS rejected its options")
     n = len(cost)
     cols, row_index = np.nonzero(a.T)
     status = highs.passModel(
@@ -320,9 +334,11 @@ class TightRowLps:
     ``a`` is an n x m matrix; ``solve(c, j)`` takes an n-vector c and a
     column j and returns x only.
 
-    On HiGHS the ``envelope`` model goes to the solver once; each later
-    solve changes the costs and two rows' bounds, and the dual simplex
-    starts from the basis the solve before left. If a cold ``solve`` passed
+    On HiGHS the ``envelope`` model goes to the solver once, with scaling
+    off, so the tolerances apply to a's entries as given: pass a matrix
+    scaled to about 1, as ``bimatrix._unit`` does. Each later solve changes
+    the costs and two rows' bounds, and the dual simplex starts from the
+    basis the solve before left. If a cold ``solve`` passed
     another model in between, the model is passed again, so a solve never
     runs on another LP's model. A re-solve that ends with model status
     Unknown, as some warm re-solves of infeasible columns do where a cold
@@ -364,7 +380,7 @@ class TightRowLps:
     def _warm(self, c: np.ndarray, j: int) -> LpSolution:
         global _holder
         _check_finite(c)
-        core, highs = _highs()
+        core, highs, _, options = _highs()
         objective = np.append(c, 0.0)  # t has no cost
         lhs, rhs = self._lhs, self._rhs
         previous, self._tight = self._tight, j
@@ -385,17 +401,17 @@ class TightRowLps:
             except LpNumericalError:
                 if highs.getModelStatus() != core.HighsModelStatus.kUnknown:
                     raise
-                sol = self._cold(core, highs, objective)
+                sol = self._cold(core, highs, options, objective)
         else:
-            sol = self._cold(core, highs, objective)
+            sol = self._cold(core, highs, options, objective)
         del sol.values[len(c):]
         return sol
 
-    def _cold(self, core, highs, objective: np.ndarray) -> LpSolution:
-        """Pass the envelope model, with the current tight row, and solve it from no basis."""
+    def _cold(self, core, highs, options, objective: np.ndarray) -> LpSolution:
+        """Pass the column options and the envelope model, with the current tight row; solve from no basis."""
         global _holder
         _holder = None
-        _pass_model(core, highs, -objective, self._lower, self._lhs, self._rhs, self._rows[:, :-1])
+        _pass_model(core, highs, options, -objective, self._lower, self._lhs, self._rhs, self._rows[:, :-1])
         _holder = self
         return _run(core, highs, objective, self._lower, self._lhs, self._rhs)
 

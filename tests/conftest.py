@@ -42,7 +42,7 @@ def fake_highs(monkeypatch):
     solver object and the ``TightRowLps`` whose model it holds, so both are
     dropped when a stub goes in and again after the test.
     """
-    core, _ = lp._highs()
+    core = lp._highs()[0]
 
     def install(status, pass_model=True, row_shift=0.0, warm=False):
         class FakeHighs:

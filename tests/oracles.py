@@ -401,9 +401,10 @@ def highs_column_value_margin(unit) -> float:
     """eps ((2n + 1)(max|uL| + 32 max|uF|) + 16): how far a HiGHS column value may pass its bound.
 
     ``unit`` is a unit game (``bimatrix._unit`` of uL and of uF). Run with
-    the feasibility tolerance ``LP_FEASIBILITY`` (eps), HiGHS meets the
-    rows of column j's LP only that closely: the entries of x may dip to
-    -eps, its sum may miss 1 by eps, and each row uF[:, r] . x - t may
+    the feasibility tolerance ``LP_FEASIBILITY`` (eps) and its scaling off,
+    as ``lp.TightRowLps`` runs it, HiGHS meets the rows of column j's LP as
+    written, and only that closely: the entries of x may dip to -eps, its
+    sum may miss 1 by eps, and each row uF[:, r] . x - t may
     break by eps, so a follower constraint (uF[:, r] - uF[:, j]) . x <= 0,
     the difference of rows r and j, may break by 2 eps. Clamping x into
     [0, 1] moves it by at most 2n eps in sum, which adds 4n eps max|uF| to
@@ -412,7 +413,10 @@ def highs_column_value_margin(unit) -> float:
     (2n + 1) eps |B_j| + lam (2 eps + 4n eps max|uF|) above B_j. With
     |B_j| <= max|uL| + 16 max|uF| and lam <= 8, that is at most this
     margin. Two HiGHS optima of column j's LP, warm and cold, are each
-    within it of the LP value, which B_j bounds.
+    within it of the LP value, which B_j bounds: the cold ``lp.solve`` runs
+    with linprog's scaling, but HiGHS checks a scaled optimum's rows
+    unscaled against the same tolerance, and re-solves the unscaled LP
+    from that basis where they break it.
     """
     lam = bimatrix._MULTIPLIERS[-1]
     span = np.abs(unit.u_leader).max() + 4 * lam * np.abs(unit.u_follower).max()

@@ -21,6 +21,7 @@ from stacksolve.bimatrix import (
 )
 from stacksolve.errors import InputError, SizeLimitError, ToolkitError
 from stacksolve.gen import random_bimatrix
+from stacksolve.tolerances import GUARANTEE
 
 from .instances import random_game_payoffs
 from .oracles import grid_search_stackelberg, realized_maximin_profile
@@ -309,6 +310,24 @@ def test_highs_matches_exact_on_badly_scaled_games(leader_scale, follower_scale)
         validate_stackelberg_solution(game, sol)
         exact = solve_stackelberg(game, exact=True).leader_payoff
         assert sol.leader_payoff == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_highs_matches_exact_with_rows_and_columns_scaled_apart():
+    # HiGHS's equilibration is for rows and columns far apart in scale, and
+    # the column LPs run without it: uF's columns and uL's rows each carry
+    # their own 10^k, k in [-6, 0], on uniform and on 0-3 integer games
+    rng = np.random.default_rng(11)
+    for i in range(600):
+        n, m = rng.integers(2, 13, size=2)
+        ul, uf = rng.random((n, m)), rng.random((n, m))
+        if i % 2:
+            ul, uf = np.floor(4 * ul), np.floor(4 * uf)
+        rows, cols = 10.0 ** rng.integers(-6, 1, size=(n, 1)), 10.0 ** rng.integers(-6, 1, size=m)
+        game = BimatrixGame(ul * rows, uf * cols)
+        sol = solve_stackelberg(game)
+        validate_stackelberg_solution(game, sol)
+        exact = solve_stackelberg(game, exact=True).leader_payoff
+        assert abs(sol.leader_payoff - exact) <= GUARANTEE * max(1.0, np.abs(game.u_leader).max())
 
 
 # uF[0, 0] - uF[0, 1] is 2e308, beyond the float range

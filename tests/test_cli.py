@@ -478,6 +478,15 @@ def test_pm_bruteforce_limit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pm_bruteforce_on_eleven_disjoint_edges_exits_3(tmp_path, capsys):
+    # 11 edges pass the 12-edge cap, but their 2,048 matchings pass the
+    # explicit game's cap of 1,280; the exact solve took 9 s and 554 MB
+    edges = [{"id": i, "u": 2 * i, "v": 2 * i + 1} for i in range(11)]
+    path = write(tmp_path, "pm.json", {"vertices": 22, "edges": edges, "pi": list(range(11))})
+    assert main(["pm", "bruteforce", "-i", path]) == EXIT_LIMIT
+    assert "more than 1280 matchings" in capsys.readouterr().err
+
+
 def test_pm_bestresponse_with_strategy_file(tmp_path, capsys):
     path = write(tmp_path, "pm.json", SWAP_PM)
     strat = write(tmp_path, "strat.json", {"support": [{"edges": [0], "prob": 1.0}]})
@@ -608,6 +617,11 @@ def test_gen_bad_params_exit_2(capsys):
 
 def test_gen_verifiable_flag(capsys):
     assert main(["gen", "random-pm", "--seed", "1", "--edges", "20", "--verifiable"]) == EXIT_INPUT
+    capsys.readouterr()
+    # 12 edges among a million vertices: disjoint, so 4,096 matchings, more
+    # than pm bruteforce writes out
+    args = ["gen", "random-pm", "--seed", "1", "--vertices", "1000000", "--edges", "12", "--verifiable"]
+    assert main(args) == EXIT_LIMIT
     capsys.readouterr()
 
 

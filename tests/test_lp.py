@@ -437,13 +437,19 @@ def test_highs_matches_linprog_bit_for_bit(program):
     assert outcome(highs, program) == outcome(solve_highs_linprog, program)
 
 
+def option_values(options):
+    """Every option a ``HighsOptions`` holds, by name."""
+    names = [n for n in dir(options) if not n.startswith("_")]
+    return {n: getattr(options, n) for n in names if not callable(getattr(options, n))}
+
+
 def passed_to_highs(solver, program):
     """The options that ``solver`` hands HiGHS, and the model HiGHS then holds, as plain values.
 
     ``lp`` keeps one solver object and the ``TightRowLps`` whose model it
     holds, so both are dropped before and after the recording one is made.
     """
-    core, _ = lp._highs()
+    core = lp._highs()[0]
     seen = []
 
     def floats(values):
@@ -451,8 +457,7 @@ def passed_to_highs(solver, program):
 
     class Recording(core._Highs):
         def passOptions(self, options):
-            names = [n for n in dir(options) if not n.startswith("_")]
-            seen.append({n: getattr(options, n) for n in names if not callable(getattr(options, n))})
+            seen.append(option_values(options))
             return super().passOptions(options)
 
         def passModel(self, *model):
@@ -493,6 +498,33 @@ def test_highs_gets_linprogs_options_and_model(program):
     sent = passed_to_highs(highs, program)
     assert len(sent) == 2
     assert sent == passed_to_highs(solve_highs_linprog, program)
+    # a cold solve between two column LPs of one sequence passes linprog's
+    # options again, and the sequence its own before its model
+    recorded = passed_to_highs(between_column_lps, program)
+    assert len(recorded) == 6 and recorded[2:4] == sent
+    assert recorded[0] == recorded[4] == {**sent[0], "simplex_scale_strategy": 0}
+
+
+def between_column_lps(program):
+    """``lp.solve(program)`` between two column LPs of one ``TightRowLps`` sequence."""
+    columns = lp.TightRowLps(MATRIX)
+    columns.solve((1.0, 1.0), 0)
+    try:
+        return lp.solve(program)
+    finally:
+        columns.solve((1.0, 1.0), 1)
+
+
+def test_column_models_get_linprogs_options_unscaled():
+    # the one option that differs, by the name the private bindings and
+    # HiGHS itself give it
+    core, _, linprog, columns = lp._highs()
+    highs = core._Highs()
+    assert highs.passOptions(columns) == core.HighsStatus.kOk
+    assert highs.getOptionValue("simplex_scale_strategy") == (core.HighsStatus.kOk, 0)
+    linprog, columns = option_values(linprog), option_values(columns)
+    assert {name for name in linprog if linprog[name] != columns[name]} == {"simplex_scale_strategy"}
+    assert columns["simplex_scale_strategy"] == 0 != linprog["simplex_scale_strategy"]
 
 
 def test_primal_tolerance_lp_is_infeasible():
@@ -514,6 +546,14 @@ def test_one_reused_solver_matches_a_fresh_one_per_lp():
     assert statuses[lp.OPTIMAL] and statuses[lp.INFEASIBLE] and statuses[lp.UNBOUNDED]
     assert [outcome(highs, program) for program in programs] == expected
     assert [outcome(highs, program) for program in reversed(programs)] == expected[::-1]
+    # with a column LP of one unscaled sequence before, between and after
+    # the cold solves, each re-passing the column model
+    columns = lp.TightRowLps(bimatrix._unit(game.u_follower)[0])
+    interleaved = []
+    for j, program in enumerate(programs + [programs[0]]):
+        columns.solve(game.u_leader[:, j % game.m], j % game.m)
+        interleaved.append(outcome(highs, program))
+    assert interleaved == expected + expected[:1]
 
 
 def test_highs_matches_linprog_on_solver_lps(monkeypatch):
@@ -690,3 +730,13 @@ def test_highs_optimum_breaking_a_row_is_a_numerical_error(fake_highs):
     fake_highs("kOptimal", row_shift=-2 * LP_RESIDUAL)
     with pytest.raises(LpNumericalError, match="breaks"):
         lp.solve(lp_with("objective", 1.0))
+
+
+def test_highs_rejecting_its_options_is_a_numerical_error(fake_highs, monkeypatch):
+    fake_highs("kOptimal")
+    core, highs, _, _ = lp._highs()
+    monkeypatch.setattr(highs, "passOptions", lambda options: core.HighsStatus.kError)
+    with pytest.raises(LpNumericalError, match="options"):
+        lp.solve(two_var_lp((1, 1), [((1, 2), 4)]))
+    with pytest.raises(LpNumericalError, match="options"):
+        lp.TightRowLps(MATRIX).solve((1.0, 1.0), 0)

@@ -581,10 +581,15 @@ def test_explicit_bimatrix_swap_se_value():
 
 
 def test_explicit_bimatrix_limit():
-    # 2**13 matchings: 13 is the fewest disjoint edges above EXPLICIT_LIMIT = 4096
-    inst = identity_instance([(2 * i, 2 * i + 1) for i in range(13)], 26)
-    with pytest.raises(SizeLimitError, match="more than 4096 matchings"):
+    # 2**11 matchings: 11 is the fewest disjoint edges above EXPLICIT_MATCHING_LIMIT = 1280
+    assert pm.EXPLICIT_MATCHING_LIMIT == 1280
+    inst = identity_instance([(2 * i, 2 * i + 1) for i in range(11)], 22)
+    with pytest.raises(SizeLimitError, match="more than 1280 matchings"):
         pm.explicit_bimatrix(inst)
+    # eight disjoint edges and a 3-edge path: 2**8 * 5 = 1280, at the cap
+    edges = [(2 * i, 2 * i + 1) for i in range(8)] + [(16, 17), (17, 18), (18, 19)]
+    game, matchings = pm.explicit_bimatrix(identity_instance(edges, 20))
+    assert len(matchings) == game.n == game.m == 1280
 
 
 def test_explicit_bimatrix_payoffs_count_shared_and_image_edges():
@@ -601,7 +606,7 @@ def test_explicit_bimatrix_on_1200_disjoint_edges_hits_the_limit():
     # the enumeration runs on an explicit stack, so it reaches its limit
     # instead of Python's recursion depth
     inst = identity_instance([(2 * i, 2 * i + 1) for i in range(1200)], 2400)
-    with pytest.raises(SizeLimitError, match="more than 4096 matchings"):
+    with pytest.raises(SizeLimitError, match="more than 1280 matchings"):
         pm.explicit_bimatrix(inst)
 
 

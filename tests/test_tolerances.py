@@ -9,7 +9,8 @@ recurses once per edge or vertex fails with ``RecursionError`` before its
 ``SizeLimitError`` can apply. A third keeps test-only code out of them:
 a public function or class that no package or benchmark code uses, and
 that the package does not export, belongs in ``tests/oracles.py``.
-A fourth keeps the payoff scale in one place, ``bimatrix._unit``.
+A fourth keeps the payoff scale in one place, ``bimatrix._unit``, and a
+fifth the options HiGHS runs with in ``lp.py``.
 """
 
 import ast
@@ -151,6 +152,41 @@ def test_assembly_guard_flags_every_way_to_name_linear_program():
     assert lp_assemblies("from .lp import LinearProgram as LP\n") == ["1: LinearProgram"]
     assert lp_assemblies("x = 1\ndef f() -> LinearProgram:\n    pass\n") == ["2: LinearProgram"]
     assert lp_assemblies("s = lp.solve(lp.envelope(a))\n# a LinearProgram\nt = 'LinearProgram'\n") == []
+
+
+HIGHS_OPTION_CALLS = ("HighsOptions", "passOptions", "setOptionValue")
+
+
+def highs_option_uses(source: str) -> list[str]:
+    """Every place ``source`` names a way to set HiGHS options: a name, an attribute or an import."""
+    return [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if name in HIGHS_OPTION_CALLS
+    ]
+
+
+def test_highs_options_are_set_in_lp_only():
+    # ``lp._highs`` makes both option sets: linprog's for ``solve``, and the
+    # column models' copy with scaling off; an option set anywhere else
+    # would part ``solve`` from linprog's bits unseen
+    found = [
+        f"{path.name}:{hit}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "lp.py"
+        for hit in highs_option_uses(path.read_text())
+    ]
+    assert not found, "set HiGHS options in lp.py only:\n" + "\n".join(found)
+
+
+def test_option_guard_flags_every_way_to_name_an_option_call():
+    assert highs_option_uses("options = core.HighsOptions()\n") == ["1: HighsOptions"]
+    assert highs_option_uses("x = 1\nhighs.passOptions(o)\n") == ["2: passOptions"]
+    assert highs_option_uses("h.setOptionValue('presolve', 'off')\n") == ["1: setOptionValue"]
+    assert highs_option_uses("from _core import HighsOptions as O\n") == ["1: HighsOptions"]
+    assert highs_option_uses("def passOptions(self, o):\n    pass\n") == ["1: passOptions"]
+    assert highs_option_uses("h.getOptionValue('presolve')\n# passOptions\nt = 'HighsOptions'\n") == []
 
 
 def test_recursion_guard_flags_self_calls_by_bare_name():
