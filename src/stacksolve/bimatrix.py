@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, SAME_DIGITS, probabilities
+from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, SAME_DIGITS, leader_favoured, near_best, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
@@ -122,22 +122,12 @@ def expected_utilities(game: BimatrixGame, x: StrategyLike, y: StrategyLike) -> 
 def follower_best_response(game: BimatrixGame, x: StrategyLike) -> int:
     """Best follower column against ``x``, ties broken for the leader.
 
-    Among follower payoffs within ``EQUAL`` of the maximum, picks the column
-    maximizing the leader's payoff; remaining ties go to the lowest index.
-    Both payoffs are compared on their unit scale (``_unit``), so the margin
-    is relative to each matrix's power-of-two scale, and the response is the
-    same when either matrix is multiplied by a power of two.
+    ``tolerances.leader_favoured`` on the unit payoffs (``_unit``), then the
+    lowest index: the margin is relative to each matrix's power-of-two
+    scale, so the response is the same when either is scaled by one.
     """
     xv = _coerce(x, game.n, "leader").as_array()
-    follower_vals = xv @ _unit(game.u_follower)[0]
-    leader_vals = xv @ _unit(game.u_leader)[0]
-    best_f = follower_vals.max()
-    tied = follower_vals >= best_f - EQUAL
-    best_l = leader_vals[tied].max()
-    for j in range(game.m):
-        if tied[j] and leader_vals[j] >= best_l - EQUAL:
-            return j
-    raise ToolkitError("unreachable: no best response column")  # pragma: no cover
+    return leader_favoured(xv @ _unit(game.u_follower)[0], xv @ _unit(game.u_leader)[0])
 
 
 def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -296,17 +286,14 @@ def solve_stackelberg(game: BimatrixGame, exact: bool = False) -> StackelbergSol
 def validate_stackelberg_solution(game: BimatrixGame, sol: StackelbergSolution) -> None:
     """Re-evaluate the solution's invariants; raises ToolkitError on failure.
 
-    The response must be a follower best response within ``EQUAL`` on the
-    unit follower payoffs (``_unit``), as ``follower_best_response`` picks
-    it; the payoffs must match their re-evaluation on the game within ``EQUAL``.
+    The response must be a follower best response: in the ``near_best``
+    window of the unit follower payoffs (``_unit``), from which
+    ``follower_best_response`` picks; the payoffs must match their
+    re-evaluation on the game within ``EQUAL``.
     """
-    xv = sol.leader.as_array()
-    follower_vals = xv @ _unit(game.u_follower)[0]
-    if follower_vals[sol.follower_response] < follower_vals.max() - EQUAL:
+    if not near_best(sol.leader.as_array() @ _unit(game.u_follower)[0])[sol.follower_response]:
         raise ToolkitError("recorded response is not a follower best response")
-    lpay, fpay = expected_utilities(
-        game, sol.leader, MixedStrategy.point_mass(game.m, sol.follower_response)
-    )
+    lpay, fpay = expected_utilities(game, sol.leader, MixedStrategy.point_mass(game.m, sol.follower_response))
     if abs(lpay - sol.leader_payoff) > EQUAL or abs(fpay - sol.follower_payoff) > EQUAL:
         raise ToolkitError("recorded payoffs do not match re-evaluation")
 

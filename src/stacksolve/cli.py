@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from . import __version__, discretize, gen, incentive, permmatch
 from .bimatrix import (
-    EXPLICIT_LIMIT,
     FOLLOWER,
     LEADER,
     BimatrixGame,
@@ -165,7 +164,7 @@ def _run_bimatrix(args) -> dict:
 def _run_incentive(args) -> dict:
     blob, inst = _load(args.input, incentive.incentive_from_json)
     if args.no_incentives:
-        game, ids = incentive.incentive_bimatrix(inst, limit=args.path_limit)
+        game, ids = incentive.incentive_bimatrix(inst)  # raises above 4,096 paths
         sol = solve_stackelberg(game, exact=True)
         validate_stackelberg_solution(game, sol)
         result = {
@@ -225,13 +224,11 @@ def _run_pm(args) -> dict:
             "guaranteeFraction": (1 - 3 * eps) / 12,
         }
     elif args.action == "bruteforce":
-        best_m, best_v = permmatch.bruteforce_pitim(inst)  # raises above 12 edges
-        game, matchings = permmatch.explicit_bimatrix(inst)  # and above 1,280 matchings
+        game, matchings = permmatch.explicit_bimatrix(inst)  # raises above 1,280 matchings
+        best = int(game.u_leader.diagonal().argmax())  # uL[i, i] = |M_i ∩ pi(M_i)|, first best first
         sol = solve_stackelberg(game, exact=True)
         validate_stackelberg_solution(game, sol)
-        support = [
-            (matchings[i], p) for i, p in enumerate(sol.leader.probs) if p > ZERO
-        ]
+        support = [(matchings[i], p) for i, p in enumerate(sol.leader.probs) if p > ZERO]
         result = {
             "action": "bruteforce",
             "stackelberg": {
@@ -240,7 +237,7 @@ def _run_pm(args) -> dict:
                 "leaderPayoff": sol.leader_payoff,
                 "followerPayoff": sol.follower_payoff,
             },
-            "pitim": {"matching": _matching_obj(best_m), "value": best_v},
+            "pitim": {"matching": _matching_obj(matchings[best]), "value": int(game.u_leader[best, best])},
         }
     else:  # bestresponse
         if args.strategy:
@@ -323,10 +320,8 @@ def _run_gen(args) -> dict:
     if args.kind == "random-bimatrix":
         instance_obj = gen.random_bimatrix(seed, args.rows, args.cols, args.low, args.high).to_json_obj()
     elif args.kind == "random-pm":
-        if args.verifiable and args.edges > permmatch.BRUTE_FORCE_EDGE_LIMIT:
-            raise InputError("--verifiable caps random-pm at 12 edges")
         inst = gen.random_permmatch(seed, args.vertices, args.edges)
-        if args.verifiable:  # and at the matchings pm bruteforce writes out
+        if args.verifiable:  # at the matchings pm bruteforce writes out
             permmatch.enumerate_matchings(inst.graph, limit=permmatch.EXPLICIT_MATCHING_LIMIT)
         instance_obj = permmatch.permmatch_to_json_obj(inst)
     else:  # random-3dm
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     inc.add_argument("-i", "--input", required=True)
     inc.add_argument("-o", "--output")
     inc.add_argument("--no-incentives", action="store_true")
-    inc.add_argument("--path-limit", type=int, default=EXPLICIT_LIMIT)
     inc.set_defaults(handler=_run_incentive)
 
     pm = sub.add_parser("pm", help="permuted-matching solvers")

@@ -22,15 +22,15 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import lp
 from .bimatrix import EXPLICIT_LIMIT, BimatrixGame
 from .errors import InputError, SizeLimitError, ToolkitError
-from .tolerances import EQUAL, GUARANTEE, ZERO, probabilities
+from .tolerances import EQUAL, GUARANTEE, ZERO, leader_favoured, probabilities
 
 SetId = tuple[str, ...]
 
@@ -61,9 +61,11 @@ class ExplicitFamily:
         return members in self.sets
 
     def best_set(self, inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
-        """Base payoff first, then the leader mass (leader payoff less its common drift), then id."""
-        cands = ((sid, _base_value(inst, x, sid), _mass(x, sid), False) for sid in map(set_id, self.sets))
-        return _best_of(cands)[:2]
+        """``leader_favoured`` over the sorted ids: base payoff, leader mass (less its drift), then id."""
+        sids = sorted(self.ids())
+        values = [_base_value(inst, x, sid) for sid in sids]
+        best = leader_favoured(values, [_mass(x, sid) for sid in sids])
+        return sids[best], values[best]
 
     def explicit(self, limit: int) -> ExplicitFamily:
         return self
@@ -269,14 +271,14 @@ def _base_value(inst: IncentiveInstance, x: Mapping, members) -> float:
 def base_best_set(inst: IncentiveInstance, x: Mapping) -> tuple[SetId, float]:
     """The family member maximizing the incentive-free follower payoff.
 
-    Ties within ``EQUAL`` go to the larger leader mass
-    ``sum_{e in S} x_e`` (within ``EQUAL``), then to the family's own
-    last rule: explicit families take the smallest sorted set id, path
-    families the lexicographically smallest edge-id sequence from the
-    source. Explicit families are scanned; path families run shortest
-    paths under edge weights ``x_e - c_e``, then under the costs ``-c_e``
-    over the tight edges. Both report the payoff of the set they pick by
-    ``_base_value``. The package calls it through this module's global.
+    Explicit families scan their sets by ``tolerances.leader_favoured``: the
+    payoff within ``EQUAL`` of the best, then the leader mass
+    ``sum_{e in S} x_e`` within ``EQUAL`` of the best among those, then the
+    smallest set id, whatever the order of the family. Path families run
+    shortest paths under edge weights ``x_e - c_e``, then under the costs
+    ``-c_e``, with margins per edge (``_lex_min_tight_path``). Both report
+    the payoff of their set by ``_base_value``. The package calls it
+    through this module's global.
     """
     return inst.family.best_set(inst, x)
 
@@ -346,7 +348,7 @@ def solve_stackelberg_incentive(inst: IncentiveInstance) -> IncentiveSolution:
     strategy = IncentiveLeaderStrategy(x, incentives)
     # built here from the family's own member, so _check_pair could only flag a solver bug
     fpay, lpay = _payoffs(inst, strategy, frozenset(target))
-    (_, best_fpay, _, _), _ = _choice(inst, strategy)
+    _, best_fpay, _ = _choice(inst, strategy)
     if best_fpay - fpay > GUARANTEE:
         raise ToolkitError("target set is not a follower best response within tolerance")
     return IncentiveSolution(
@@ -364,38 +366,25 @@ def follower_best_set(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -
     """The follower's choice against ``(x, V)``, by one rule for every family.
 
     The candidates are the incentivized sets and the incentive-free best set
-    of ``base_best_set``. The follower payoff decides first and the leader's
-    payoff next, both within ``EQUAL``, so that strong Stackelberg ties
-    go to the leader; then incentivized sets win, then the smallest set id.
+    of ``base_best_set``, ranked in any order by ``tolerances.leader_favoured``
+    on the follower's, then the leader's payoff, so that strong Stackelberg
+    ties go to the leader; then incentivized sets win, then the smallest id.
     """
     _check_pair(inst, strat)
-    return _choice(inst, strat)[0][0]
+    return _choice(inst, strat)[0]
 
 
-def _choice(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> tuple[tuple, float]:
-    """The follower's winning ``(sid, follower, leader, incentivized)``, and the best incentive-free payoff.
+def _choice(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> tuple[SetId, float, float]:
+    """The follower's set and its follower payoff, and the best incentive-free payoff.
 
-    One oracle call, with no checks on ``strat``.
+    One oracle call, with no checks on ``strat``. Incentivized sets, then
+    the smaller id, win full ties.
     """
     base_sid, base_val = base_best_set(inst, strat.x)
     sids = sorted(strat.incentives) + [base_sid]
-    cands = ((sid, *_payoffs(inst, strat, frozenset(sid)), sid in strat.incentives) for sid in sids)
-    return _best_of(cands), base_val
-
-
-def _best_of(candidates: Iterable[tuple[SetId, float, float, bool]]) -> tuple[SetId, float, float, bool]:
-    """The winner among ``(sid, follower, leader, incentivized)``; an earlier one keeps a full tie."""
-    return reduce(lambda best, cand: cand if _beats(cand, best) else best, candidates)
-
-
-def _beats(cand, best) -> bool:
-    """Follower, then leader payoff (within ``EQUAL``), then incentivized, then the smaller id."""
-    for a, b in zip(cand[1:3], best[1:3]):
-        if abs(a - b) > EQUAL:
-            return a > b
-    if cand[3] != best[3]:
-        return cand[3]
-    return cand[0] < best[0]
+    follower, leader = zip(*(_payoffs(inst, strat, frozenset(sid)) for sid in sids))
+    best = leader_favoured(follower, leader)
+    return sids[best], follower[best], base_val
 
 
 def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderStrategy) -> bool:
@@ -405,19 +394,20 @@ def check_incentive_lower_bound(inst: IncentiveInstance, strat: IncentiveLeaderS
     verifies V_{S'} >= -W' - sum_{e in S'}(-x_e + c_e) - GUARANTEE.
     """
     _check_pair(inst, strat)
-    (s_prime, *_), best_base = _choice(inst, strat)
+    s_prime, _, best_base = _choice(inst, strat)
     needed = best_base - _base_value(inst, strat.x, s_prime)
     return strat.incentives.get(s_prime, 0.0) >= needed - GUARANTEE
 
 
-def incentive_bimatrix(inst: IncentiveInstance, limit: int = EXPLICIT_LIMIT) -> tuple[BimatrixGame, list[SetId]]:
+def incentive_bimatrix(inst: IncentiveInstance) -> tuple[BimatrixGame, list[SetId]]:
     """The no-incentive game in explicit form for the exact bimatrix solvers.
 
     Rows are elements in instance order, columns the family members in
-    ``inst.family.explicit`` order. With ``hits`` the 0/1 element-by-set matrix,
+    ``inst.family.explicit`` order; more than ``EXPLICIT_LIMIT`` (4,096)
+    raise ``SizeLimitError``. With ``hits`` the 0/1 element-by-set matrix,
     uL = hits + C_e and uF = sum_{e' in S} c_{e'} - hits (summed in set-id order).
     """
-    ids = inst.family.explicit(limit).ids()
+    ids = inst.family.explicit(EXPLICIT_LIMIT).ids()
     row = {e: i for i, e in enumerate(inst.elements)}
     hits = np.zeros((len(inst.elements), len(ids)))
     for j, sid in enumerate(ids):
@@ -456,16 +446,18 @@ def _tight(into: list, dist: list, weights: Mapping) -> list:
 
 
 def _lex_min_tight_path(fam: PathFamily, weights: Mapping, costs: Mapping) -> Optional[list[str]]:
-    """Lexicographically-smallest edge-id s-t path of least weight, then least cost.
+    """Lexicographically-smallest edge-id s-t path over the edges tight for ``weights``, then ``costs``.
 
     An edge u -> v is tight when ``dist[u] = weights + dist[v]`` within
-    ``EQUAL``; every s-t walk over tight edges is a shortest path. A second
+    ``EQUAL``, so an s-t walk of k tight edges is within k ``EQUAL`` of the
+    shortest: on s-a, a-b, b-t, a-t, s-t weighing 1, 1, 1, 2 - 0.9 ``EQUAL``
+    and 3 - 1.8 ``EQUAL``, it is s-a-b-t, 1.8 ``EQUAL`` above s-t. A second
     Dijkstra over the tight edges under ``costs`` (nonnegative) keeps the
-    edges tight in both passes, whose s-t walks are the shortest paths of
-    least cost. From the source, the walk takes the smallest-id kept edge
-    whose head still reaches the sink over kept edges once the trail's
-    vertices are removed, so it never enters a dead end. One reverse search
-    per step makes this O(V * E).
+    edges tight in both passes, whose s-t walks are, in that sense, the
+    shortest paths of least cost. From the source, the walk takes the
+    smallest-id kept edge whose head still reaches the sink over kept edges
+    once the trail's vertices are removed, so it never enters a dead end.
+    One reverse search per step makes this O(V * E).
     """
     adj = fam.adjacency()
     n, sink, v = len(adj), fam._label[fam.sink], fam._label[fam.source]

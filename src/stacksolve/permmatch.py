@@ -15,9 +15,9 @@ weight first, and when that does not prune, by half the heaviest free
 remaining candidate at each free vertex, since a vertex takes one edge; its
 worst case is still exponential in the number of edges. The brute forces all
 scan ``enumerate_matchings``, which runs on an explicit stack:
-``explicit_bimatrix`` (capped at ``EXPLICIT_MATCHING_LIMIT`` matchings,
-its payoffs two products of the matching-by-edge incidence matrix), and
-``bruteforce_pitim`` with the CLI's ``pm bruteforce``, capped at 12 edges.
+``explicit_bimatrix`` (capped at ``EXPLICIT_MATCHING_LIMIT`` matchings, its
+payoffs two products of the matching-by-edge incidence matrix, whose diagonal
+``pm bruteforce`` reads as pi-TIM) and ``bruteforce_pitim`` (12 edges).
 """
 
 from __future__ import annotations
@@ -151,16 +151,20 @@ def _end_bits(edges: Iterable[tuple[int, int]]) -> list[int]:
 def max_weight_matching(
     graph: Multigraph, weights: Sequence[float], tie_weights: Optional[Sequence[float]] = None
 ) -> Matching:
-    """Exact maximum-weight matching by branch and bound.
+    """Maximum-weight matching by branch and bound, ties within ``EQUAL`` for the tie weight.
 
-    Among matchings whose total weight is within ``EQUAL`` of the
-    maximum, the largest total tie weight wins (again within
-    ``EQUAL``), and then the lexicographically smallest sorted
-    edge-id set, which keeps results reproducible across runs. Edges with
-    negative weight, or with zero weight and no positive tie weight, are
-    never included. Candidates are branched on in order of
-    ``(-weight, -tie weight, id)``, taking a candidate before leaving it
-    out, so that a heavy incumbent comes first.
+    It aims at the rule of ``tests/oracles.lexmax_matching_bruteforce``: the
+    largest tie weight within ``EQUAL`` of the maximum weight, then the
+    smallest sorted id set. Its incumbent rule is pairwise, so each tie won
+    within ``EQUAL`` can lower the weight by up to ``EQUAL``: the answer is
+    within (1 + r) ``EQUAL`` of the maximum after r such wins. It meets the
+    rule when being within ``EQUAL`` is transitive on the totals, as on
+    integer weights; parallel edges of weights [1.2, 0.6, 0] ``EQUAL`` and
+    tie weights [1, 2, 3] give the third. Edges with negative weight, or
+    with zero weight and no positive tie weight, are never included.
+    Candidates are branched on in order of ``(-weight, -tie weight, id)``,
+    taking a candidate before leaving it out, so that a heavy incumbent
+    comes first.
 
     Bound: a node has decided the candidates before position ``idx``. The
     sum of the remaining candidates' weights (and positive tie weights)
@@ -172,7 +176,8 @@ def max_weight_matching(
     it, stopping once the running sum passes the incumbent by ``EQUAL``
     (nothing could be pruned then); the tie bound is the sum of the free
     candidates' positive tie weights. A node is dropped only when none of
-    its leaves could be accepted, so the answer is the exhaustive search's.
+    its leaves could be accepted, so the answer is that of the same
+    incumbent rule over every leaf in this order.
     The worst case is still exponential in the number of edges.
 
     The search runs on an explicit stack, so the number of edges is not

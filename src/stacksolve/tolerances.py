@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InputError
 
-# Payoffs or matching weights this close are equal: follower best responses,
-# leader-favouring tie-breaks, re-evaluated payoffs, and 1/eps = k checks.
+# Payoffs or matching weights this close are equal: re-evaluated payoffs,
+# 1/eps = k checks, and ``near_best``, so tie rules ignore candidate order.
 EQUAL = 1e-9
 # Probability vectors: entries down to -PROBABILITY, sums this close to 1.
 PROBABILITY = 1e-9
@@ -34,6 +36,25 @@ SAME_DIGITS = 9
 # granted incentives, positive path rewards). The eps-grid scan admits
 # responses down to best - slack - ZERO, and its checkers ``rounding`` more.
 ZERO = 1e-12
+
+
+def near_best(values) -> np.ndarray:
+    """The mask of ``values`` within ``EQUAL`` of their maximum."""
+    values = np.asarray(values, dtype=float)
+    return values >= values.max() - EQUAL
+
+
+def leader_favoured(follower, leader) -> int:
+    """The index of the first winner of the strong Stackelberg tie rule.
+
+    The winners are within ``EQUAL`` of the best follower value, then within
+    ``EQUAL`` of the best leader value among those. Both windows start at a
+    maximum, so who wins does not depend on the order of the candidates;
+    the order breaks full ties. The margin is absolute: bimatrix callers
+    pass unit payoffs (``bimatrix._unit``), incentive callers payoffs as given.
+    """
+    tied = np.flatnonzero(near_best(follower))
+    return int(tied[near_best(np.asarray(leader, dtype=float)[tied])][0])
 
 
 def rounding(n: int, scale: float) -> float:

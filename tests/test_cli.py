@@ -357,9 +357,18 @@ def test_solve_incentive_no_incentives_on_a_1500_vertex_chain(tmp_path, capsys):
 
 
 def test_solve_incentive_path_limit_exit_3(tmp_path, capsys):
-    path = write(tmp_path, "inst.json", incentive_to_json_obj(commit_instance()))
-    code = main(["solve-incentive", "-i", path, "--no-incentives", "--path-limit", "3"])
-    assert code == EXIT_LIMIT
+    # 13 stages of two parallel edges: 8,192 s-t paths, more than the 4,096
+    # that --no-incentives writes out
+    edges = [{"id": f"e{v:02d}{k}", "u": v, "v": v + 1} for v in range(13) for k in "ab"]
+    obj = {
+        "elements": [{"id": e["id"], "c": -1.0, "C": 0.0} for e in edges],
+        "family": {"type": "path", "vertices": 14, "edges": edges, "source": 0, "sink": 13},
+    }
+    path = write(tmp_path, "inst.json", obj)
+    assert main(["solve-incentive", "-i", path, "--no-incentives"]) == EXIT_LIMIT
+    assert "more than 4096 simple paths" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # the --path-limit option is gone
+        main(["solve-incentive", "-i", path, "--no-incentives", "--path-limit", "3"])
     capsys.readouterr()
 
 
@@ -467,15 +476,29 @@ def test_pm_bruteforce_single_edge_identity(tmp_path, capsys):
     assert report["result"]["pitim"]["value"] == 1
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_pm_bruteforce_pitim_is_bruteforce_pitims(tmp_path, capsys, seed):
+    # read off the explicit game's diagonal, uL[i, i] = |M_i ∩ pi(M_i)|
+    inst = random_permmatch(seed, 6, 4 + seed)
+    code, report = run_cli(capsys, "pm", "bruteforce", "-i", write(tmp_path, "pm.json", permmatch_to_json_obj(inst)))
+    assert code == EXIT_OK
+    best, value = permmatch.bruteforce_pitim(inst)
+    assert report["result"]["pitim"] == {"matching": sorted(best), "value": value}
+
+
 def test_pm_bruteforce_limit(tmp_path, capsys):
+    # 13 parallel edges have 14 matchings: only the explicit game's cap of
+    # 1,280 matchings applies, not bruteforce_pitim's 12 edges
     obj = {
         "vertices": 2,
         "edges": [{"id": i, "u": 0, "v": 1} for i in range(13)],
         "pi": list(range(13)),
     }
     path = write(tmp_path, "pm.json", obj)
-    assert main(["pm", "bruteforce", "-i", path]) == EXIT_LIMIT
-    capsys.readouterr()
+    code, report = run_cli(capsys, "pm", "bruteforce", "-i", path)
+    assert code == EXIT_OK
+    # the first best matching of enumerate_matchings, which leaves edges out first
+    assert report["result"]["pitim"] == {"matching": [12], "value": 1}
 
 
 def test_pm_bruteforce_on_eleven_disjoint_edges_exits_3(tmp_path, capsys):
@@ -616,7 +639,8 @@ def test_gen_bad_params_exit_2(capsys):
 
 
 def test_gen_verifiable_flag(capsys):
-    assert main(["gen", "random-pm", "--seed", "1", "--edges", "20", "--verifiable"]) == EXIT_INPUT
+    # 20 edges on 6 vertices have 134 matchings, within what pm bruteforce writes out
+    assert main(["gen", "random-pm", "--seed", "1", "--edges", "20", "--verifiable"]) == EXIT_OK
     capsys.readouterr()
     # 12 edges among a million vertices: disjoint, so 4,096 matchings, more
     # than pm bruteforce writes out

@@ -507,6 +507,54 @@ def test_follower_prefers_the_incentivized_set_on_a_full_tie():
     assert inc.follower_best_set(instance, strategy({"e1": 0.5, "e2": 0.5}, {("e2",): 1e-10})) == ("e2",)
 
 
+@pytest.mark.parametrize("order", ["abc", "cba"])
+def test_near_ties_do_not_chain_in_either_family_order(order):
+    # the base payoffs are 1.2e-9, 0.6e-9 and 0: b is within EQUAL of the best
+    # set a and c is not, so b wins on its larger leader mass, in any order
+    rewards = {"a": 0.2 + 1.2e-9, "b": 0.3 + 0.6e-9, "c": 0.5}
+    family = inc.ExplicitFamily(tuple(frozenset({e}) for e in order))
+    instance = inc.IncentiveInstance(("a", "b", "c"), rewards, dict.fromkeys(rewards, 0.0), family)
+    x = {"a": 0.2, "b": 0.3, "c": 0.5}
+    assert inc.base_best_set(instance, x)[0] == ("b",)
+    assert inc.follower_best_set(instance, strategy(x)) == ("b",)
+
+
+# steps of 0.4e-9, so that near ties chain across EQUAL
+_STEP = st.integers(0, 5).map(lambda k: k * 4e-10)
+
+
+@st.composite
+def near_tie_families(draw):
+    """Explicit families whose base payoffs and leader masses tie within and across ``EQUAL``.
+
+    Each element has x_e = q + j 0.4e-9 and c_e = q + k 0.4e-9 for one q, so
+    its base payoff c_e - x_e is a few steps from 0.
+    """
+    elements = tuple(f"e{i}" for i in range(draw(st.integers(1, 4))))
+    subsets = [frozenset(s) for r in range(1, len(elements) + 1) for s in itertools.combinations(elements, r)]
+    sets = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=7, unique=True))
+    q = {e: draw(st.sampled_from([0.0, 0.25, 0.5])) for e in elements}
+    rewards = {e: q[e] + draw(_STEP) for e in elements}
+    x = {e: q[e] + draw(_STEP) for e in elements}
+    inst = inc.IncentiveInstance(elements, rewards, dict.fromkeys(elements, 0.0), inc.ExplicitFamily(tuple(sets)))
+    return inst, x, draw(st.permutations(sets))
+
+
+@settings(max_examples=400)
+@given(near_tie_families())
+def test_explicit_best_set_ignores_the_order_of_the_family(case):
+    inst, x, shuffled = case
+    sid, value = inc.base_best_set(inst, x)
+    assert inc.base_best_set(replace(inst, family=inc.ExplicitFamily(tuple(shuffled))), x) == (sid, value)
+    # the rule by enumeration: base payoff within EQUAL of the best, then the
+    # leader mass within EQUAL of the best among those, then the smallest id
+    base = {s: sum(-x[e] + inst.follower_reward[e] for e in s) for s in inst.family.ids()}
+    tied = [s for s in base if base[s] >= max(base.values()) - tolerances.EQUAL]
+    mass = {s: sum(x[e] for e in s) for s in tied}
+    assert sid == min(s for s in tied if mass[s] >= max(mass.values()) - tolerances.EQUAL)
+    assert value == base[sid]
+
+
 def test_path_family_rejects_sets_that_are_not_paths():
     instance = commit_instance(1)
     x = {"sa": 0.5, "bt": 0.5}

@@ -9,8 +9,9 @@ recurses once per edge or vertex fails with ``RecursionError`` before its
 ``SizeLimitError`` can apply. A third keeps test-only code out of them:
 a public function or class that no package or benchmark code uses, and
 that the package does not export, belongs in ``tests/oracles.py``.
-A fourth keeps the payoff scale in one place, ``bimatrix._unit``, and a
-fifth the options HiGHS runs with in ``lp.py``.
+A fourth keeps the payoff scale in one place, ``bimatrix._unit``, a
+fifth the options HiGHS runs with in ``lp.py``, and a sixth the
+leader-favouring tie window in ``tolerances.near_best``.
 """
 
 import ast
@@ -19,6 +20,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacksolve import gen
 from stacksolve import permmatch as pm
@@ -243,6 +246,57 @@ def test_entry_point_guard_flags_only_unused_names():
     users = ["x = m.used()\nm.caller()\n"]
     assert unused_entry_points([module], users, init) == ["Helper", "_private", "lonely"]
     assert unused_entry_points([module + "_HELPER = Helper\n"], users, init) == ["_private", "lonely"]
+
+
+def tie_windows(source: str) -> list[str]:
+    """Every ``max(...) - EQUAL`` and ``<expr>.max() - EQUAL``: a tie window written out."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and isinstance(node.left, ast.Call)
+        and "max" in (getattr(node.left.func, "id", None), getattr(node.left.func, "attr", None))
+        and "EQUAL" in (getattr(node.right, "id", None), getattr(node.right, "attr", None))
+    ]
+
+
+def test_tie_windows_are_measured_in_tolerances_only():
+    # one leader-favouring tie rule: ``near_best`` and ``leader_favoured``
+    found = [
+        f"{path.name}:{hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "tolerances.py"
+        for hit in tie_windows(path.read_text())
+    ]
+    assert not found, "use tolerances.near_best or tolerances.leader_favoured:\n" + "\n".join(found)
+
+
+def test_tie_window_guard_flags_max_less_equal():
+    assert tie_windows("tied = vals >= vals.max() - EQUAL\n") == ["1: vals.max() - EQUAL"]
+    assert tie_windows("x = 1\nbest = max(a, key=f) - tolerances.EQUAL\n") == ["2: max(a, key=f) - tolerances.EQUAL"]
+    assert tie_windows("ok = v >= np.max(v) - EQUAL\n") == ["1: np.max(v) - EQUAL"]
+    assert tie_windows("a = v.max() - NEAR_BEST\nb = best - EQUAL\nc = max(v) + EQUAL\nd = min(v) - EQUAL\n") == []
+
+
+# values 0.4e-9 apart around a few bases, so that near ties chain across EQUAL
+_NEAR = st.builds(lambda base, k: base + k * 4e-10, st.sampled_from([-1.0, 0.0, 0.5]), st.integers(0, 6))
+
+
+def _winners(follower, leader):
+    """The strong Stackelberg tie rule by enumeration: every candidate it lets win, in order."""
+    tied = [i for i, f in enumerate(follower) if f >= max(follower) - tolerances.EQUAL]
+    best = max(leader[i] for i in tied)
+    return [i for i in tied if leader[i] >= best - tolerances.EQUAL]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_NEAR, _NEAR), min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_leader_favoured_is_the_rule_by_enumeration_in_any_order(pairs, rng):
+    follower, leader = map(list, zip(*pairs))
+    winners = _winners(follower, leader)
+    assert tolerances.leader_favoured(follower, leader) == winners[0]
+    assert tolerances.near_best(follower).tolist() == [f >= max(follower) - tolerances.EQUAL for f in follower]
+    order = rng.sample(range(len(pairs)), len(pairs))
+    assert order[tolerances.leader_favoured([follower[i] for i in order], [leader[i] for i in order])] in winners
 
 
 def _widest_accepted_sum(side: float) -> float:
