@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import lp
-from .errors import InputError, SizeLimitError, ToolkitError
+from .errors import InputError, SizeLimitError, ToolkitError, as_index
 from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, SAME_DIGITS, leader_favoured, near_best, probabilities
 
 LEADER = "leader"
@@ -59,7 +59,7 @@ class BimatrixGame:
     def from_json(cls, text: str) -> "BimatrixGame":
         data = json.loads(text)
         game = cls(np.asarray(data["uL"], dtype=float), np.asarray(data["uF"], dtype=float))
-        if game.n != data["n"] or game.m != data["m"]:
+        if game.n != as_index(data["n"], "n") or game.m != as_index(data["m"], "m"):
             raise InputError("declared n/m do not match matrix shapes")
         return game
 

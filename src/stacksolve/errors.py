@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the integer check of the JSON readers."""
+
+import operator
 
 
 class ToolkitError(Exception):
@@ -19,3 +21,14 @@ class LpNumericalError(ToolkitError):
     Deliberately distinct from an infeasible status: infeasibility is an
     answer, numerical failure is not.
     """
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``; a bool raises ``InputError``.
+
+    JSON's ``true`` and ``false`` arrive as Python's ``True`` and ``False``,
+    which ``operator.index`` and ``==`` take for 1 and 0.
+    """
+    if isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, not a boolean")
+    return operator.index(value)

@@ -12,9 +12,13 @@ any library RNG.
 
 from __future__ import annotations
 
-from .bimatrix import BimatrixGame
+from typing import TYPE_CHECKING
+
 from .errors import InputError
 from .permmatch import Multigraph, PermMatchInstance, ThreeDMInstance
+
+if TYPE_CHECKING:
+    from .bimatrix import BimatrixGame
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -49,6 +53,8 @@ class SplitMix64:
 
 
 def random_bimatrix(seed: int, n: int, m: int, low: float = 0.0, high: float = 1.0) -> BimatrixGame:
+    from .bimatrix import BimatrixGame  # here, so that gen random-pm and random-3dm never load numpy
+
     if n < 1 or m < 1 or high < low:
         raise InputError("bad bimatrix size or payoff range")
     rng = SplitMix64(seed)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import lp
 from .bimatrix import EXPLICIT_LIMIT, BimatrixGame
-from .errors import InputError, SizeLimitError, ToolkitError
+from .errors import InputError, SizeLimitError, ToolkitError, as_index
 from .tolerances import EQUAL, GUARANTEE, ZERO, leader_favoured, probabilities
 
 SetId = tuple[str, ...]
@@ -500,9 +499,9 @@ def incentive_from_json(text: str) -> IncentiveInstance:
     if fam["type"] == "explicit":
         family = ExplicitFamily(tuple(frozenset(s) for s in fam["sets"]))
     elif fam["type"] == "path":
-        index = operator.index
-        edges = tuple((e["id"], index(e["u"]), index(e["v"])) for e in fam["edges"])
-        family = PathFamily(index(fam["vertices"]), edges, index(fam["source"]), index(fam["sink"]))
+        edges = tuple((e["id"], as_index(e["u"], "edge end"), as_index(e["v"], "edge end")) for e in fam["edges"])
+        source, sink = as_index(fam["source"], "source"), as_index(fam["sink"], "sink")
+        family = PathFamily(as_index(fam["vertices"], "vertices"), edges, source, sink)
     else:
         raise InputError(f"unknown family type {fam['type']!r}")
     return IncentiveInstance(tuple(elements), c, big_c, family)

@@ -18,20 +18,26 @@ scan ``enumerate_matchings``, which runs on an explicit stack:
 ``explicit_bimatrix`` (capped at ``EXPLICIT_MATCHING_LIMIT`` matchings, its
 payoffs two products of the matching-by-edge incidence matrix, whose diagonal
 ``pm bruteforce`` reads as pi-TIM) and ``bruteforce_pitim`` (12 edges).
+
+Only ``explicit_bimatrix`` computes with numpy, and only it imports numpy
+and ``bimatrix``, in its body. So ``pm approx``, ``pm bestresponse``,
+``reduce 3dm-to-pm`` and ``gen random-pm``/``random-3dm`` run without
+loading numpy; ``pm bruteforce`` loads it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
-from .bimatrix import BimatrixGame
-from .errors import InputError, SizeLimitError
+from .errors import InputError, SizeLimitError, as_index
 from .tolerances import EQUAL, probabilities
+
+if TYPE_CHECKING:
+    from .bimatrix import BimatrixGame
 
 BRUTE_FORCE_EDGE_LIMIT = 12
 # most matchings ``explicit_bimatrix`` writes out; see its docstring
@@ -186,7 +192,7 @@ def max_weight_matching(
     ties = [0.0] * graph.num_edges if tie_weights is None else tie_weights
     if len(weights) != graph.num_edges or len(ties) != graph.num_edges:
         raise InputError("one weight per edge required")
-    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(ties))):
+    if not (all(map(math.isfinite, weights)) and all(map(math.isfinite, ties))):
         raise InputError("weights must be finite")
     cand = sorted(
         (e for e in range(graph.num_edges) if weights[e] > 0 or (weights[e] == 0 and ties[e] > 0)),
@@ -354,6 +360,10 @@ def explicit_bimatrix(inst: PermMatchInstance) -> tuple[BimatrixGame, list[Match
     With ``hits`` the 0/1 matching-by-edge matrix, uF = hits hits^T and
     uL = hits hits[:, pi^{-1}]^T; the counts are small integers, so exact.
     """
+    import numpy as np
+
+    from .bimatrix import BimatrixGame
+
     matchings = enumerate_matchings(inst.graph, limit=EXPLICIT_MATCHING_LIMIT)
     hits = np.zeros((len(matchings), inst.graph.num_edges))
     for i, m in enumerate(matchings):
@@ -450,11 +460,12 @@ def extract_3dm(rmap: ReductionMap, inst: PermMatchInstance, mp: Iterable[int]) 
 
 def permmatch_from_json(text: str) -> PermMatchInstance:
     data = json.loads(text)
-    entries = sorted(data["edges"], key=lambda e: e["id"])
+    entries = sorted(data["edges"], key=lambda e: as_index(e["id"], "edge id"))
     if [e["id"] for e in entries] != list(range(len(entries))):
         raise InputError("edge ids must be exactly 0..E-1")
-    graph = Multigraph(operator.index(data["vertices"]), tuple((e["u"], e["v"]) for e in entries))
-    return PermMatchInstance(graph, data["pi"])
+    edges = tuple((as_index(e["u"], "edge end"), as_index(e["v"], "edge end")) for e in entries)
+    graph = Multigraph(as_index(data["vertices"], "vertices"), edges)
+    return PermMatchInstance(graph, tuple(as_index(p, "pi entry") for p in data["pi"]))
 
 
 def permmatch_to_json_obj(inst: PermMatchInstance) -> dict:
@@ -468,10 +479,10 @@ def permmatch_to_json_obj(inst: PermMatchInstance) -> dict:
 def threedm_from_json(text: str) -> ThreeDMInstance:
     data = json.loads(text)
     return ThreeDMInstance(
-        operator.index(data["nA"]),
-        operator.index(data["nB"]),
-        operator.index(data["nC"]),
-        data["triples"],
+        as_index(data["nA"], "nA"),
+        as_index(data["nB"], "nB"),
+        as_index(data["nC"], "nC"),
+        tuple(tuple(as_index(i, "triple entry") for i in t) for t in data["triples"]),
     )
 
 

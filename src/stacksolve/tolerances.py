@@ -7,11 +7,12 @@ gets a new name here, not a literal at the call site.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Payoffs or matching weights this close are equal: re-evaluated payoffs,
 # 1/eps = k checks, and ``near_best``, so tie rules ignore candidate order.
@@ -40,6 +41,8 @@ ZERO = 1e-12
 
 def near_best(values) -> np.ndarray:
     """The mask of ``values`` within ``EQUAL`` of their maximum."""
+    import numpy as np  # here, so that the numpy-free commands never load it
+
     values = np.asarray(values, dtype=float)
     return values >= values.max() - EQUAL
 
@@ -53,6 +56,8 @@ def leader_favoured(follower, leader) -> int:
     the order breaks full ties. The margin is absolute: bimatrix callers
     pass unit payoffs (``bimatrix._unit``), incentive callers payoffs as given.
     """
+    import numpy as np
+
     tied = np.flatnonzero(near_best(follower))
     return int(tied[near_best(np.asarray(leader, dtype=float)[tied])][0])
 

@@ -285,6 +285,11 @@ def test_json_round_trip():
     assert np.array_equal(game.u_follower, APPENDIX_GAME.u_follower)
     with pytest.raises(InputError):
         BimatrixGame.from_json('{"n": 3, "m": 2, "uL": [[1, 2]], "uF": [[1, 2]]}')
+    # a 1 x 1 game whose n or m is a boolean: True == 1 passed the shape check
+    BimatrixGame.from_json('{"n": 1, "m": 1, "uL": [[1]], "uF": [[0]]}')
+    for n, m in (("true", "1"), ("1", "true")):
+        with pytest.raises(InputError, match="boolean"):
+            BimatrixGame.from_json(f'{{"n": {n}, "m": {m}, "uL": [[1]], "uF": [[0]]}}')
 
 
 def test_game_validation():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stacksolve import cli, discretize, lp, permmatch
+from stacksolve import bimatrix, cli, discretize, lp, permmatch
 from stacksolve.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_OK, main
 from stacksolve.gen import SplitMix64, random_3dm, random_bimatrix, random_permmatch
 
@@ -143,6 +143,17 @@ def test_malformed_pm_strategy_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_booleans_for_integers_exit_2(tmp_path, capsys):
+    # true and false read as 1 and 0: this instance ran pm approx to exit 0
+    pm = {**SWAP_PM, "edges": [{"id": 0, "u": True, "v": 2}, {"id": 1, "u": 0, "v": 3}], "pi": [1, False]}
+    assert main(["pm", "approx", "-i", write(tmp_path, "pm.json", pm)]) == EXIT_INPUT
+    assert "boolean" in capsys.readouterr().err
+    strat = {"support": [{"edges": [True], "prob": 1.0}]}
+    argv = ["pm", "bestresponse", "-i", write(tmp_path, "swap.json", SWAP_PM)]
+    assert main([*argv, "--strategy", write(tmp_path, "strategy.json", strat)]) == EXIT_INPUT
+    assert "boolean" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exact", [[], ["--exact"]])
 def test_follower_payoffs_near_the_float_limit_solve_quietly(tmp_path, fresh_python, exact):
     # valid input whose follower differences overflow the float range
@@ -190,7 +201,7 @@ def test_solver_bug_is_internal_not_input(tmp_path, capsys, monkeypatch, error):
     def broken(game, exact=False):
         raise error("raised inside the solver")
 
-    monkeypatch.setattr(cli, "solve_stackelberg", broken)
+    monkeypatch.setattr(bimatrix, "solve_stackelberg", broken)
     path = write(tmp_path, "game.json", APPENDIX)
     assert main(["solve-bimatrix", "-i", path, "--method", "se"]) == EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
@@ -200,7 +211,7 @@ def test_internal_error_without_a_message_names_its_type(tmp_path, capsys, monke
     def broken(game, exact=False):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "solve_stackelberg", broken)
+    monkeypatch.setattr(bimatrix, "solve_stackelberg", broken)
     path = write(tmp_path, "game.json", APPENDIX)
     assert main(["solve-bimatrix", "-i", path, "--method", "se"]) == EXIT_INTERNAL
     assert capsys.readouterr().err == "internal error: MemoryError\n"
@@ -261,6 +272,48 @@ def test_cli_import_does_not_load_scipy(fresh_python):
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["stacksolve", "stacksolve.cli"])
+def test_package_and_cli_imports_load_neither_numpy_nor_scipy(fresh_python, module):
+    out = fresh_python("-c", f"import sys, {module}; print('numpy' in sys.modules, 'scipy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["pm", "approx", "-i", "{pm}"], False),
+        (["pm", "bestresponse", "-i", "{pm}"], False),
+        (["pm", "bestresponse", "-i", "{pm}", "--strategy", "{strategy}"], False),
+        (["reduce", "3dm-to-pm", "-i", "{tdm}", "-o", "{out}"], False),
+        (["gen", "random-pm", "--seed", "3"], False),
+        (["gen", "random-3dm", "--seed", "3"], False),
+        (["pm", "bruteforce", "-i", "{pm}"], True),
+        (["gen", "random-bimatrix", "--seed", "3"], True),
+    ],
+    ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v),
+)
+def test_only_the_commands_that_compute_with_numpy_load_it(tmp_path, fresh_python, argv, loads_numpy):
+    strategy = {"support": [{"edges": [0], "prob": 0.4}, {"edges": [1], "prob": 0.6}]}
+    tdm = {"nA": 2, "nB": 2, "nC": 2, "triples": [[0, 0, 0], [1, 1, 1], [0, 1, 1]]}
+    files = {
+        "pm": write(tmp_path, "pm.json", SWAP_PM),
+        "strategy": write(tmp_path, "strategy.json", strategy),
+        "tdm": write(tmp_path, "tdm.json", tdm),
+        "out": str(tmp_path / "out.json"),
+    }
+    script = (
+        "import sys\n"
+        "from stacksolve.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    out = fresh_python("-c", script, *(arg.format(**files) for arg in argv))
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[-1] == str(loads_numpy)
+
+
 def cli_in_fresh_python(fresh_python, path, setup=""):
     """Run ``solve-bimatrix --method se`` on ``path`` in a new interpreter.
 
@@ -277,6 +330,22 @@ def cli_in_fresh_python(fresh_python, path, setup=""):
         "print(*(m in sys.modules for m in ('scipy.optimize._highspy._core', 'scipy.optimize')))\n"
         "sys.exit(code)\n",
     )
+
+
+def test_numpy_is_imported_before_the_clock_starts(tmp_path, fresh_python):
+    # the first clock reading starts wallTimeSeconds, so numpy's import is not timed
+    clock = (
+        "import time, types\n"
+        "from stacksolve import cli\n"
+        "def monotonic():\n"
+        "    print('numpy' in sys.modules)\n"
+        "    return time.monotonic()\n"
+        "print('numpy' in sys.modules)\n"
+        "cli.time = types.SimpleNamespace(monotonic=monotonic)"
+    )
+    out = cli_in_fresh_python(fresh_python, write(tmp_path, "game.json", APPENDIX), clock)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[:2] == ["False", "True"]
 
 
 def test_highs_cli_solve_leaves_scipy_optimize_unloaded(tmp_path, fresh_python):

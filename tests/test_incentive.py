@@ -346,6 +346,19 @@ def test_json_round_trip():
             assert again.family == instance.family
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", ["vertices", "source", "sink", "u", "v"])
+def test_incentive_json_takes_no_boolean_for_an_integer(key, value):
+    import json
+
+    obj = inc.incentive_to_json_obj(commit_instance())
+    assert inc.incentive_from_json(json.dumps(obj)).family == commit_instance().family
+    family = obj["family"]
+    (family["edges"][0] if key in ("u", "v") else family)[key] = value
+    with pytest.raises(InputError, match="boolean"):
+        inc.incentive_from_json(json.dumps(obj))
+
+
 # ---------------------------------------------------------------------------
 # the lexicographically smallest tight path against path enumeration
 

@@ -1,6 +1,9 @@
+import json
+import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -624,8 +627,6 @@ def test_validation_errors():
 
 
 def test_json_round_trips():
-    import json
-
     inst = swap_instance()
     text = json.dumps(pm.permmatch_to_json_obj(inst))
     again = pm.permmatch_from_json(text)
@@ -635,3 +636,45 @@ def test_json_round_trips():
     assert pm.threedm_from_json(text) == tdm
     with pytest.raises(InputError):
         pm.permmatch_from_json('{"vertices": 2, "edges": [{"id": 1, "u": 0, "v": 1}], "pi": [0]}')
+
+
+def _set(obj, path, value):
+    """``obj`` with the entry at ``path`` (keys and list indices) set to ``value``."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "path", [("vertices",), ("edges", 1, "id"), ("edges", 0, "u"), ("edges", 1, "v"), ("pi", 0)], ids=str
+)
+def test_permmatch_json_takes_no_boolean_for_an_integer(path, value):
+    # operator.index(True) is 1, and True == 1 passed the edge id check
+    obj = pm.permmatch_to_json_obj(identity_instance([(0, 1), (1, 2)], 3))
+    assert pm.permmatch_from_json(json.dumps(obj)).graph.num_edges == 2
+    _set(obj, path, value)
+    with pytest.raises(InputError, match="boolean"):
+        pm.permmatch_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("path", [("nA",), ("nB",), ("nC",), ("triples", 0, 0), ("triples", 1, 2)], ids=str)
+def test_threedm_json_takes_no_boolean_for_an_integer(path, value):
+    obj = pm.threedm_to_json_obj(pm.ThreeDMInstance(2, 2, 2, ((0, 0, 0), (1, 1, 1))))
+    assert len(pm.threedm_from_json(json.dumps(obj)).triples) == 2
+    _set(obj, path, value)
+    with pytest.raises(InputError, match="boolean"):
+        pm.threedm_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("which", ["weights", "tie weights"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_max_weight_matching_rejects_non_finite_weights(bad, which, as_array):
+    graph = pm.Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+    given = {"weights": [1.0, 2.0, 1.5], "tie weights": [0.0, 1.0, 0.0]}
+    given[which][1] = bad
+    weights, ties = (np.asarray(v) if as_array else v for v in given.values())
+    with pytest.raises(InputError, match="finite"):
+        pm.max_weight_matching(graph, weights, ties)

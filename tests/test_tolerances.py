@@ -11,7 +11,8 @@ a public function or class that no package or benchmark code uses, and
 that the package does not export, belongs in ``tests/oracles.py``.
 A fourth keeps the payoff scale in one place, ``bimatrix._unit``, a
 fifth the options HiGHS runs with in ``lp.py``, and a sixth the
-leader-favouring tie window in ``tolerances.near_best``.
+leader-favouring tie window in ``tolerances.near_best``. The package
+resolves its public names on first access; ``EXPORTS`` pins them.
 """
 
 import ast
@@ -235,6 +236,43 @@ def test_no_test_only_entry_points_in_the_solver_modules():
     users += [path.read_text() for path in sorted((PACKAGE.parents[1] / "stackbench").glob("*.py"))]
     found = unused_entry_points(modules, users, (PACKAGE / "__init__.py").read_text())
     assert not found, "move these to tests/oracles.py, or export them:\n" + "\n".join(found)
+
+
+# the package's public names, by the module that defines them
+EXPORTS = {
+    "bimatrix": "BimatrixGame MixedStrategy StackelbergSolution expected_utilities follower_best_response "
+    "solve_maximin solve_nash_support_enumeration solve_stackelberg",
+    "discretize": "ApproxSolution GridParams discretized_se verify_eps_approx",
+    "errors": "InputError LpNumericalError SizeLimitError ToolkitError",
+    "incentive": "ExplicitFamily IncentiveInstance IncentiveLeaderStrategy IncentiveSolution PathFamily "
+    "check_incentive_lower_bound follower_best_set solve_stackelberg_incentive",
+    "lp": "LinearProgram LpSolution solve solve_with_generation",
+    "permmatch": "Matching Multigraph PermMatchInstance ReductionMap ThreeDMInstance TwoPointLeaderStrategy "
+    "approx_solve bruteforce_pitim extract_3dm greedy_pair lift_3dm max_weight_matching reduce_3dm",
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_the_package_exports_its_names_on_first_access(module):
+    import importlib
+
+    import stacksolve
+
+    for name in EXPORTS[module].split():
+        namespace: dict = {}
+        exec(f"from stacksolve import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"stacksolve.{module}"), name)
+        assert name in dir(stacksolve)
+
+
+def test_the_package_has_no_other_names():
+    import stacksolve
+
+    with pytest.raises(AttributeError, match="no attribute 'greedy'"):
+        stacksolve.greedy
+    with pytest.raises(ImportError):
+        exec("from stacksolve import solve_everything", {})
+    assert stacksolve.__version__ == "0.1.0"
 
 
 def test_entry_point_guard_flags_only_unused_names():
