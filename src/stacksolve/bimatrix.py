@@ -19,11 +19,17 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import lp
-from .errors import InputError, SizeLimitError, ToolkitError, as_index
+from .errors import InputError, SizeLimitError, ToolkitError, as_index, as_number
 from .tolerances import EQUAL, GUARANTEE, NEAR_BEST, PROBABILITY, SAME_DIGITS, leader_favoured, near_best, probabilities
 
 LEADER = "leader"
 FOLLOWER = "follower"
+
+
+def _json_matrix(value, what: str) -> np.ndarray:
+    """``value`` as a float array of its own shape, each entry checked by ``as_number``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([as_number(v, what) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class BimatrixGame:
     @classmethod
     def from_json(cls, text: str) -> "BimatrixGame":
         data = json.loads(text)
-        game = cls(np.asarray(data["uL"], dtype=float), np.asarray(data["uF"], dtype=float))
+        game = cls(_json_matrix(data["uL"], "uL entry"), _json_matrix(data["uF"], "uF entry"))
         if game.n != as_index(data["n"], "n") or game.m != as_index(data["m"], "m"):
             raise InputError("declared n/m do not match matrix shapes")
         return game

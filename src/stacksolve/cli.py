@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, gen, permmatch
-from .errors import InputError, SizeLimitError, ToolkitError, as_index
+from .errors import InputError, SizeLimitError, ToolkitError, as_index, as_number
 from .tolerances import ZERO
 
 EXIT_OK = 0
@@ -197,7 +197,7 @@ def _load_pm_strategy(inst: permmatch.PermMatchInstance, path: str) -> permmatch
         support = tuple(
             (
                 permmatch.as_matching(inst.graph, [as_index(e, "edge id") for e in entry["edges"]]),
-                float(entry["prob"]),
+                as_number(entry["prob"], "prob"),
             )
             for entry in json.loads(text)["support"]
         )

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the integer check of the JSON readers."""
+"""Exception hierarchy shared across the toolkit, and the number checks of the JSON readers."""
 
 import operator
 
@@ -32,3 +32,17 @@ def as_index(value, what: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{what} must be an integer, not a boolean")
     return operator.index(value)
+
+
+def as_number(value, what: str) -> float:
+    """``value``, an int or a float, as a float; anything else raises ``InputError``.
+
+    ``float`` would also take a boolean or a numeric string, and it raises
+    ``OverflowError`` on an int beyond the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lp
 from .bimatrix import EXPLICIT_LIMIT, BimatrixGame
-from .errors import InputError, SizeLimitError, ToolkitError, as_index
+from .errors import InputError, SizeLimitError, ToolkitError, as_index, as_number
 from .tolerances import EQUAL, GUARANTEE, ZERO, leader_favoured, probabilities
 
 SetId = tuple[str, ...]
@@ -492,11 +492,14 @@ def _lex_min_tight_path(fam: PathFamily, weights: Mapping, costs: Mapping) -> Op
 def incentive_from_json(text: str) -> IncentiveInstance:
     data = json.loads(text)
     elements = [entry["id"] for entry in data["elements"]]
-    c = {entry["id"]: float(entry["c"]) for entry in data["elements"]}
-    big_c = {entry["id"]: float(entry["C"]) for entry in data["elements"]}
+    c = {entry["id"]: as_number(entry["c"], "c") for entry in data["elements"]}
+    big_c = {entry["id"]: as_number(entry["C"], "C") for entry in data["elements"]}
     fam = data["family"]
     family: Family
     if fam["type"] == "explicit":
+        # a string or an object would pass frozenset() as its characters or keys
+        if not isinstance(fam["sets"], list) or not all(isinstance(s, list) for s in fam["sets"]):
+            raise InputError("explicit family sets must be a list of lists of element ids")
         family = ExplicitFamily(tuple(frozenset(s) for s in fam["sets"]))
     elif fam["type"] == "path":
         edges = tuple((e["id"], as_index(e["u"], "edge end"), as_index(e["v"], "edge end")) for e in fam["edges"])

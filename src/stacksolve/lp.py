@@ -11,10 +11,11 @@ them, and the exact simplex reads each number once as a Python float.
 Two interchangeable backends sit behind ``solve``:
 
 * ``exact=True``  -- a two-phase simplex with Bland's rule whose tableau
-  rows are Python ints over one positive denominator each, so every sign
-  test and ratio comparison is exact integer arithmetic. Degenerate
-  desk-scale programs terminate, and the optima are bit-reproducible: the
-  pivots and rationals are those of a ``fractions.Fraction`` tableau.
+  rows are lists of Python ints, each the true row up to a positive factor,
+  so every sign test and ratio comparison is exact integer arithmetic.
+  Degenerate desk-scale programs terminate, and the optima are
+  bit-reproducible: the pivots and rationals are those of a
+  ``fractions.Fraction`` tableau.
 * ``exact=False`` -- HiGHS's dual simplex, for the larger programs of the
   game solvers, called through the bindings scipy ships. ``solve`` passes
   the model and options ``linprog(method="highs", options={"presolve":
@@ -421,23 +422,24 @@ class TightRowLps:
 
 _PIVOT_GUARD = 200_000
 
-# The tableau keeps each row as a list of integer numerators, rhs last, over
-# one positive denominator, so entry j is row[j] / den; the objective row z,
-# reduced costs then -(objective value), is kept the same way as the last
-# row. Every sign test and ratio comparison of the simplex is a test on
-# ints, and the pivots are those of a Fraction tableau on the same values.
+# The tableau keeps each row as a list of integers, rhs last, fixed only up
+# to a positive factor: it is the true row times some positive integer, and
+# is divided by the gcd of its entries. The objective row z, reduced costs
+# then -(objective value), is kept the same way as the last row. No decision
+# of the simplex reads the factor: signs in z pick the entering column,
+# cross-multiplied ratios the leaving row, nonzero tests the evicted
+# artificials, and a basic value is the rhs over the (positive) basic entry.
+# So the pivots are those of a Fraction tableau on the same values.
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    if g <= 1:  # 0: an all-zero row
+        return row
+    return [v // g for v in row]
 
 
 def _solve_exact(lp: LinearProgram) -> LpSolution:
-    obj = [v.as_integer_ratio() for v in lp.objective.tolist()]
-
     # Column layout: a variable >= 0 keeps one column, a free one is the
     # difference of two; cols_of_var[i] lists (column, multiplier) pairs.
     cols_of_var: list[list[tuple[int, int]]] = []
@@ -445,16 +447,22 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
     for i in range(lp.num_vars):
         cols_of_var.append([(ncols, 1), (ncols + 1, -1)] if i in lp.free else [(ncols, 1)])
         ncols += len(cols_of_var[-1])
-    width = ncols + len(lp.leq_rows)  # one slack per <= row
+    leq, eq = lp.leq_rows.tolist(), lp.eq_rows.tolist()
+    width = ncols + len(leq)  # one slack per <= row
+    # Phase 1 starts from the row's own slack when its right-hand side is
+    # >= 0, so that the slack keeps coefficient +1, otherwise from an
+    # artificial variable.
+    nart = len(eq) + sum(numbers[-1] < 0 for numbers in leq)
 
-    def int_row(numbers, slack):
-        # numbers[:-1] . x <= numbers[-1] (with a slack) or == numbers[-1],
-        # over the columns, put over one common denominator and
-        # sign-normalized to a right-hand side >= 0
+    def int_row(numbers, slack=None, art=None):
+        # numbers[:-1] . x (+ slack) == numbers[-1] over the columns, times
+        # the common denominator of its numbers and sign-normalized to a
+        # right-hand side >= 0; the artificial column art gets that
+        # denominator, which is coefficient 1 in the true row
         nz = [(a.as_integer_ratio(), cols) for a, cols in zip(numbers, cols_of_var) if a != 0]
         rp, rq = numbers[-1].as_integer_ratio()
         den = lcm(rq, *(q for (_, q), _ in nz))
-        row = [0] * (width + 1)
+        row = [0] * (width + nart + 1)
         for (p, q), cols in nz:
             for j, mult in cols:
                 row[j] = mult * p * (den // q)
@@ -463,68 +471,53 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
             row[slack] = den
         if row[-1] < 0:
             row = [-v for v in row]
-        return _reduced(row, den)
+        if art is not None:
+            row[art] = den
+        return _reduced(row)
 
-    # Phase 1 starts from the row's own slack when it kept coefficient +1,
-    # otherwise from an artificial variable.
     rows: list[list[int]] = []
-    dens: list[int] = []
     basis: list[int] = []
-    for r, numbers in enumerate(lp.leq_rows.tolist() + lp.eq_rows.tolist()):
-        slack = ncols + r if r < len(lp.leq_rows) else None
-        row, den = int_row(numbers, slack)
-        rows.append(row)
-        dens.append(den)
-        basis.append(slack if slack is not None and row[slack] > 0 else -1)
-    nart = basis.count(-1)
+    art = width
+    for r, numbers in enumerate(leq + eq):
+        slack = ncols + r if r < len(leq) else None
+        if slack is not None and numbers[-1] >= 0:
+            rows.append(int_row(numbers, slack))
+            basis.append(slack)
+        else:
+            rows.append(int_row(numbers, slack, art))
+            basis.append(art)
+            art += 1
     if nart:
-        art = width
-        for r, row in enumerate(rows):
-            ext = [0] * nart
-            if basis[r] < 0:
-                ext[art - width] = dens[r]
-                basis[r] = art
-                art += 1
-            rows[r] = row[:-1] + ext + row[-1:]
         rows.append([0] * width + [1] * nart + [0])
-        dens.append(1)
-        _price(rows, dens, basis)
-        status = _bland(rows, dens, basis)
-        if status == UNBOUNDED:  # pragma: no cover - phase 1 is bounded below
+        _price(rows, basis)
+        if _bland(rows, basis) == UNBOUNDED:  # pragma: no cover - phase 1 is bounded below
             raise LpNumericalError("phase-1 reported unbounded")
-        z = rows.pop()
-        dens.pop()
-        if z[-1] < 0:
+        if rows.pop()[-1] < 0:  # the least sum of artificials is > 0
             return LpSolution(INFEASIBLE)
-        _evict_artificials(rows, dens, basis, width)
+        _evict_artificials(rows, basis, width)
         keep = [r for r, b in enumerate(basis) if b < width]
         rows = [rows[r][:width] + rows[r][-1:] for r in keep]
-        dens = [dens[r] for r in keep]
         basis = [basis[r] for r in keep]
 
-    # Phase 2 minimizes the negated objective.
-    den = lcm(*(q for _, q in obj))
-    row = [0] * (width + 1)
-    for (p, q), cols in zip(obj, cols_of_var):
-        for j, mult in cols:
-            row[j] = -mult * p * (den // q)
-    rows.append(row)
-    dens.append(den)
-    _price(rows, dens, basis)
-    if _bland(rows, dens, basis) == UNBOUNDED:
+    # Phase 2 minimizes the negated objective, over no artificial column.
+    z = int_row([-v for v in lp.objective.tolist()] + [0.0])
+    rows.append(z[:width] + z[-1:])
+    _price(rows, basis)
+    if _bland(rows, basis) == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
     # Answers as exact (numerator, denominator) pairs; int / int rounds
     # correctly, as float(Fraction) does, so no Fraction is needed. The two
     # columns of a free variable are negatives, so at most one is basic.
-    value = {b: (rows[r][-1], dens[r]) for r, b in enumerate(basis)}
+    value = {b: (rows[r][-1], rows[r][b]) for r, b in enumerate(basis)}
     exact_x = [
         next(((mult * value[j][0], value[j][1]) for j, mult in cols if j in value), (0, 1))
         for cols in cols_of_var
     ]
     obj_num, obj_den = 0, 1
-    for (p, q), (num, den) in zip(obj, exact_x):
-        if p != 0 and num != 0:
+    for c, (num, den) in zip(lp.objective.tolist(), exact_x):
+        if c != 0 and num != 0:
+            p, q = c.as_integer_ratio()
             obj_num, obj_den = obj_num * q * den + p * num * obj_den, obj_den * q * den
     try:
         return LpSolution(OPTIMAL, [num / den for num, den in exact_x], obj_num / obj_den)
@@ -532,23 +525,23 @@ def _solve_exact(lp: LinearProgram) -> LpSolution:
         raise LpNumericalError("the exact optimum has no float value") from None
 
 
-def _price(rows, dens, basis):
+def _price(rows, basis):
     # Turn the cost row (last) into reduced costs: eliminate every basic
     # column, each of which is a unit column of the constraint rows.
     for r, b in enumerate(basis):
         if rows[-1][b] != 0:
-            _eliminate(rows, dens, len(rows) - 1, rows[r], b)
+            _eliminate(rows, len(rows) - 1, rows[r], b)
 
 
-def _bland(rows, dens, basis):
+def _bland(rows, basis):
     """Minimize with Bland's rule; mutates the tableau in place."""
     for _ in range(_PIVOT_GUARD):
         z = rows[-1]
         enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
             return OPTIMAL
-        # ratio test: rhs/a compared by cross-multiplying (a > 0 and the
-        # row denominator cancels); ties go to the smaller basis index
+        # ratio test: rhs/a compared by cross-multiplying (a > 0 and each
+        # row's positive factor cancels); ties go to the smaller basis index
         leave = None
         for r, b in enumerate(basis):
             row = rows[r]
@@ -561,36 +554,33 @@ def _bland(rows, dens, basis):
                 leave, best_a, best_rhs = r, a, row[-1]
         if leave is None:
             return UNBOUNDED
-        _pivot(rows, dens, leave, enter)
+        _pivot(rows, leave, enter)
         basis[leave] = enter
     raise LpNumericalError("simplex pivot guard exceeded")
 
 
-def _pivot(rows, dens, r, c):
-    # Dividing row r by its entry at c cancels its denominator; the sign
-    # goes into the numerators so that the new denominator is positive.
+def _pivot(rows, r, c):
+    # Row r, with its entry at c made positive, eliminates column c from
+    # every other row.
     prow = rows[r]
     if prow[c] < 0:
-        prow = [-v for v in prow]
-    prow, pd = _reduced(prow, prow[c])
-    rows[r], dens[r] = prow, pd
+        prow = rows[r] = [-v for v in prow]
     for i in range(len(rows)):
         if i != r and rows[i][c] != 0:
-            _eliminate(rows, dens, i, prow, c)
+            _eliminate(rows, i, prow, c)
 
 
-def _eliminate(rows, dens, i, prow, c):
-    # rows[i] -= (its entry at c) * prow, where prow over the denominator
-    # prow[c] has entry 1 at c.
+def _eliminate(rows, i, prow, c):
+    # rows[i] -= (its entry at c / prow[c]) * prow, times prow[c] > 0.
     f = rows[i][c]
     pd = prow[c]
-    rows[i], dens[i] = _reduced([a * pd - f * b for a, b in zip(rows[i], prow)], dens[i] * pd)
+    rows[i] = _reduced([a * pd - f * b for a, b in zip(rows[i], prow)])
 
 
-def _evict_artificials(rows, dens, basis, width):
+def _evict_artificials(rows, basis, width):
     for r, b in enumerate(basis):
         if b >= width:
             col = next((j for j in range(width) if rows[r][j] != 0), None)
             if col is not None:
-                _pivot(rows, dens, r, col)
+                _pivot(rows, r, col)
                 basis[r] = col

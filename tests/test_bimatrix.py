@@ -292,6 +292,23 @@ def test_json_round_trip():
             BimatrixGame.from_json(f'{{"n": {n}, "m": {m}, "uL": [[1]], "uF": [[0]]}}')
 
 
+@pytest.mark.parametrize(
+    "ul, uf",
+    [
+        ([[True, False]], [[False, True]]),
+        ([["1"]], [[0]]),
+        ([[10**400]], [[0]]),
+    ],
+    ids=["booleans", "numeric string", "beyond the float range"],
+)
+def test_json_payoffs_must_be_numbers(ul, uf):
+    import json
+
+    text = json.dumps({"n": len(ul), "m": len(ul[0]), "uL": ul, "uF": uf})
+    with pytest.raises(InputError, match="uL entry"):
+        BimatrixGame.from_json(text)
+
+
 def test_game_validation():
     with pytest.raises(InputError):
         BimatrixGame(np.zeros((2, 2)), np.zeros((2, 3)))

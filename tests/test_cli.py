@@ -678,6 +678,39 @@ def test_fractional_integer_fields_exit_2(tmp_path, capsys, command, instance, s
     assert "malformed input" in capsys.readouterr().err
 
 
+EXPLICIT_AB = {
+    "elements": [{"id": "a", "c": 0.5, "C": 1.0}, {"id": "b", "c": 0.5, "C": 1.0}],
+    "family": {"type": "explicit", "sets": [["a", "b"], ["a"]]},
+}
+PM_STRATEGY = {"support": [{"edges": [0], "prob": 1.0}]}
+
+
+# float() takes each value, as True, a numeric string, or an int it cannot
+# convert (an internal error before the readers checked the type).
+@pytest.mark.parametrize(
+    "command, instance, strategy",
+    [
+        pytest.param(["solve-bimatrix"], {"n": 1, "m": 2, "uL": [[True, False]], "uF": [[False, True]]}, None, id="boolean payoffs"),
+        pytest.param(["solve-bimatrix"], with_entry(APPENDIX, ("uL", 0, 0), "1"), None, id="string payoff"),
+        pytest.param(["solve-bimatrix"], with_entry(APPENDIX, ("uF", 1, 0), 10**400), None, id="huge payoff"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("elements", 0, "c"), "-0.5"), None, id="string c"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("elements", 0, "C"), True), None, id="boolean C"),
+        pytest.param(["solve-incentive"], with_entry(COMMIT_1, ("elements", 0, "c"), -(10**400)), None, id="huge c"),
+        pytest.param(["solve-incentive"], with_entry(EXPLICIT_AB, ("family", "sets"), ["ab", "a"]), None, id="string sets"),
+        pytest.param(["solve-incentive"], with_entry(EXPLICIT_AB, ("family", "sets"), [{"a": 1, "b": 1}]), None, id="object set"),
+        pytest.param(["pm", "bestresponse"], SWAP_PM, with_entry(PM_STRATEGY, ("support", 0, "prob"), True), id="boolean prob"),
+        pytest.param(["pm", "bestresponse"], SWAP_PM, with_entry(PM_STRATEGY, ("support", 0, "prob"), "1"), id="string prob"),
+        pytest.param(["pm", "bestresponse"], SWAP_PM, with_entry(PM_STRATEGY, ("support", 0, "prob"), 10**400), id="huge prob"),
+    ],
+)
+def test_non_numbers_and_non_lists_exit_2(tmp_path, capsys, command, instance, strategy):
+    argv = [*command, "-i", write(tmp_path, "in.json", instance), "-o", str(tmp_path / "out.json")]
+    if strategy is not None:
+        argv += ["--strategy", write(tmp_path, "strategy.json", strategy)]
+    assert main(argv) == EXIT_INPUT
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

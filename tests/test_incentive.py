@@ -346,6 +346,31 @@ def test_json_round_trip():
             assert again.family == instance.family
 
 
+@pytest.mark.parametrize("value", [True, "-0.5", 10**400], ids=["boolean", "string", "huge"])
+@pytest.mark.parametrize("key", ["c", "C"])
+def test_incentive_json_rewards_must_be_numbers(key, value):
+    import json
+
+    obj = inc.incentive_to_json_obj(commit_instance())
+    obj["elements"][0][key] = value
+    with pytest.raises(InputError, match=f"^{key} "):
+        inc.incentive_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "sets", [["ab", "a"], [{"a": 1, "b": 2}], "ab", {"ab": ["a"]}], ids=["strings", "object", "string", "object of sets"]
+)
+def test_incentive_json_sets_must_be_lists(sets):
+    import json
+
+    elements = [{"id": e, "c": 0.5, "C": 1.0} for e in ("a", "b")]
+    obj = {"elements": elements, "family": {"type": "explicit", "sets": [["a", "b"], ["a"]]}}
+    assert set(inc.incentive_from_json(json.dumps(obj)).family.sets) == {frozenset("ab"), frozenset("a")}
+    obj["family"]["sets"] = sets
+    with pytest.raises(InputError, match="list of lists"):
+        inc.incentive_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize("key", ["vertices", "source", "sink", "u", "v"])
 def test_incentive_json_takes_no_boolean_for_an_integer(key, value):
